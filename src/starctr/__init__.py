@@ -14,9 +14,11 @@ from . import errors
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, load_experiment_config, parse_experiment_config
 from .datagen import (
+    Dataset,
     DomainProfile,
     Example,
     GenConfig,
+    as_dataset,
     default_gen_config,
     generate,
     generate_examples,
@@ -59,11 +61,12 @@ from .tensor import grad_check, hadamard, make_rng, matmul
 from .train import evaluate_model, run_ablation, train_model
 
 __all__ = [
-    "Adam", "AuxNet", "BaselineModel", "Batch", "BatchNorm", "DomainProfile",
+    "Adam", "AuxNet", "BaselineModel", "Batch", "BatchNorm", "Dataset",
+    "DomainProfile",
     "EmbeddingTable", "Example", "ExperimentConfig", "FcLayer", "FoldedModel",
     "GenConfig", "LayerNorm", "MetricReport", "ModelConfig",
     "PartitionedNorm", "Prediction", "ShuffleBuffer", "StarFcn", "StarModel",
-    "auc", "bce_loss", "build_baseline", "build_model", "build_report",
+    "as_dataset", "auc", "bce_loss", "build_baseline", "build_model", "build_report",
     "default_gen_config", "embed_and_pool", "errors", "evaluate_model",
     "fold", "generate", "generate_examples", "grad_check", "hadamard", "iter_batches",
     "load_experiment_config", "load_folded", "load_model", "make_rng",

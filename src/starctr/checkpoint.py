@@ -6,7 +6,7 @@ Layout (all integers little-endian, all tensors raw float64 in C order):
     version  u16      currently 1
     variant  u8       0=base, 1=shared_bottom, 2=star
     norm     u8       0=bn, 1=ln, 2=pn
-    aux      u8       0/1
+    aux      u8       0=off, 1=aux with features, 2=aux without features
     pad      u8       0
     M        u32      number of domains
     embed_dim, aux_embed_dim, aux_hidden          u32 each
@@ -50,6 +50,7 @@ _VARIANT_CODE = {"base": 0, "shared_bottom": 1, "star": 2}
 _NORM_CODE = {"bn": 0, "ln": 1, "pn": 2}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _NORM_NAME = {v: k for k, v in _NORM_CODE.items()}
+_AUX_CODES = (0, 1, 2)
 
 
 def _write_array(buf, arr: np.ndarray):
@@ -148,6 +149,12 @@ def deserialize(raw: bytes):
     if version != VERSION:
         raise VersionError(f"checkpoint version {version}, expected {VERSION}")
     var_code, norm_code, aux_flag, _ = struct.unpack("<BBBB", _read_exact(buf, 4))
+    if var_code not in _VARIANT_NAME:
+        raise CheckpointError(f"unknown variant code {var_code}")
+    if norm_code not in _NORM_NAME:
+        raise CheckpointError(f"unknown normalizer code {norm_code}")
+    if aux_flag not in _AUX_CODES:
+        raise CheckpointError(f"unknown aux code {aux_flag}")
     (m, embed_dim, aux_embed_dim, aux_hidden, vocab_items, vocab_profiles,
      vocab_contexts) = struct.unpack("<IIIIIII", _read_exact(buf, 28))
     (n_layers,) = struct.unpack("<I", _read_exact(buf, 4))

@@ -15,7 +15,9 @@ calibrated by bisection so the realized CTR hits the profile's target.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -34,6 +36,104 @@ class Example(NamedTuple):
     context: int
     y: int
     p: int
+
+
+class Dataset:
+    """Examples as columns: behavior lists in CSR form, one array per field.
+
+    Row ``i``'s behavior ids are
+    ``behavior_flat[behavior_offsets[i]:behavior_offsets[i + 1]]``; the
+    other fields hold one int64 per row.  Indexing with an int yields an
+    ``Example``, iteration yields every row as one, and a slice or an index
+    array gathers a new ``Dataset``.
+    """
+
+    __slots__ = ("behavior_flat", "behavior_offsets", "profile", "item",
+                 "context", "y", "p")
+
+    def __init__(self, behavior_flat, behavior_offsets, profile, item,
+                 context, y, p):
+        self.behavior_flat = behavior_flat
+        self.behavior_offsets = behavior_offsets
+        self.profile = profile
+        self.item = item
+        self.context = context
+        self.y = y
+        self.p = p
+
+    @classmethod
+    def from_examples(cls, examples: Iterable[Example]) -> "Dataset":
+        """Transpose rows into columns (one pass per field)."""
+        rows = list(examples)
+        if not rows:
+            return cls.empty()
+        behavior, profile, item, context, y, p = zip(*rows)
+        lens = np.fromiter(map(len, behavior), dtype=np.int64, count=len(rows))
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat = np.fromiter(chain.from_iterable(behavior), dtype=np.int64,
+                           count=int(offsets[-1]))
+        return cls(flat, offsets, *(np.array(col, dtype=np.int64)
+                                    for col in (profile, item, context, y, p)))
+
+    @classmethod
+    def empty(cls) -> "Dataset":
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, np.zeros(1, dtype=np.int64), none, none, none, none,
+                   none)
+
+    def __len__(self) -> int:
+        return self.p.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            lo, hi = self.behavior_offsets[i:i + 2].tolist()
+            return Example(tuple(self.behavior_flat[lo:hi].tolist()),
+                           int(self.profile[i]), int(self.item[i]),
+                           int(self.context[i]), int(self.y[i]),
+                           int(self.p[i]))
+        if isinstance(key, slice):
+            key = np.arange(len(self))[key]
+        return self.take(key)
+
+    def __iter__(self):
+        flat = self.behavior_flat.tolist()
+        offsets = self.behavior_offsets.tolist()
+        columns = zip(self.profile.tolist(), self.item.tolist(),
+                      self.context.tolist(),
+                      self.y.astype(np.int64, copy=False).tolist(),
+                      self.p.tolist())
+        for lo, hi, row in zip(offsets, offsets[1:], columns):
+            yield Example(tuple(flat[lo:hi]), *row)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in Dataset.__slots__)
+
+    __hash__ = None
+
+    def take(self, rows) -> "Dataset":
+        """Gather the given rows, in the given order, into a new Dataset."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.behavior_offsets[rows]
+        lens = self.behavior_offsets[rows + 1] - starts
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        flat_rows = np.repeat(starts - offsets[:-1], lens)
+        flat_rows += np.arange(offsets[-1], dtype=np.int64)
+        return Dataset(self.behavior_flat[flat_rows], offsets,
+                       self.profile[rows], self.item[rows],
+                       self.context[rows], self.y[rows], self.p[rows])
+
+
+def as_dataset(examples: "Dataset | Iterable[Example]") -> Dataset:
+    """The columns of ``examples``: a Dataset as is, rows transposed."""
+    if isinstance(examples, Dataset):
+        return examples
+    return Dataset.from_examples(examples)
 
 
 @dataclass
@@ -152,7 +252,7 @@ class GroundTruth:
 
 @dataclass
 class GenResult:
-    examples: list[Example]
+    examples: Dataset
     truth: GroundTruth
     true_probs: np.ndarray
     realized_ctr: dict[int, float] = field(default_factory=dict)
@@ -270,17 +370,8 @@ def generate_examples(config: GenConfig) -> GenResult:
     ys = (rng_y.uniform(size=n) < probs).astype(np.int64)
 
     offsets = np.concatenate(([0], np.cumsum(lens)))
-    examples = [
-        Example(
-            behavior=tuple(int(b) for b in beh_ids[offsets[i]:offsets[i + 1]]),
-            profile=int(prof_ids[i]),
-            item=int(item_ids[i]),
-            context=int(ctx_ids[i]),
-            y=int(ys[i]),
-            p=int(domains[i]),
-        )
-        for i in range(n)
-    ]
+    examples = Dataset(beh_ids, offsets, prof_ids, item_ids, ctx_ids, ys,
+                       domains)
     truth = GroundTruth(latent_items, latent_profiles, latent_contexts,
                         w_shared, w_domain, biases)
     realized = {
@@ -308,11 +399,74 @@ def format_example(ex: Example) -> str:
             f"\titem:{ex.item}\tctx:{ex.context}")
 
 
-def write_dataset(examples: Iterable[Example], path: str):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for ex in examples:
-            fh.write(format_example(ex))
-            fh.write("\n")
+# Every line holds the tokens p, y, behavior ids..., profile, item, ctx.  The
+# reader and the writer move between these tokens and the Dataset columns.
+_SCALAR_COLUMNS = ("p", "y", "profile", "item", "context")
+
+
+def _token_layout(lens: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Token positions of each line's scalar fields (in ``_SCALAR_COLUMNS``
+    order), and a mask of the tokens that are behavior ids."""
+    end = np.cumsum(lens + 5)
+    start = end - (lens + 5)
+    slots = (start, start + 1, end - 3, end - 2, end - 1)
+    is_behavior = np.ones(int(end[-1]) if end.size else 0, dtype=bool)
+    for pos in slots:
+        is_behavior[pos] = False
+    return slots, is_behavior
+
+
+# The text written before each token, by separator code.  A line's leading
+# "\n" ends the previous line; the writer drops the first and adds a last.
+_SEPARATORS = (b"\n", b"\t", b"\tbehavior:", b",", b"\tprofile:",
+               b"\tbehavior:\tprofile:", b"\titem:", b"\tctx:")
+_SEPARATOR_LEN = np.array([len(sep) for sep in _SEPARATORS])
+_SCALAR_SEPARATORS = (0, 1, 4, 6, 7)
+_WRITE_ROWS = 16_384
+
+
+def _format_lines(data: Dataset) -> bytes:
+    """The text lines of ``data`` (non-empty), built as one byte array."""
+    lens = np.diff(data.behavior_offsets)
+    slots, is_behavior = _token_layout(lens)
+    tokens = np.empty(is_behavior.size, dtype=np.int64)
+    code = np.full(tokens.size, 3)
+    for name, pos, sep in zip(_SCALAR_COLUMNS, slots, _SCALAR_SEPARATORS):
+        tokens[pos] = getattr(data, name)
+        code[pos] = sep
+    tokens[is_behavior] = data.behavior_flat
+    code[slots[1][lens > 0] + 1] = 2
+    code[slots[2][lens == 0]] = 5
+    negative = tokens < 0
+    digits = np.abs(tokens)
+    ndigits = np.ones(tokens.size, dtype=np.int64)
+    for power in range(1, 19):
+        longer = digits >= 10 ** power
+        if not longer.any():
+            break
+        ndigits += longer
+    sep_len = _SEPARATOR_LEN[code]
+    end = np.cumsum(sep_len + negative + ndigits)
+    start = end - (sep_len + negative + ndigits)
+    out = np.empty(int(end[-1]) + 1, dtype=np.uint8)
+    for c, sep in enumerate(_SEPARATORS):
+        at = start[code == c]
+        for j, byte in enumerate(sep):
+            out[at + j] = byte
+    out[(start + sep_len)[negative]] = ord("-")
+    for d in range(int(ndigits.max())):
+        live = ndigits > d
+        out[(end - 1 - d)[live]] = ord("0") + digits[live] % 10
+        digits //= 10
+    out[-1] = ord("\n")
+    return out[1:].tobytes()
+
+
+def write_dataset(examples: "Dataset | Iterable[Example]", path: str):
+    data = as_dataset(examples)
+    with open(path, "wb") as fh:
+        for start in range(0, len(data), _WRITE_ROWS):
+            fh.write(_format_lines(data[start:start + _WRITE_ROWS]))
 
 
 def _parse_tagged(part: str, tag: str, lineno: int) -> str:
@@ -347,13 +501,102 @@ def parse_example(line: str, lineno: int = 0) -> Example:
     return Example(behavior, profile, item, context, y, p)
 
 
-def read_dataset(path: str) -> list[Example]:
-    examples = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                examples.append(parse_example(line, lineno))
-    return examples
+# Lines exactly as write_dataset formats them, with values parse_example
+# accepts and numbers that fit in int64.  Runs of such lines are parsed as
+# arrays; every other line goes through parse_example.
+_CANONICAL_LINE = (rb"[1-9]\d{0,17}\t[01]\tbehavior:(?:\d{1,18}(?:,\d{1,18})*)?"
+                   rb"\tprofile:\d{1,18}\titem:\d{1,18}\tctx:\d{1,18}\n")
+_CANONICAL_RUN = re.compile(rb"(?:" + _CANONICAL_LINE + rb")*")
+_DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+_READ_BYTES = 1 << 20
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def _parse_canonical(buf: bytes) -> Dataset:
+    """Columns of a run of canonical lines."""
+    text = np.frombuffer(buf, dtype=np.uint8)
+    line_ends = np.flatnonzero(text == ord("\n"))
+    commas = np.searchsorted(np.flatnonzero(text == ord(",")), line_ends)
+    behavior_tags = np.flatnonzero(text == ord(":"))[0::4]
+    lens = np.diff(commas, prepend=0) + (text[behavior_tags + 1] != ord("\t"))
+    tokens = np.fromstring(buf.translate(_DIGITS_ONLY), dtype=np.int64,
+                           sep=" ")
+    slots, is_behavior = _token_layout(lens)
+    offsets = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    p, y, profile, item, context = (tokens[pos] for pos in slots)
+    return Dataset(tokens[is_behavior], offsets, profile, item, context, y, p)
+
+
+def _parse_other(raw: bytes, lineno: int, rows: list[Example]) -> int:
+    """Parse one non-canonical line the way a text-mode read sees it (it may
+    hold several lines split at a bare CR); returns the last line number."""
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise ParseError("non-ASCII byte", lineno + 1) from None
+    for line in io.StringIO(text, newline=None):
+        lineno += 1
+        if not line.strip():
+            continue
+        ex = parse_example(line, lineno)
+        if not all(v in _INT64 for v in (*ex.behavior, ex.profile, ex.item,
+                                         ex.context)):
+            raise ParseError("id outside the 64-bit integer range", lineno)
+        rows.append(ex)
+    return lineno
+
+
+def _concat(pieces: list[Dataset]) -> Dataset:
+    if not pieces:
+        return Dataset.empty()
+    shifts = np.cumsum([0] + [piece.behavior_flat.size for piece in pieces])
+    offsets = [pieces[0].behavior_offsets[:1]] + [
+        piece.behavior_offsets[1:] + shift
+        for piece, shift in zip(pieces, shifts)
+    ]
+    return Dataset(np.concatenate([piece.behavior_flat for piece in pieces]),
+                   np.concatenate(offsets),
+                   *(np.concatenate([getattr(piece, name) for piece in pieces])
+                     for name in ("profile", "item", "context", "y", "p")))
+
+
+def read_dataset(path: str) -> Dataset:
+    """Read a dataset file, about 1 MB of text at a time.
+
+    Blank lines are skipped; a malformed line raises ParseError with its
+    1-based line number.  Memory stays near the size of the columns.
+    """
+    pieces: list[Dataset] = []
+    others: list[Example] = []
+    lineno = 0
+    tail = b""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_READ_BYTES)
+            buf = tail + block
+            if not block and buf and not buf.endswith(b"\n"):
+                buf += b"\n"
+            cut = buf.rfind(b"\n") + 1
+            buf, tail = buf[:cut], buf[cut:]
+            pos = 0
+            while pos < len(buf):
+                end = _CANONICAL_RUN.match(buf, pos).end()
+                if end > pos:
+                    if others:
+                        pieces.append(Dataset.from_examples(others))
+                        others = []
+                    pieces.append(_parse_canonical(buf[pos:end]))
+                    lineno += len(pieces[-1])
+                if end == len(buf):
+                    break
+                pos = buf.index(b"\n", end) + 1
+                lineno = _parse_other(buf[end:pos], lineno, others)
+            if not block:
+                break
+    if others:
+        pieces.append(Dataset.from_examples(others))
+    return _concat(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -470,23 +713,27 @@ def load_gen_config(path: str) -> GenConfig:
         return parse_gen_config(fh.read())
 
 
-def domain_counts(examples: Iterable[Example]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for ex in examples:
-        counts[ex.p] = counts.get(ex.p, 0) + 1
-    return counts
-
-
-def validate_ids(examples: Iterable[Example], vocab_items: int,
+def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
                  vocab_profiles: int, vocab_contexts: int):
-    """Raise DataError if any example's ids exceed the given vocabularies."""
-    for i, ex in enumerate(examples, start=1):
-        if any(b >= vocab_items or b < 0 for b in ex.behavior) \
-                or not 0 <= ex.item < vocab_items:
-            raise DataError(f"example {i}: item id outside vocab {vocab_items}")
-        if not 0 <= ex.profile < vocab_profiles:
+    """Raise DataError naming the first example (1-based) whose ids fall
+    outside the given vocabularies."""
+    data = as_dataset(examples)
+
+    def outside(ids, vocab):
+        return (ids < 0) | (ids >= vocab)
+
+    bad_item = outside(data.item, vocab_items)
+    bad_behavior = np.flatnonzero(outside(data.behavior_flat, vocab_items))
+    owners = np.searchsorted(data.behavior_offsets, bad_behavior, side="right")
+    bad_item[owners - 1] = True
+    checks = ((bad_item, "item", vocab_items),
+              (outside(data.profile, vocab_profiles), "profile", vocab_profiles),
+              (outside(data.context, vocab_contexts), "context", vocab_contexts))
+    bad = bad_item | checks[1][0] | checks[2][0]
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    for mask, field_name, vocab in checks:
+        if mask[i]:
             raise DataError(
-                f"example {i}: profile id outside vocab {vocab_profiles}")
-        if not 0 <= ex.context < vocab_contexts:
-            raise DataError(
-                f"example {i}: context id outside vocab {vocab_contexts}")
+                f"example {i + 1}: {field_name} id outside vocab {vocab}")

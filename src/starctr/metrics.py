@@ -18,6 +18,27 @@ class Prediction(NamedTuple):
     y: int
 
 
+class PredictionColumns(NamedTuple):
+    """Predictions as aligned arrays, one entry per example."""
+    user: np.ndarray
+    p: np.ndarray
+    yhat: np.ndarray
+    y: np.ndarray
+
+
+def prediction_columns(predictions: PredictionColumns | Iterable[Prediction]
+                       ) -> PredictionColumns:
+    """The columns of ``predictions``: columns as is, rows transposed."""
+    if isinstance(predictions, PredictionColumns):
+        return predictions
+    rows = list(predictions)
+    user, p, yhat, y = zip(*rows) if rows else ((), (), (), ())
+    return PredictionColumns(np.array(user, dtype=np.int64),
+                             np.array(p, dtype=np.int64),
+                             np.array(yhat, dtype=np.float64),
+                             np.array(y, dtype=np.int64))
+
+
 def auc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC; tied scores contribute midranks.
 
@@ -51,7 +72,8 @@ def auc_or_none(scores, labels) -> float | None:
         return None
 
 
-def weighted_auc(predictions: Iterable[Prediction]) -> float:
+def weighted_auc(predictions: PredictionColumns | Iterable[Prediction]
+                 ) -> float:
     """Impression-weighted average of per-user AUCs.
 
     Users whose impressions are single-class have no AUC and are excluded
@@ -63,27 +85,62 @@ def weighted_auc(predictions: Iterable[Prediction]) -> float:
     return value
 
 
-def weighted_auc_detail(predictions: Iterable[Prediction]
+def _group_aucs(keys: tuple[np.ndarray, ...], yhat: np.ndarray, y: np.ndarray
+                ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """AUC of every group of rows with equal keys, as ``auc`` computes it.
+
+    Returns each group's keys, size and AUC (NaN for a single-class group),
+    groups in ascending key order, the first key most significant.  Ranks
+    are half-integers, so every rank sum is exact whatever its order.
+    """
+    order = np.lexsort((yhat,) + keys[::-1])
+    n = order.size
+    sorted_keys = tuple(k[order] for k in keys)
+    scores = yhat[order]
+    labels = np.asarray(y, dtype=np.float64)[order]
+    new_group = np.zeros(n, dtype=bool)
+    new_group[:1] = True
+    for k in sorted_keys:
+        new_group[1:] |= k[1:] != k[:-1]
+    new_run = new_group.copy()
+    new_run[1:] |= scores[1:] != scores[:-1]
+    group_start = np.flatnonzero(new_group)
+    run_start = np.flatnonzero(new_run)
+    run_end = np.append(run_start[1:], n)
+    group_of = np.cumsum(new_group) - 1
+    ranks = ((run_start + run_end + 1) / 2.0)[np.cumsum(new_run) - 1]
+    ranks -= group_start[group_of]
+    sizes = np.diff(np.append(group_start, n))
+    npos = np.bincount(group_of, weights=labels, minlength=sizes.size)
+    rank_sum = np.bincount(group_of, weights=ranks * labels,
+                           minlength=sizes.size)
+    nneg = sizes - npos
+    defined = (npos > 0) & (nneg > 0)
+    values = np.full(sizes.size, np.nan)
+    values[defined] = ((rank_sum - npos * (npos + 1) / 2.0)[defined]
+                       / (npos * nneg)[defined])
+    return tuple(k[group_start] for k in sorted_keys), sizes, values
+
+
+def _weighted_mean(sizes: np.ndarray, values: np.ndarray
+                   ) -> tuple[float, int, int]:
+    """(size-weighted mean of the defined values, defined, undefined)."""
+    defined = ~np.isnan(values)
+    used = int(defined.sum())
+    if used == 0:
+        return float("nan"), 0, int(sizes.size)
+    weights = sizes[defined].astype(np.float64)
+    # Accumulated one group at a time, in group order.
+    num = np.cumsum(weights * values[defined])[-1]
+    return float(num / weights.sum()), used, int(sizes.size) - used
+
+
+def weighted_auc_detail(predictions: PredictionColumns | Iterable[Prediction]
                         ) -> tuple[float, int, int]:
     """(weighted AUC, users counted, users excluded)."""
-    by_user: dict[int, list[Prediction]] = {}
-    for pred in predictions:
-        by_user.setdefault(pred.user, []).append(pred)
-    num = 0.0
-    den = 0.0
-    used = 0
-    excluded = 0
-    for user in sorted(by_user):
-        group = by_user[user]
-        value = auc_or_none([g.yhat for g in group], [g.y for g in group])
-        if value is None:
-            excluded += 1
-            continue
-        weight = len(group)
-        num += weight * value
-        den += weight
-        used += 1
-    return (num / den if den else float("nan")), used, excluded
+    cols = prediction_columns(predictions)
+    _, sizes, values = _group_aucs((cols.user,), cols.yhat, cols.y)
+    return _weighted_mean(sizes, values)
 
 
 def pcoc(yhat, y) -> float:
@@ -154,28 +211,31 @@ def _fmt(value) -> str:
     return "undefined" if value is None else repr(float(value))
 
 
-def build_report(predictions: list[Prediction]) -> MetricReport:
-    if not predictions:
+def build_report(predictions: PredictionColumns | Iterable[Prediction]
+                 ) -> MetricReport:
+    cols = prediction_columns(predictions)
+    yhat, y, domains = cols.yhat, cols.y, cols.p
+    if not yhat.size:
         raise DataError("no predictions to report on")
-    yhat = np.array([p.yhat for p in predictions])
-    y = np.array([p.y for p in predictions])
     if not ((yhat > 0.0) & (yhat < 1.0)).all():
         bad = yhat[(yhat <= 0.0) | (yhat >= 1.0)][0]
         raise DataError(f"prediction {bad!r} outside (0, 1)")
-    domains = np.array([p.p for p in predictions])
     overall = auc_or_none(yhat, y)
-    wauc, used, excluded = weighted_auc_detail(predictions)
+    wauc, used, excluded = weighted_auc_detail(cols)
+    # Per-user AUC within each domain: (domain, user) grouping.
+    (group_domain, _), group_sizes, group_aucs = _group_aucs(
+        (domains, cols.user), yhat, y)
     per_auc: dict[int, float | None] = {}
     per_wauc: dict[int, float | None] = {}
     per_pcoc: dict[int, float | None] = {}
     per_count: dict[int, int] = {}
-    for p in sorted(set(int(d) for d in domains)):
+    for p in np.unique(domains).tolist():
         mask = domains == p
         per_count[p] = int(mask.sum())
         per_auc[p] = auc_or_none(yhat[mask], y[mask])
-        # Per-user AUC within the domain: (user, domain) grouping.
-        in_domain = [pred for pred in predictions if pred.p == p]
-        value, used_p, _ = weighted_auc_detail(in_domain)
+        in_domain = group_domain == p
+        value, used_p, _ = _weighted_mean(group_sizes[in_domain],
+                                          group_aucs[in_domain])
         per_wauc[p] = value if used_p else None
         per_pcoc[p] = pcoc_or_none(yhat[mask], y[mask])
     defined = [v for v in per_pcoc.values() if v is not None]
@@ -190,7 +250,7 @@ def build_report(predictions: list[Prediction]) -> MetricReport:
         per_domain_pcoc=per_pcoc,
         per_domain_count=per_count,
         pcoc_std=pcoc_std,
-        n_examples=len(predictions),
+        n_examples=int(yhat.size),
     )
 
 

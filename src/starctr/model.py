@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import FIELDS, Example
+from .datagen import FIELDS, Dataset, Example, as_dataset
 from .errors import ConfigError, ContractViolation
 from .layers import (
     BatchNorm,
@@ -86,47 +86,29 @@ class ModelConfig:
             )
 
 
-class Batch:
-    """A single-domain mini-batch in array form."""
+class Batch(Dataset):
+    """Rows of one domain, the unit of training and scoring; labels are
+    float64 for the loss."""
 
-    __slots__ = ("behavior_flat", "behavior_offsets", "profile", "item",
-                 "context", "y", "domain", "size")
+    __slots__ = ("domain", "size")
 
-    def __init__(self, behavior_flat, behavior_offsets, profile, item,
-                 context, y, domain):
-        self.behavior_flat = behavior_flat
-        self.behavior_offsets = behavior_offsets
-        self.profile = profile
-        self.item = item
-        self.context = context
-        self.y = y
+    def __init__(self, rows: Dataset):
+        if len(rows) == 0:
+            raise ContractViolation("empty batch")
+        domain = rows.p[0]
+        if (rows.p != domain).any():
+            raise ContractViolation(
+                f"mixed-domain batch: domains {np.unique(rows.p).tolist()}"
+            )
+        super().__init__(rows.behavior_flat, rows.behavior_offsets,
+                         rows.profile, rows.item, rows.context,
+                         rows.y.astype(np.float64), rows.p)
         self.domain = int(domain)
-        self.size = profile.shape[0]
+        self.size = len(rows)
 
     @classmethod
-    def from_examples(cls, examples: Sequence[Example]) -> "Batch":
-        if not examples:
-            raise ContractViolation("empty batch")
-        domains = {ex.p for ex in examples}
-        if len(domains) != 1:
-            raise ContractViolation(
-                f"mixed-domain batch: domains {sorted(domains)}"
-            )
-        lens = np.array([len(ex.behavior) for ex in examples], dtype=np.int64)
-        flat = np.fromiter(
-            (b for ex in examples for b in ex.behavior),
-            dtype=np.int64, count=int(lens.sum()),
-        )
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        return cls(
-            behavior_flat=flat,
-            behavior_offsets=offsets,
-            profile=np.array([ex.profile for ex in examples], dtype=np.int64),
-            item=np.array([ex.item for ex in examples], dtype=np.int64),
-            context=np.array([ex.context for ex in examples], dtype=np.int64),
-            y=np.array([ex.y for ex in examples], dtype=np.float64),
-            domain=examples[0].p,
-        )
+    def from_examples(cls, examples: Dataset | Sequence[Example]) -> "Batch":
+        return cls(as_dataset(examples))
 
 
 def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:

@@ -14,19 +14,25 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .datagen import Example
+from .datagen import Dataset, Example, as_dataset
 from .errors import ConfigError
+from .model import Batch
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class ShuffleBuffer:
-    """Bounded pool of examples bucketed by domain."""
+    """Bounded pool of stream row indices bucketed by domain.
+
+    Each domain's pool keeps its rows in arrival order.
+    """
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise ConfigError(f"buffer capacity {capacity} must be positive")
         self.capacity = capacity
         self.rng = rng
-        self._pools: dict[int, list[Example]] = {}
+        self._pools: dict[int, np.ndarray] = {}
         self._size = 0
 
     def __len__(self) -> int:
@@ -36,14 +42,17 @@ class ShuffleBuffer:
     def free(self) -> int:
         return self.capacity - self._size
 
-    def add(self, ex: Example):
-        if self._size >= self.capacity:
+    def add(self, rows: np.ndarray, domains: np.ndarray):
+        """Buffer the stream rows ``rows``, whose domains are ``domains``."""
+        if rows.size > self.free:
             raise ConfigError("buffer overfilled")
-        self._pools.setdefault(ex.p, []).append(ex)
-        self._size += 1
+        for p in np.unique(domains).tolist():
+            pool = self._pools.get(p, _NO_ROWS)
+            self._pools[p] = np.concatenate((pool, rows[domains == p]))
+        self._size += rows.size
 
     def domain_counts(self) -> dict[int, int]:
-        return {p: len(pool) for p, pool in self._pools.items() if pool}
+        return {p: pool.size for p, pool in self._pools.items() if pool.size}
 
     def sample_domain(self, min_count: int = 1) -> int | None:
         """Pick a domain with probability proportional to its buffer share."""
@@ -55,21 +64,20 @@ class ShuffleBuffer:
         idx = int(self.rng.choice(len(counts), p=weights / weights.sum()))
         return counts[idx][0]
 
-    def draw(self, p: int, k: int) -> list[Example]:
-        """Remove and return k uniform examples of domain p."""
+    def draw(self, p: int, k: int) -> np.ndarray:
+        """Remove and return k uniform rows of domain p, in arrival order."""
         pool = self._pools[p]
-        k = min(k, len(pool))
-        chosen = self.rng.choice(len(pool), size=k, replace=False)
-        mask = np.zeros(len(pool), dtype=bool)
+        k = min(k, pool.size)
+        chosen = self.rng.choice(pool.size, size=k, replace=False)
+        mask = np.zeros(pool.size, dtype=bool)
         mask[chosen] = True
-        batch = [pool[i] for i in np.nonzero(mask)[0]]
-        self._pools[p] = [ex for i, ex in enumerate(pool) if not mask[i]]
+        self._pools[p] = pool[~mask]
         self._size -= k
-        return batch
+        return pool[mask]
 
 
-def stream_batches(examples: Iterable[Example], buffer: ShuffleBuffer,
-                   batch_size: int) -> Iterator[list[Example]]:
+def stream_batches(examples: Dataset | Iterable[Example], buffer: ShuffleBuffer,
+                   batch_size: int) -> Iterator[Batch]:
     """Yield single-domain batches from an arrival stream through the buffer.
 
     While the stream is live, only domains holding at least 2 buffered
@@ -82,16 +90,19 @@ def stream_batches(examples: Iterable[Example], buffer: ShuffleBuffer,
         raise ConfigError(
             f"batch_size {batch_size} exceeds buffer capacity {buffer.capacity}"
         )
-    it = iter(examples)
+    data = as_dataset(examples)
+    n = len(data)
+    pos = 0
     exhausted = False
 
     def refill():
-        nonlocal exhausted
-        while not exhausted and buffer.free > 0:
-            try:
-                buffer.add(next(it))
-            except StopIteration:
-                exhausted = True
+        # The stream counts as exhausted once the buffer has room it cannot
+        # fill, not when its last row is buffered.
+        nonlocal pos, exhausted
+        end = min(n, pos + buffer.free)
+        buffer.add(np.arange(pos, end), data.p[pos:end])
+        pos = end
+        exhausted = exhausted or (pos == n and buffer.free > 0)
 
     refill()
     while len(buffer) > 0:
@@ -101,7 +112,7 @@ def stream_batches(examples: Iterable[Example], buffer: ShuffleBuffer,
             p = buffer.sample_domain(min_count=1)
             if p is None:
                 break
-        yield buffer.draw(p, batch_size)
+        yield Batch.from_examples(data.take(buffer.draw(p, batch_size)))
         refill()
 
 

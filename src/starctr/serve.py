@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import Example, parse_example
+from .datagen import Dataset, Example, as_dataset, read_dataset
 from .errors import ConfigError, DataError, FoldError
 from .layers import relu, sigmoid
 from .model import Batch, StarModel, star_layer_params
@@ -91,7 +91,7 @@ class FoldedModel:
             logits = logits + (h @ w2 + b2)[:, 0]
         return _clamp_probs(sigmoid(logits))
 
-    def score_examples(self, examples: Sequence[Example],
+    def score_examples(self, examples: Dataset | Sequence[Example],
                        batch_size: int = 4096) -> np.ndarray:
         return _score_grouped(self.score_batch, examples, batch_size)
 
@@ -138,7 +138,7 @@ def fold(model: StarModel) -> FoldedModel:
     return FoldedModel(config, embeddings, domains, ln_params, aux)
 
 
-def score_with_model(model, examples: Sequence[Example],
+def score_with_model(model, examples: Dataset | Sequence[Example],
                      batch_size: int = 4096) -> np.ndarray:
     """Unfolded inference-mode scoring; the reference for fold equivalence."""
 
@@ -148,19 +148,17 @@ def score_with_model(model, examples: Sequence[Example],
     return _score_grouped(score_batch, examples, batch_size)
 
 
-def _score_grouped(score_batch, examples: Sequence[Example],
+def _score_grouped(score_batch, examples: Dataset | Sequence[Example],
                    batch_size: int) -> np.ndarray:
     """Score per-domain chunks and scatter back into input order."""
-    out = np.empty(len(examples))
-    by_domain: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        by_domain.setdefault(ex.p, []).append(i)
-    for p in sorted(by_domain):
-        idx = by_domain[p]
-        for start in range(0, len(idx), batch_size):
-            chunk = idx[start:start + batch_size]
-            batch = Batch.from_examples([examples[i] for i in chunk])
-            out[chunk] = score_batch(batch)
+    data = as_dataset(examples)
+    out = np.empty(len(data))
+    order = np.argsort(data.p, kind="stable")
+    domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1
+    for rows in np.split(order, domain_starts):
+        for start in range(0, rows.size, batch_size):
+            chunk = rows[start:start + batch_size]
+            out[chunk] = score_batch(Batch.from_examples(data.take(chunk)))
     return out
 
 
@@ -185,28 +183,31 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
     Output order follows input order.  Lines whose domain the model does not
     serve are skipped and reported in the summary.
     """
-    examples: list[Example] = []
-    errors: list[str] = []
-    n_skipped = 0
-    keep_lineno: list[int] = []
-    with open(data_path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            ex = parse_example(line, lineno)
-            if not 1 <= ex.p <= folded.num_domains:
-                n_skipped += 1
-                if len(errors) < 10:
-                    errors.append(f"line {lineno}: unknown domain {ex.p}")
-                continue
-            examples.append(ex)
-            keep_lineno.append(lineno)
-    yhat = folded.score_examples(examples, batch_size) if examples else []
+    data = read_dataset(data_path)
+    served = data.p <= folded.num_domains
+    skipped = np.flatnonzero(~served)
+    errors = []
+    if skipped.size:
+        first = skipped[:10].tolist()
+        errors = [f"line {lineno}: unknown domain {data.p[row]}"
+                  for row, lineno in zip(first, _line_numbers(data_path, first))]
+        data = data.take(np.flatnonzero(served))
+    yhat = folded.score_examples(data, batch_size) if len(data) else []
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-        for ex, prob in zip(examples, yhat):
-            fh.write(_PRED_FMT.format(user=ex.profile, p=ex.p, yhat=prob,
-                                      y=ex.y))
-    return ScoreSummary(len(examples), n_skipped, errors)
+        for user, p, prob, y in zip(data.profile.tolist(), data.p.tolist(),
+                                    yhat, data.y.tolist()):
+            fh.write(_PRED_FMT.format(user=user, p=p, yhat=prob, y=y))
+    return ScoreSummary(len(data), int(skipped.size), errors)
+
+
+def _line_numbers(path: str, rows: list[int]) -> list[int]:
+    """1-based line numbers of the given rows (ascending) of a dataset file,
+    counted as read_dataset counts them."""
+    wanted = set(rows)
+    with open(path, "r", encoding="ascii") as fh:
+        nonblank = (lineno for lineno, line in enumerate(fh, start=1)
+                    if line.strip())
+        return [lineno for row, lineno in enumerate(nonblank) if row in wanted]
 
 
 # --------------------------------------------------------------------------
@@ -217,6 +218,12 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
 
 _FOLD_MAGIC = b"FOLD"
 _FOLD_VERSION = 1
+# Header bytes 6 and 7: the normalizer (bn and pn store a per-domain affine,
+# ln its gamma and beta once) and the aux net (0 off, 1 with features, 2
+# without).
+_FOLD_NORM_CODE = {"pn": 0, "ln": 1, "bn": 2}
+_FOLD_NORM_NAME = {v: k for k, v in _FOLD_NORM_CODE.items()}
+_FOLD_AUX_CODES = (0, 1, 2)
 
 
 def save_folded(folded: FoldedModel, path: str):
@@ -229,7 +236,7 @@ def save_folded(folded: FoldedModel, path: str):
     buf = io.BytesIO()
     buf.write(_FOLD_MAGIC)
     buf.write(struct.pack("<H", _FOLD_VERSION))
-    norm_kind = 1 if folded.ln_params is not None else 0
+    norm_kind = _FOLD_NORM_CODE[config.normalizer]
     aux_code = 0
     if folded.aux is not None:
         aux_code = 1 if folded.aux_uses_features else 2
@@ -292,6 +299,10 @@ def load_folded(path: str) -> FoldedModel:
         raise VersionError(f"folded model version {version}, expected "
                            f"{_FOLD_VERSION}")
     norm_kind, aux_flag = struct.unpack("<BB", take(2))
+    if norm_kind not in _FOLD_NORM_NAME:
+        raise CheckpointError(f"unknown normalizer code {norm_kind}")
+    if aux_flag not in _FOLD_AUX_CODES:
+        raise CheckpointError(f"unknown aux code {aux_flag}")
     (m, embed_dim, vocab_items, vocab_profiles, vocab_contexts,
      aux_embed_dim) = struct.unpack("<IIIIII", take(24))
     (n_layers,) = struct.unpack("<I", take(4))
@@ -305,7 +316,7 @@ def load_folded(path: str) -> FoldedModel:
             np.float64).reshape(shape)
 
     config = ModelConfig(
-        variant="star", normalizer="ln" if norm_kind else "pn",
+        variant="star", normalizer=_FOLD_NORM_NAME[norm_kind],
         aux_enabled=bool(aux_flag), aux_use_features=aux_flag == 1,
         num_domains=m, embed_dim=embed_dim,
         vocab_items=vocab_items, vocab_profiles=vocab_profiles,
@@ -326,7 +337,7 @@ def load_folded(path: str) -> FoldedModel:
         for w in widths:
             layers.append((arr((prev, w)), arr((w,))))
             prev = w
-        if norm_kind == 0:
+        if norm_kind != 1:
             scale = arr((in_dim,))
             shift = arr((in_dim,))
         else:

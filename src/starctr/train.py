@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 from .config import ExperimentConfig, with_overrides
-from .datagen import Example, validate_ids
-from .metrics import MetricReport, Prediction, build_report
-from .model import Batch, build_model
+from .datagen import Dataset, Example, as_dataset, validate_ids
+from .metrics import MetricReport, PredictionColumns, build_report
+from .model import build_model
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, stream_batches
 from .serve import score_with_model
@@ -24,7 +24,8 @@ class TrainResult:
     final_epoch_loss: float
 
 
-def train_model(config: ExperimentConfig, examples: Sequence[Example],
+def train_model(config: ExperimentConfig,
+                examples: Dataset | Sequence[Example],
                 log: TextIO | None = None) -> TrainResult:
     """Train a model over the arrival stream via the shuffle buffer.
 
@@ -32,6 +33,7 @@ def train_model(config: ExperimentConfig, examples: Sequence[Example],
     skipped: batch-statistics normalizers cannot consume them.
     """
     config.validate()
+    examples = as_dataset(examples)
     validate_ids(examples, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
     model = build_model(config.model_config())
@@ -43,11 +45,9 @@ def train_model(config: ExperimentConfig, examples: Sequence[Example],
         buffer = ShuffleBuffer(config.effective_buffer_capacity, rng)
         epoch_loss = 0.0
         epoch_examples = 0
-        for batch_examples in stream_batches(examples, buffer,
-                                             config.batch_size):
-            if len(batch_examples) < 2:
+        for batch in stream_batches(examples, buffer, config.batch_size):
+            if batch.size < 2:
                 continue
-            batch = Batch.from_examples(batch_examples)
             model.zero_grad()
             yhat = model.forward(batch, mode="train")
             loss, dlogits = bce_loss(yhat, batch.y,
@@ -66,16 +66,15 @@ def train_model(config: ExperimentConfig, examples: Sequence[Example],
     return TrainResult(model, step, epoch_loss)
 
 
-def predictions_for(model, examples: Sequence[Example],
-                    batch_size: int = 4096) -> list[Prediction]:
-    yhat = score_with_model(model, examples, batch_size)
-    return [
-        Prediction(user=ex.profile, p=ex.p, yhat=float(yh), y=ex.y)
-        for ex, yh in zip(examples, yhat)
-    ]
+def predictions_for(model, examples: Dataset | Sequence[Example],
+                    batch_size: int = 4096) -> PredictionColumns:
+    data = as_dataset(examples)
+    yhat = score_with_model(model, data, batch_size)
+    return PredictionColumns(user=data.profile, p=data.p, yhat=yhat, y=data.y)
 
 
-def evaluate_model(model, examples: Sequence[Example]) -> MetricReport:
+def evaluate_model(model, examples: Dataset | Sequence[Example]
+                   ) -> MetricReport:
     return build_report(predictions_for(model, examples))
 
 
@@ -101,10 +100,13 @@ class AblationRow:
                 f"overall_auc={self.overall_auc!r}")
 
 
-def run_ablation(config: ExperimentConfig, train_examples: Sequence[Example],
-                 eval_examples: Sequence[Example],
+def run_ablation(config: ExperimentConfig,
+                 train_examples: Dataset | Sequence[Example],
+                 eval_examples: Dataset | Sequence[Example],
                  log: TextIO | None = None) -> list[AblationRow]:
     """Overall AUC for the five architecture/normalizer cells, aux on and off."""
+    train_examples = as_dataset(train_examples)
+    eval_examples = as_dataset(eval_examples)
     rows = []
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):

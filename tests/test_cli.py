@@ -121,6 +121,36 @@ def test_incompatible_checkpoint_version_exits_2(workspace, tmp_path):
     assert main(["eval", str(stale), str(data), str(tmp_path / "r.txt")]) == 2
 
 
+@pytest.mark.parametrize("command,offset", [
+    ("eval", 6), ("eval", 7), ("eval", 8),
+    ("fold", 6), ("fold", 7), ("fold", 8),
+    ("score", 6), ("score", 7),
+])
+def test_corrupt_code_byte_exits_2(workspace, tmp_path, capsys, command,
+                                   offset):
+    # STAR bytes 6-8 hold the variant, normalizer and aux codes; FOLD bytes
+    # 6-7 the normalizer and aux codes.
+    _, _, _, data, ckpt = workspace
+    source = ckpt
+    if command == "score":
+        source = tmp_path / "m.fold"
+        assert main(["fold", str(ckpt), str(source)]) == 0
+    raw = bytearray(source.read_bytes())
+    raw[offset] = 9
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    args = {
+        "eval": ["eval", str(corrupt), str(data), str(tmp_path / "r.txt")],
+        "fold": ["fold", str(corrupt), str(tmp_path / "f.fold")],
+        "score": ["score", str(corrupt), str(data), str(tmp_path / "p.tsv")],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error:" in err
+    assert "Traceback" not in err
+
+
 def test_fold_non_star_exits_2(workspace, tmp_path):
     _, _, exp_config, data, _ = workspace
     base_ckpt = tmp_path / "base.ckpt"

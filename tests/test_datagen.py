@@ -13,9 +13,10 @@ from starctr.datagen import (
     parse_example,
     parse_gen_config,
     read_dataset,
+    validate_ids,
     write_dataset,
 )
-from starctr.errors import CalibrationError, ConfigError, ParseError
+from starctr.errors import CalibrationError, ConfigError, DataError, ParseError
 
 
 def small_config(**kw):
@@ -153,3 +154,91 @@ class TestGenConfigFile:
         text = "domains=2\ndomain.3.base_ctr=0.1\n"
         with pytest.raises(ConfigError):
             parse_gen_config(text)
+
+
+def reference_read(path):
+    """The per-line reader the columnar one replaced."""
+    with open(path, "r", encoding="ascii") as fh:
+        return [parse_example(line, lineno)
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+GOOD_LINE = "2\t1\tbehavior:3,4\tprofile:7\titem:9\tctx:2\n"
+BAD_LINES = [
+    "not a record",
+    "0\t1\tbehavior:1\tprofile:1\titem:1\tctx:1",
+    "1\t7\tbehavior:\tprofile:1\titem:1\tctx:1",
+    "1\t0\tbehavior:1\tuser:1\titem:1\tctx:1",
+    "1\t0\tbehavior:1,x\tprofile:1\titem:1\tctx:1",
+    "1\t0\tbehavior:1\tprofile:1\titem:1\tctx:1\textra",
+    "-1\t0\tbehavior:1\tprofile:1\titem:1\tctx:1",
+]
+
+
+class TestColumnarReader:
+    def test_write_of_read_reproduces_bytes(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        generate(small_config(n_examples=30_000), str(path))
+        again = tmp_path / "again.tsv"
+        write_dataset(read_dataset(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    @pytest.mark.parametrize("lineno", [1, 3, 40_000])
+    def test_bad_line_raises_same_parse_error(self, tmp_path, bad, lineno):
+        # 40_000 lines of 40 bytes put the bad line past the first 1 MB.
+        path = tmp_path / "data.tsv"
+        path.write_text(GOOD_LINE * (lineno - 1) + bad + "\n" + GOOD_LINE * 3)
+        with pytest.raises(ParseError) as expected:
+            parse_example(bad, lineno)
+        with pytest.raises(ParseError) as got:
+            read_dataset(str(path))
+        assert got.value.line_number == lineno
+        assert str(got.value) == str(expected.value)
+
+    def test_non_canonical_lines_still_accepted(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        lines = [
+            GOOD_LINE,
+            "+5\t0\tbehavior:+1, 2\tprofile: 5\titem:007\tctx:3 \n",
+            "\n",
+            "   \n",
+            "1\t0\tbehavior:\tprofile:-3\titem:1\tctx:1\r\n",
+            "3\t1\tbehavior:99999999999999999\tprofile:1\titem:1\tctx:1\n",
+            GOOD_LINE.rstrip("\n"),
+        ]
+        path.write_bytes("".join(lines).encode("ascii"))
+        assert list(read_dataset(str(path))) == reference_read(str(path))
+
+    def test_canonical_lines_skip_parse_example(self, tmp_path, monkeypatch):
+        import starctr.datagen as datagen
+
+        calls = []
+        original = datagen.parse_example
+        monkeypatch.setattr(datagen, "parse_example",
+                            lambda *a: calls.append(a) or original(*a))
+        path = tmp_path / "data.tsv"
+        path.write_text(GOOD_LINE * 100 + "+1\t0\tbehavior:\tprofile:1\t"
+                        "item:1\tctx:1\n" + GOOD_LINE * 100)
+        assert len(read_dataset(str(path))) == 201
+        assert len(calls) == 1
+
+    def test_id_beyond_int64_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text(GOOD_LINE + "1\t0\tbehavior:\tprofile:1\titem:1\t"
+                        "ctx:99999999999999999999\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize("field,line", [
+        ("item", "1\t0\tbehavior:1,500\tprofile:1\titem:1\tctx:1"),
+        ("item", "1\t0\tbehavior:1\tprofile:1\titem:-1\tctx:1"),
+        ("profile", "1\t0\tbehavior:1\tprofile:200\titem:1\tctx:1"),
+        ("context", "1\t0\tbehavior:\tprofile:1\titem:1\tctx:20"),
+    ])
+    def test_out_of_vocab_names_example(self, tmp_path, field, line):
+        path = tmp_path / "data.tsv"
+        # The blank line makes the example number differ from the line's.
+        path.write_text(GOOD_LINE * 4 + "\n" + line + "\n" + GOOD_LINE)
+        with pytest.raises(DataError, match=f"example 5: {field} id"):
+            validate_ids(read_dataset(str(path)), 500, 200, 20)

@@ -183,6 +183,17 @@ class TestReport:
         assert report.pcoc_std is not None
         assert report.n_examples == 300
 
+    def test_per_domain_weighted_auc_is_per_domain_subset(self):
+        # (domain, user) grouping equals weighting users within each
+        # domain's own predictions, bit for bit.
+        preds = self.make_preds()
+        report = build_report(preds)
+        for p, value in report.per_domain_weighted_auc.items():
+            subset = [pred for pred in preds if pred.p == p]
+            expected, used, _ = weighted_auc_detail(subset)
+            assert value == (expected if used else None)
+            assert report.per_domain_weighted_auc[p] == eq9_oracle(subset)
+
     def test_kv_and_json_deterministic(self):
         preds = self.make_preds()
         r1, r2 = build_report(preds), build_report(preds)

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import numpy as np
+
 import pytest
 
 from starctr.datagen import Example, default_gen_config, generate_examples
@@ -104,3 +106,66 @@ def test_drain_emits_leftover_singletons():
     emitted = [ex for b in batches for ex in b]
     assert Counter(emitted) == Counter(examples)
     assert any(len(b) == 1 for b in batches)
+
+
+def reference_batches(examples, capacity, rng, batch_size):
+    """The list-based buffer the index plan replaced: same RNG calls, each
+    batch in arrival order.  The plan must emit exactly these batches."""
+    pools, size, it, exhausted = {}, 0, iter(examples), False
+
+    def refill():
+        nonlocal size, exhausted
+        while not exhausted and size < capacity:
+            try:
+                ex = next(it)
+            except StopIteration:
+                exhausted = True
+                break
+            pools.setdefault(ex.p, []).append(ex)
+            size += 1
+
+    def sample(min_count):
+        counts = [(p, len(pool)) for p, pool in sorted(pools.items())
+                  if len(pool) >= min_count]
+        if not counts:
+            return None
+        w = np.array([c for _, c in counts], dtype=np.float64)
+        return counts[int(rng.choice(len(counts), p=w / w.sum()))][0]
+
+    refill()
+    while size:
+        p = sample(2)
+        if p is None or exhausted:
+            p = sample(1)
+        pool = pools[p]
+        chosen = rng.choice(len(pool), size=min(batch_size, len(pool)),
+                            replace=False)
+        mask = np.zeros(len(pool), dtype=bool)
+        mask[chosen] = True
+        yield [ex for ex, m in zip(pool, mask) if m]
+        pools[p] = [ex for ex, m in zip(pool, mask) if not m]
+        size -= len(chosen)
+        refill()
+
+
+@pytest.mark.parametrize("seed,batch_size,capacity,n", [
+    (0, 16, 64, 1_000),      # capacity below n
+    (1, 7, 40, 500),
+    (2, 4, 8, 300),
+    (3, 32, 1_000, 1_000),   # capacity equal to n
+    (4, 50, 5_000, 1_000),   # capacity above n
+])
+def test_index_plan_matches_list_reference(seed, batch_size, capacity, n):
+    rng = make_rng(seed, stream=78)
+    domains = rng.choice(4, size=n, p=[0.5, 0.3, 0.19, 0.01]) + 1
+    # Distinct items make every row identifiable.
+    examples = [ex._replace(item=i, p=int(d)) for i, (ex, d) in
+                enumerate(zip(toy_examples(n, 4, seed=seed), domains))]
+    expected = list(reference_batches(examples, capacity, make_rng(seed),
+                                      batch_size))
+    got = [list(b) for b in stream_batches(
+        examples, ShuffleBuffer(capacity, make_rng(seed)), batch_size)]
+    assert got == expected
+    if capacity < n:
+        # The drain phase emits leftover singletons.
+        assert any(len(b) == 1 for b in expected)

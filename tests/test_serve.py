@@ -159,12 +159,13 @@ class TestScoreFile:
         assert "unknown domain 9" in summary.message()
 
     def test_folded_round_trip(self, tmp_path):
-        for normalizer in ("pn", "ln"):
+        for normalizer in ("pn", "ln", "bn"):
             model = small_trained_model(normalizer)
             folded = fold(model)
             path = tmp_path / f"{normalizer}.fold"
             save_folded(folded, str(path))
             loaded = load_folded(str(path))
+            assert loaded.config.normalizer == normalizer
             examples = random_eval_examples(model.config, 40)
             assert np.array_equal(loaded.score_examples(examples),
                                   folded.score_examples(examples))
