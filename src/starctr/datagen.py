@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, DataError, ParseError
-from .layers import sigmoid
+from .layers import mean_pool, sigmoid
 from .tensor import make_rng
 
 FIELDS = ("behavior", "profile", "item", "context")
@@ -349,10 +349,8 @@ def generate_examples(config: GenConfig) -> GenResult:
 
     # Pooled latent features, same convention as the model: mean over the
     # behavior list (zeros when empty), then concat with the single fields.
-    phi = np.zeros((n, 4 * k))
-    owner = np.repeat(np.arange(n), lens)
-    np.add.at(phi[:, 0:k], owner, latent_items[beh_ids])
-    phi[:, 0:k] /= np.maximum(lens, 1)[:, None]
+    phi = np.empty((n, 4 * k))
+    phi[:, 0:k] = mean_pool(latent_items, beh_ids, lens)
     phi[:, k:2 * k] = latent_profiles[prof_ids]
     phi[:, 2 * k:3 * k] = latent_items[item_ids]
     phi[:, 3 * k:4 * k] = latent_contexts[ctx_ids]

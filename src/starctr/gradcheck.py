@@ -48,24 +48,36 @@ def check_fc_layer(h: float = 1e-5) -> float:
     return grad_check(f, theta0, analytic, h)
 
 
+# (flat ids, offsets) for every input shape the pool sees: lists with repeated
+# ids and an empty list, a batch whose lists are all empty, one id per example.
+_EMBEDDING_CASES = (
+    ([0, 2, 2, 5, 1, 4], [0, 3, 3, 4, 6]),
+    ([], [0, 0, 0, 0]),
+    ([6, 3, 3, 0, 5], [0, 1, 2, 3, 4, 5]),
+)
+
+
 def check_embedding(h: float = 1e-5) -> float:
     rng = make_rng(12)
     table = EmbeddingTable(7, 3, rng=rng, name="field")
-    flat = np.array([0, 2, 2, 5, 1, 4], dtype=np.int64)
-    offsets = np.array([0, 3, 3, 4, 6], dtype=np.int64)  # includes an empty list
-    r = rng.normal(size=(4, 3))
     arrays = [table.weights]
     theta0 = _pack(arrays)
+    worst = 0.0
+    for flat, offsets in _EMBEDDING_CASES:
+        flat = np.array(flat, dtype=np.int64)
+        offsets = np.array(offsets, dtype=np.int64)
+        r = rng.normal(size=(offsets.size - 1, 3))
 
-    def f(theta):
-        _scatter(theta, arrays)
-        return float((table.pool(flat, offsets) * r).sum())
+        def f(theta):
+            _scatter(theta, arrays)
+            return float((table.pool(flat, offsets) * r).sum())
 
-    _scatter(theta0, arrays)
-    table.zero_grad()
-    table.pool(flat, offsets)
-    table.backward(r.copy())
-    return grad_check(f, theta0, _pack([table._grad_dense]), h)
+        _scatter(theta0, arrays)
+        table.zero_grad()
+        table.pool(flat, offsets)
+        table.backward(r.copy())
+        worst = max(worst, grad_check(f, theta0, _pack([table._grad_dense]), h))
+    return worst
 
 
 def _check_norm(norm, forward, params, h: float) -> float:

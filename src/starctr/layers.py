@@ -63,12 +63,55 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _segment_sum(segments: np.ndarray, values: np.ndarray,
+                 num_segments: int) -> np.ndarray:
+    """Sum the rows of ``values`` (n, dim) into ``num_segments`` rows by
+    ``segments`` (n,).
+
+    One ``np.bincount`` over cell ids ``segment * dim + col``: each cell
+    starts at 0.0 and adds its values in input order.  That is the order of
+    numpy's unbuffered scatter-add (``ufunc.at`` on ``np.add``), so the
+    result is bitwise equal to that scatter into zeros.
+    """
+    dim = values.shape[1]
+    cells = np.arange(num_segments * dim).reshape(num_segments, dim)
+    cells = cells.take(segments, axis=0)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(),
+                       minlength=num_segments * dim)
+    # bincount of an empty input is int64 whatever the weights.
+    return sums.astype(np.float64, copy=False).reshape(num_segments, dim)
+
+
+def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+    """Mean of ``weights`` rows over consecutive slices of ``flat_ids``, one
+    slice of ``counts[i]`` ids per output row; an empty slice pools to zeros.
+
+    The one pooling routine of the package: training, folded serving and the
+    data generator all call it.  Sums run in occurrence order from 0.0 and
+    are then divided by the count, so the result is bitwise equal to an
+    unbuffered scatter-add (``ufunc.at`` on ``np.add``) into zeros followed
+    by the same division.  Ids are not checked: numpy wraps negative ones.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
+    out /= np.maximum(counts, 1)[:, None]
+    return out
+
+
 class EmbeddingTable:
     """Dense embedding matrix with sparse gradient accumulation.
 
     Lookups are batched: ``pool(flat_ids, offsets)`` mean-pools the rows for
     each example's slice of ``flat_ids`` (an empty slice pools to a zero
     vector).  Backward accumulates gradients only into looked-up rows.
+
+    Both directions are one ``bincount`` segment sum: ``mean_pool`` forward,
+    a sum by id backward.  Sums run in occurrence order from 0.0, so with
+    one backward per ``zero_grad`` the output and the gradient are bitwise
+    equal to the unbuffered scatter-add (``ufunc.at`` on ``np.add``).  Two
+    backward calls without ``zero_grad`` accumulate as ``g + (a + b)``, not
+    ``(g + a) + b``.
     """
 
     def __init__(self, vocab_size: int, dim: int, rng=None, init_scale: float = 0.1,
@@ -99,24 +142,18 @@ class EmbeddingTable:
         flat_ids = np.asarray(flat_ids, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         self._check_ids(flat_ids)
-        n = offsets.size - 1
         counts = np.diff(offsets)
-        out = np.zeros((n, self.dim))
-        if flat_ids.size:
-            owner = np.repeat(np.arange(n), counts)
-            np.add.at(out, owner, self.weights[flat_ids])
-            out /= np.maximum(counts, 1)[:, None]
         self._cache = (flat_ids, counts)
-        return out
+        return mean_pool(self.weights, flat_ids, counts)
 
     def backward(self, upstream: np.ndarray):
         if self._cache is None:
             raise ContractViolation(f"{self.name}: backward without forward")
         flat_ids, counts = self._cache
         if flat_ids.size:
-            scaled = upstream / np.maximum(counts, 1)[:, None]
-            owner = np.repeat(np.arange(counts.size), counts)
-            np.add.at(self._grad_dense, flat_ids, scaled[owner])
+            scaled = np.repeat(upstream / np.maximum(counts, 1)[:, None],
+                               counts, axis=0)
+            self._grad_dense += _segment_sum(flat_ids, scaled, self.vocab_size)
             self._touched[flat_ids] = True
         self._cache = None
 

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import Dataset, Example, as_dataset, read_dataset
+from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
 from .errors import ConfigError, DataError, FoldError
-from .layers import relu, sigmoid
+from .layers import mean_pool, relu, sigmoid
 from .model import Batch, StarModel, star_layer_params
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
@@ -52,13 +52,9 @@ class FoldedModel:
     def _pool(self, batch: Batch) -> np.ndarray:
         d = self.config.embed_dim
         n = batch.size
-        z = np.zeros((n, 4 * d))
-        counts = np.diff(batch.behavior_offsets)
-        if batch.behavior_flat.size:
-            owner = np.repeat(np.arange(n), counts)
-            np.add.at(z[:, 0:d], owner,
-                      self.embeddings["behavior"][batch.behavior_flat])
-            z[:, 0:d] /= np.maximum(counts, 1)[:, None]
+        z = np.empty((n, 4 * d))
+        z[:, 0:d] = mean_pool(self.embeddings["behavior"], batch.behavior_flat,
+                              np.diff(batch.behavior_offsets))
         z[:, d:2 * d] = self.embeddings["profile"][batch.profile]
         z[:, 2 * d:3 * d] = self.embeddings["item"][batch.item]
         z[:, 3 * d:4 * d] = self.embeddings["context"][batch.context]
@@ -181,9 +177,13 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
     """Score a dataset file into ``user<TAB>p<TAB>yhat<TAB>y`` lines.
 
     Output order follows input order.  Lines whose domain the model does not
-    serve are skipped and reported in the summary.
+    serve are skipped and reported in the summary; an id outside the model's
+    vocabularies is a DataError, raised before the output is opened.
     """
     data = read_dataset(data_path)
+    config = folded.config
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
     served = data.p <= folded.num_domains
     skipped = np.flatnonzero(~served)
     errors = []

@@ -90,6 +90,31 @@ def test_score_unknown_domain_exits_3(workspace, tmp_path):
     assert main(["score", str(folded), str(bad_data), str(preds)]) == 3
 
 
+@pytest.mark.parametrize("command", ["eval", "score"])
+@pytest.mark.parametrize("bad_line,field", [
+    ("1\t0\tbehavior:1\tprofile:1\titem:99999\tctx:1\n", "item"),
+    ("1\t0\tbehavior:1\tprofile:-1\titem:-5\tctx:1\n", "item"),
+    ("2\t1\tbehavior:3,-1\tprofile:2\titem:4\tctx:1\n", "item"),
+    ("1\t0\tbehavior:1\tprofile:-1\titem:5\tctx:1\n", "profile"),
+], ids=["item_past_vocab", "negative_profile_and_item", "negative_behavior",
+        "negative_profile"])
+def test_id_outside_vocab_exits_3(workspace, tmp_path, capsys, command,
+                                  bad_line, field):
+    _, _, _, _, ckpt = workspace
+    model = ckpt
+    if command == "score":
+        model = tmp_path / "m.fold"
+        assert main(["fold", str(ckpt), str(model)]) == 0
+    bad_data = tmp_path / "bad.tsv"
+    bad_data.write_text("1\t1\tbehavior:1,2\tprofile:1\titem:1\tctx:1\n"
+                        + bad_line)
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([command, str(model), str(bad_data), str(out)]) == 3
+    assert f"example 2: {field} id outside vocab" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(workspace, tmp_path):
     root, _, _, data, _ = workspace
     bad = tmp_path / "bad.cfg"

@@ -23,6 +23,8 @@ from starctr.layers import (
 )
 from starctr.tensor import make_rng
 
+from reference_kernels import reference_backward, reference_pool
+
 
 def pool_single(table, ids):
     flat = np.asarray(ids, dtype=np.int64)
@@ -70,6 +72,64 @@ class TestEmbedding:
 
     def test_gradcheck(self):
         assert check_embedding() < 1e-4
+
+
+def _kernel_case(case):
+    """(vocab, flat_ids, offsets) for one input shape the kernel sees."""
+    rng = make_rng(31, stream=len(case))
+    n = 64
+    if case == "repeated_ids":
+        vocab, lengths = 6, rng.integers(1, 11, size=n)
+    elif case == "empty_lists":
+        vocab, lengths = 40, rng.integers(0, 3, size=n)
+    elif case == "all_empty":
+        vocab, lengths = 40, np.zeros(n, dtype=np.int64)
+    elif case == "unit_offsets":
+        vocab, lengths = 1200, np.ones(n, dtype=np.int64)
+    else:  # the default config's context field: 50 ids, one per example
+        vocab, n = 50, 1024
+        lengths = np.ones(n, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    flat = rng.integers(0, vocab, size=int(offsets[-1]))
+    return vocab, flat, offsets
+
+
+class TestEmbeddingKernel:
+    """The bincount kernels against the np.add.at reference, bit for bit."""
+
+    CASES = ["repeated_ids", "empty_lists", "all_empty", "unit_offsets",
+             "context_vocab"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pool_and_backward_match_add_at_bitwise(self, case):
+        vocab, flat, offsets = _kernel_case(case)
+        table = EmbeddingTable(vocab, 8, rng=make_rng(5), name="f")
+        ref = EmbeddingTable(vocab, 8, rng=make_rng(5), name="f")
+        rng = make_rng(32)
+        for _ in range(2):      # a second step after zero_grad
+            out = table.pool(flat, offsets)
+            expected = reference_pool(ref, flat, offsets)
+            assert out.dtype == np.float64
+            assert out.tobytes() == expected.tobytes()
+            upstream = rng.normal(size=out.shape)
+            table.backward(upstream)
+            reference_backward(ref, upstream.copy())
+            assert table._grad_dense.tobytes() == ref._grad_dense.tobytes()
+            assert np.array_equal(table._touched, ref._touched)
+            table.zero_grad()
+            ref.zero_grad()
+
+    def test_second_backward_adds_its_sum_to_the_gradient(self):
+        table = EmbeddingTable(5, 2, rng=make_rng(0), name="f")
+        flat = np.array([1, 1, 3], dtype=np.int64)
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        upstream = make_rng(1).normal(size=(2, 2))
+        table.pool(flat, offsets)
+        table.backward(upstream)
+        first = table._grad_dense.copy()
+        table.pool(flat, offsets)
+        table.backward(upstream)
+        assert np.array_equal(table._grad_dense, first + first)
 
 
 class TestFcLayer:

@@ -18,6 +18,9 @@ from starctr.serve import (
     score_with_model,
 )
 
+from reference_kernels import use_reference_kernels
+
+
 def serving_config(normalizer="pn", aux=True, num_domains=5):
     return ModelConfig(
         variant="star", normalizer=normalizer, aux_enabled=aux,
@@ -63,6 +66,18 @@ class TestFold:
         a = folded.score_examples(examples)
         b = score_with_model(model, examples)
         assert np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("normalizer", ["pn", "ln"])
+    def test_folded_pool_matches_add_at_reference_bitwise(self, normalizer,
+                                                          monkeypatch):
+        folded = fold(small_trained_model(normalizer))
+        examples = random_eval_examples(folded.config, 200)
+        no_behavior = [ex._replace(behavior=()) for ex in examples]
+        new = [folded.score_examples(examples),
+               folded.score_examples(no_behavior)]
+        use_reference_kernels(monkeypatch)
+        assert new[0].tobytes() == folded.score_examples(examples).tobytes()
+        assert new[1].tobytes() == folded.score_examples(no_behavior).tobytes()
 
     def test_identity_domain_folds_to_shared_weights(self):
         model = small_trained_model("bn")

@@ -12,6 +12,8 @@ from starctr.datagen import default_gen_config, generate_examples
 from starctr.errors import ConfigError
 from starctr.train import evaluate_model, run_ablation, train_model
 
+from reference_kernels import use_reference_kernels
+
 
 @pytest.fixture(scope="module")
 def tiny_data():
@@ -62,6 +64,23 @@ class TestTrainLoop:
         a = train_model(tiny_config(), train).model
         b = train_model(tiny_config(), train).model
         assert serialize(a) == serialize(b)
+
+    @pytest.mark.parametrize("variant,normalizer,aux", [
+        ("star", "pn", True),
+        ("star", "ln", False),
+        ("base", "bn", True),
+        ("shared_bottom", "pn", True),
+    ])
+    def test_checkpoint_equals_add_at_reference_bytes(self, tiny_data,
+                                                      monkeypatch, variant,
+                                                      normalizer, aux):
+        from starctr.checkpoint import serialize
+        train, _ = tiny_data
+        config = tiny_config(variant=variant, normalizer=normalizer, aux=aux,
+                             batch_size=64)
+        new = serialize(train_model(config, train[:3000]).model)
+        use_reference_kernels(monkeypatch)
+        assert new == serialize(train_model(config, train[:3000]).model)
 
     def test_vocab_validation(self, tiny_data):
         train, _ = tiny_data
