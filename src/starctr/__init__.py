@@ -44,12 +44,9 @@ from .metrics import (
 )
 from .model import (
     AuxNet,
-    BaselineModel,
     Batch,
     ModelConfig,
     StarFcn,
-    StarModel,
-    build_baseline,
     build_model,
     embed_and_pool,
     star_layer_params,
@@ -61,12 +58,12 @@ from .tensor import grad_check, hadamard, make_rng, matmul
 from .train import evaluate_model, run_ablation, train_model
 
 __all__ = [
-    "Adam", "AuxNet", "BaselineModel", "Batch", "BatchNorm", "Dataset",
+    "Adam", "AuxNet", "Batch", "BatchNorm", "Dataset",
     "DomainProfile",
     "EmbeddingTable", "Example", "ExperimentConfig", "FcLayer", "FoldedModel",
     "GenConfig", "LayerNorm", "MetricReport", "ModelConfig",
-    "PartitionedNorm", "Prediction", "ShuffleBuffer", "StarFcn", "StarModel",
-    "as_dataset", "auc", "bce_loss", "build_baseline", "build_model", "build_report",
+    "PartitionedNorm", "Prediction", "ShuffleBuffer", "StarFcn",
+    "as_dataset", "auc", "bce_loss", "build_model", "build_report",
     "default_gen_config", "embed_and_pool", "errors", "evaluate_model",
     "fold", "generate", "generate_examples", "grad_check", "hadamard", "iter_batches",
     "load_experiment_config", "load_folded", "load_model", "make_rng",

@@ -23,10 +23,9 @@ followed by tensor sections in this exact order:
        ln: gamma, beta
        pn: gamma, beta, then per domain p = 1..M:
            gamma_p, beta_p, populated u8, mean_p, var_p
-    3. trunk
-       base: per layer W then b
-       shared_bottom: per domain, per layer W then b
-       star: shared per layer W then b, then per domain per layer W then b
+    3. trunk: the shared stack if the variant has one (base, star), then
+       the per-domain stacks p = 1..M if it has them (shared_bottom, star);
+       per stack, per layer W then b
     4. aux (only when the aux flag is set): embed (M x aux_embed_dim),
        fc1.W, fc1.b, fc2.W, fc2.b
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import CheckpointError, VersionError
 from .layers import BatchNorm, LayerNorm
-from .model import ModelConfig, StarModel, build_model
+from .model import ModelConfig, build_model
 
 MAGIC = b"STAR"
 VERSION = 1
@@ -118,19 +117,10 @@ def serialize(model) -> bytes:
             _write_array(buf, norm.moving_mean[i])
             _write_array(buf, norm.moving_var[i])
 
-    if isinstance(model, StarModel):
-        for layer in model.fcn.shared:
+    for stack in model.fcn.stacks():
+        for layer in stack:
             _write_array(buf, layer.W.value)
             _write_array(buf, layer.b.value)
-        for stack in model.fcn.domain:
-            for layer in stack:
-                _write_array(buf, layer.W.value)
-                _write_array(buf, layer.b.value)
-    else:
-        for stack in model.stacks:
-            for layer in stack:
-                _write_array(buf, layer.W.value)
-                _write_array(buf, layer.b.value)
 
     if config.aux_enabled:
         _write_array(buf, model.aux.embed.weights)
@@ -205,18 +195,10 @@ def deserialize(raw: bytes):
             norm.moving_mean[i] = _read_array(buf, (dim,))
             norm.moving_var[i] = _read_array(buf, (dim,))
 
-    def read_stack(stack):
+    for stack in model.fcn.stacks():
         for layer in stack:
             layer.W.value = _read_array(buf, layer.W.value.shape)
             layer.b.value = _read_array(buf, layer.b.value.shape)
-
-    if isinstance(model, StarModel):
-        read_stack(model.fcn.shared)
-        for stack in model.fcn.domain:
-            read_stack(stack)
-    else:
-        for stack in model.stacks:
-            read_stack(stack)
 
     if config.aux_enabled:
         model.aux.embed.weights = _read_array(buf, (m, aux_embed_dim))

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .gradcheck import check_model, run_all, tiny_model_config
 from .metrics import pcoc_scatter_svg
-from .model import StarModel
 from .serve import fold, load_folded, save_folded, score_file
 from .train import evaluate_model, run_ablation, train_model
 
@@ -149,11 +148,6 @@ def cmd_ablation(args) -> int:
 
 def cmd_fold(args) -> int:
     model = load_model(args.checkpoint)
-    if not isinstance(model, StarModel):
-        raise ConfigError(
-            f"fold requires a star checkpoint, got variant "
-            f"{model.config.variant!r}"
-        )
     folded = fold(model)
     save_folded(folded, args.folded_out)
     _write_manifest(args.folded_out, "fold", model.config.seed,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ContractViolation,
+    DataError,
     DegenerateInputError,
     DomainError,
     UninitializedStatsError,
@@ -132,7 +133,7 @@ class EmbeddingTable:
         bad = (flat_ids < 0) | (flat_ids >= self.vocab_size)
         if bad.any():
             offender = int(flat_ids[bad][0])
-            raise IndexError(
+            raise DataError(
                 f"field '{self.name}': id {offender} outside vocab of "
                 f"{self.vocab_size}"
             )

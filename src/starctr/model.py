@@ -1,11 +1,18 @@
-"""Multi-domain CTR models: star-topology FCN, auxiliary net, and baselines.
+"""Multi-domain CTR models: one star-topology trunk, auxiliary net, normalizers.
 
-The star model keeps one shared fully-connected stack plus one stack per
-domain; domain p's effective layer weights are ``W_p * W`` (element-wise)
-with bias ``b_p + b``.  Domain stacks start at ones/zeros so every domain
-begins as the shared model and learns its deviation.  Shared parameters
-receive gradients from every batch, domain parameters only from their own
-domain's batches.
+Every variant runs the same trunk, ``StarFcn``, built from up to two
+factors: a shared fully-connected stack and one stack per domain.  Domain
+p's effective layer is the product of the factors present:
+
+* star: shared and domain stacks, fused element-wise as ``(W_p * W,
+  b_p + b)``.  Domain stacks start at ones/zeros so every domain begins as
+  the shared model and learns its deviation;
+* base: the shared stack only, so every domain runs the same layers;
+* shared_bottom: the domain stacks only, each trained from its own random
+  start.
+
+Shared parameters receive gradients from every batch, domain parameters
+only from their own domain's batches.
 
 All variants share the same embedding front-end (one table per field, mean
 pooling, concatenation), a configurable normalizer (bn / ln / pn), and an
@@ -16,7 +23,7 @@ before the sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +43,13 @@ from .layers import (
 )
 from .tensor import add, hadamard, make_rng
 
-VARIANTS = ("star", "base", "shared_bottom")
+# The trunk factors each variant holds: (shared stack, per-domain stacks).
+TRUNK_FACTORS = {
+    "star": (True, True),
+    "base": (True, False),
+    "shared_bottom": (False, True),
+}
+VARIANTS = tuple(TRUNK_FACTORS)
 NORMALIZERS = ("bn", "ln", "pn")
 # Strategies for combining shared and domain layer parameters.  Other
 # combination functions are a plausible extension; only the element-wise
@@ -169,31 +182,66 @@ def _build_stack(in_dim: int, widths: Sequence[int], rng, name: str,
 
 
 class StarFcn:
-    """Shared stack plus M domain stacks fused by element-wise weight product."""
+    """The trunk of every variant: an optional shared stack and optional
+    per-domain stacks (see ``TRUNK_FACTORS``).
+
+    With both factors, domain p's layer is ``star_layer_params`` of the
+    shared and the domain layer; with one factor it is that factor's layer.
+    Domain stacks start at ones/zeros when a shared stack exists, so each
+    domain starts as the shared model, and at random otherwise.  Stacks
+    draw from ``rng`` in checkpoint order: shared, then d1..dM.
+    """
 
     def __init__(self, in_dim: int, widths: Sequence[int], num_domains: int,
-                 rng, name: str = "fcn"):
+                 rng, variant: str = "star", name: str = "fcn"):
+        has_shared, has_domain = TRUNK_FACTORS[variant]
         self.widths = tuple(widths)
         self.num_domains = num_domains
-        self.shared = _build_stack(in_dim, widths, rng, f"{name}.shared")
+        self.shared = (_build_stack(in_dim, widths, rng, f"{name}.shared")
+                       if has_shared else None)
         self.domain = [
-            _build_stack(in_dim, widths, rng, f"{name}.d{p}", ones_init=True)
+            _build_stack(in_dim, widths, rng, f"{name}.d{p}",
+                         ones_init=has_shared)
             for p in range(1, num_domains + 1)
-        ]
+        ] if has_domain else None
         self._cache = None
 
-    def forward(self, x: np.ndarray, p: int) -> np.ndarray:
+    def stacks(self) -> list[list[FcLayer]]:
+        """The stacks present: shared if any, then domains 1..M."""
+        return ([self.shared] if self.shared else []) + (self.domain or [])
+
+    def _factors(self, p: int):
+        """Domain p's (shared layer, domain layer) pairs; None marks a
+        factor the variant lacks."""
         if not 1 <= p <= self.num_domains:
             raise ConfigError(f"domain {p} outside 1..{self.num_domains}")
-        i = p - 1
+        none = [None] * len(self.widths)
+        return zip(self.shared or none,
+                   self.domain[p - 1] if self.domain else none)
+
+    @staticmethod
+    def _fuse(sl: FcLayer | None, dl: FcLayer | None):
+        if sl is None:
+            return dl.W.value, dl.b.value
+        if dl is None:
+            return sl.W.value, sl.b.value
+        return star_layer_params(sl.W.value, sl.b.value, dl.W.value,
+                                 dl.b.value)
+
+    def fused_params(self, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Domain p's effective (W, b) per layer, as new arrays."""
+        return [tuple(a.copy() for a in self._fuse(sl, dl))
+                for sl, dl in self._factors(p)]
+
+    def forward(self, x: np.ndarray, p: int) -> np.ndarray:
         steps = []
-        for sl, dl in zip(self.shared, self.domain[i]):
-            w_star, b_star = star_layer_params(sl.W.value, sl.b.value,
-                                               dl.W.value, dl.b.value)
-            pre = x @ w_star + b_star
-            out = relu(pre) if sl.activation == "relu" else pre
-            steps.append((x, pre, w_star, sl, dl))
-            x = out
+        last = len(self.widths) - 1
+        for li, (sl, dl) in enumerate(self._factors(p)):
+            w, b = self._fuse(sl, dl)
+            pre = x @ w + b
+            hidden = li < last
+            steps.append((x, pre, w, sl, dl, hidden))
+            x = relu(pre) if hidden else pre
         self._cache = steps
         return x[:, 0]
 
@@ -201,25 +249,25 @@ class StarFcn:
         if self._cache is None:
             raise ContractViolation("star fcn: backward without forward")
         upstream = ds[:, None]
-        for x, pre, w_star, sl, dl in reversed(self._cache):
-            dpre = upstream * (pre > 0) if sl.activation == "relu" else upstream
-            d_wstar = x.T @ dpre
-            d_bstar = dpre.sum(axis=0)
-            _acc(sl.W, d_wstar * dl.W.value)
-            _acc(dl.W, d_wstar * sl.W.value)
-            _acc(sl.b, d_bstar)
-            _acc(dl.b, d_bstar)
-            upstream = dpre @ w_star.T
+        for x, pre, w, sl, dl, hidden in reversed(self._cache):
+            dpre = upstream * (pre > 0) if hidden else upstream
+            d_w = x.T @ dpre
+            d_b = dpre.sum(axis=0)
+            for mine, other in ((sl, dl), (dl, sl)):
+                if mine is not None:
+                    _acc(mine.W, d_w if other is None else d_w * other.W.value)
+                    _acc(mine.b, d_b)
+            upstream = dpre @ w.T
         self._cache = None
         return upstream
 
     def params(self) -> list[Param]:
-        out = [p for layer in self.shared for p in layer.params()]
-        for stack in self.domain:
-            out.extend(p for layer in stack for p in layer.params())
-        return out
+        return [q for stack in self.stacks() for layer in stack
+                for q in layer.params()]
 
     def domain_params(self, p: int) -> list[Param]:
+        if self.domain is None:
+            return []
         return [q for layer in self.domain[p - 1] for q in layer.params()]
 
 
@@ -283,7 +331,8 @@ class ForwardState:
 
 
 class _CtrNet:
-    """Shared plumbing: embeddings -> normalizer -> trunk (+ aux) -> sigmoid.
+    """The model of every variant: embeddings -> normalizer -> trunk (+ aux)
+    -> sigmoid.
 
     A model instance has a single writer during training (forward caches are
     instance state); after training, inference-mode calls are read-only.
@@ -294,6 +343,10 @@ class _CtrNet:
         self.config = config
         self.tables = make_tables(config)
         self.norm = _make_normalizer(config)
+        self.fcn = StarFcn(config.input_dim, config.layer_widths,
+                           config.num_domains,
+                           rng=make_rng(config.seed, stream=20),
+                           variant=config.variant)
         self.aux_enabled = config.aux_enabled
         if config.aux_enabled:
             feature_dim = config.input_dim if config.aux_use_features else 0
@@ -303,16 +356,6 @@ class _CtrNet:
         else:
             self.aux = None
         self.last_forward: ForwardState | None = None
-
-    # Trunk hooks implemented by subclasses.
-    def _trunk_forward(self, zn: np.ndarray, p: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _trunk_backward(self, ds: np.ndarray, p: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _trunk_params(self) -> list[Param]:
-        raise NotImplementedError
 
     def _normalize(self, z, p, mode, update_stats):
         if isinstance(self.norm, PartitionedNorm):
@@ -331,7 +374,7 @@ class _CtrNet:
             update_stats = mode == "train"
         z = embed_and_pool(batch, self.tables)
         zn = self._normalize(z, batch.domain, mode, update_stats)
-        s_main = self._trunk_forward(zn, batch.domain)
+        s_main = self.fcn.forward(zn, batch.domain)
         if self.aux is not None and self.aux_enabled:
             s_aux = self.aux.forward(z, batch.domain)
             logits = s_main + s_aux
@@ -351,7 +394,7 @@ class _CtrNet:
         dz_aux = None
         if state.s_aux is not None:
             dz_aux = self.aux.backward(dlogits)
-        dzn = self._trunk_backward(dlogits, state.domain)
+        dzn = self.fcn.backward(dlogits)
         dz = self.norm.backward(dzn)
         if dz_aux is not None and dz_aux.shape[1]:
             dz = dz + dz_aux
@@ -360,7 +403,7 @@ class _CtrNet:
 
     def params(self) -> list[Param]:
         out = list(self.norm.params())
-        out.extend(self._trunk_params())
+        out.extend(self.fcn.params())
         if self.aux is not None:
             out.extend(self.aux.params())
         return out
@@ -387,91 +430,9 @@ class _CtrNet:
         out = []
         if isinstance(self.norm, PartitionedNorm):
             out.extend(self.norm.domain_params(p))
-        out.extend(self._trunk_domain_params(p))
+        out.extend(self.fcn.domain_params(p))
         return out
-
-    def _trunk_domain_params(self, p: int) -> list[Param]:
-        return []
-
-
-class StarModel(_CtrNet):
-    def __init__(self, config: ModelConfig):
-        if config.variant != "star":
-            raise ConfigError(f"StarModel built with variant {config.variant!r}")
-        super().__init__(config)
-        self.fcn = StarFcn(config.input_dim, config.layer_widths,
-                           config.num_domains,
-                           rng=make_rng(config.seed, stream=20))
-
-    def _trunk_forward(self, zn, p):
-        return self.fcn.forward(zn, p)
-
-    def _trunk_backward(self, ds, p):
-        return self.fcn.backward(ds)
-
-    def _trunk_params(self):
-        return self.fcn.params()
-
-    def _trunk_domain_params(self, p):
-        return self.fcn.domain_params(p)
-
-
-class BaselineModel(_CtrNet):
-    """Base (one shared stack) or Shared Bottom (per-domain stacks)."""
-
-    def __init__(self, config: ModelConfig):
-        if config.variant not in ("base", "shared_bottom"):
-            raise ConfigError(
-                f"BaselineModel built with variant {config.variant!r}"
-            )
-        super().__init__(config)
-        rng = make_rng(config.seed, stream=20)
-        if config.variant == "base":
-            self.stacks = [_build_stack(config.input_dim, config.layer_widths,
-                                        rng, "fcn")]
-        else:
-            self.stacks = [
-                _build_stack(config.input_dim, config.layer_widths, rng,
-                             f"fcn.d{p}")
-                for p in range(1, config.num_domains + 1)
-            ]
-
-    def _stack_for(self, p: int) -> list[FcLayer]:
-        if self.config.variant == "base":
-            return self.stacks[0]
-        return self.stacks[p - 1]
-
-    def _trunk_forward(self, zn, p):
-        x = zn
-        for layer in self._stack_for(p):
-            x = layer.forward(x)
-        return x[:, 0]
-
-    def _trunk_backward(self, ds, p):
-        upstream = ds[:, None]
-        for layer in reversed(self._stack_for(p)):
-            upstream = layer.backward(upstream)
-        return upstream
-
-    def _trunk_params(self):
-        return [q for stack in self.stacks for layer in stack
-                for q in layer.params()]
-
-    def _trunk_domain_params(self, p):
-        if self.config.variant == "base":
-            return []
-        return [q for layer in self.stacks[p - 1] for q in layer.params()]
 
 
 def build_model(config: ModelConfig) -> _CtrNet:
-    config.validate()
-    if config.variant == "star":
-        return StarModel(config)
-    return BaselineModel(config)
-
-
-def build_baseline(variant: str, config: ModelConfig) -> BaselineModel:
-    if variant not in ("base", "shared_bottom"):
-        raise ConfigError(f"unknown baseline variant {variant!r}")
-    return BaselineModel(replace(config, variant=variant))
-
+    return _CtrNet(config)

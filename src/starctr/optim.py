@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .layers import EmbeddingTable, Param, sigmoid
+from .layers import EmbeddingTable, Param
 
 
 def _check_labels(y: np.ndarray):
@@ -34,11 +34,6 @@ def bce_loss(yhat: np.ndarray, y: np.ndarray, logits: np.ndarray | None = None
         per = -(y * np.log(yhat) + (1.0 - y) * np.log1p(-yhat))
     loss = float(per.mean())
     return loss, (yhat - y) / n
-
-
-def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Convenience wrapper: loss and dL/dlogit straight from logits."""
-    return bce_loss(sigmoid(logits), y, logits=logits)
 
 
 class Adam:

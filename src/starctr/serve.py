@@ -1,23 +1,26 @@
 """Per-domain weight folding and batch scoring.
 
-At serving time the star factorization is collapsed: each domain gets its
-pre-computed fused layer weights, and (for bn/pn) the frozen normalization
-becomes a plain per-feature affine ``z * scale_p + shift_p``.  Folded
-inference therefore never touches the shared-vs-domain split and its
-per-example cost does not depend on the number of domains.
+At serving time the trunk's factorization is collapsed, whatever the
+variant: each domain gets its pre-computed fused layer weights, and (for
+bn/pn) the frozen normalization becomes a plain per-feature affine
+``z * scale_p + shift_p``.  Folded inference therefore never touches the
+shared-vs-domain split and its per-example cost does not depend on the
+number of domains.
 """
 
 from __future__ import annotations
 
+import io
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
-from .errors import ConfigError, DataError, FoldError
+from .errors import CheckpointError, DataError, FoldError, VersionError
 from .layers import mean_pool, relu, sigmoid
-from .model import Batch, StarModel, star_layer_params
+from .model import Batch, ModelConfig
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 
@@ -43,7 +46,7 @@ class FoldedModel:
         self.domains = domains
         self.ln_params = ln_params          # (gamma, beta, epsilon) or None
         self.aux = aux                      # (embed, W1, b1, W2, b2) or None
-        self.aux_uses_features = bool(getattr(config, "aux_use_features", True))
+        self.aux_uses_features = config.aux_use_features
 
     @property
     def num_domains(self) -> int:
@@ -92,19 +95,15 @@ class FoldedModel:
         return _score_grouped(self.score_batch, examples, batch_size)
 
 
-def fold(model: StarModel) -> FoldedModel:
-    """Pre-compute fused per-domain weights and frozen normalization affines."""
-    if not isinstance(model, StarModel):
-        raise ConfigError("fold requires a star-variant model")
+def fold(model) -> FoldedModel:
+    """Pre-compute fused per-domain weights and frozen normalization affines
+    for a model of any variant."""
     config = model.config
     norm = model.norm
     ln_params = None
     domains = []
     for p in range(1, config.num_domains + 1):
-        layers = [
-            star_layer_params(sl.W.value, sl.b.value, dl.W.value, dl.b.value)
-            for sl, dl in zip(model.fcn.shared, model.fcn.domain[p - 1])
-        ]
+        layers = model.fcn.fused_params(p)
         if norm.kind == "pn":
             if not norm.populated[p - 1]:
                 raise FoldError(f"domain {p}: statistics never populated")
@@ -227,11 +226,6 @@ _FOLD_AUX_CODES = (0, 1, 2)
 
 
 def save_folded(folded: FoldedModel, path: str):
-    import io
-    import struct
-
-    from .errors import VersionError  # noqa: F401  (kept near load_folded)
-
     config = folded.config
     buf = io.BytesIO()
     buf.write(_FOLD_MAGIC)
@@ -274,11 +268,6 @@ def save_folded(folded: FoldedModel, path: str):
 
 
 def load_folded(path: str) -> FoldedModel:
-    import struct
-
-    from .errors import CheckpointError, VersionError
-    from .model import ModelConfig
-
     with open(path, "rb") as fh:
         raw = fh.read()
     view = memoryview(raw)

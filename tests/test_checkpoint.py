@@ -6,6 +6,7 @@ from starctr.errors import CheckpointError, VersionError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import Batch, build_model
 from starctr.optim import Adam, bce_loss
+from starctr.serve import fold, score_with_model
 
 
 def trained_model(variant="star", normalizer="pn", aux=True, steps=3):
@@ -45,6 +46,9 @@ def assert_models_equal(a, b):
     ("base", "bn", True),
     ("base", "pn", False),
     ("shared_bottom", "ln", False),
+    ("base", "ln", True),
+    ("shared_bottom", "bn", True),
+    ("shared_bottom", "pn", False),
 ])
 def test_round_trip_bitwise(tmp_path, variant, normalizer, aux):
     model = trained_model(variant, normalizer, aux)
@@ -106,3 +110,17 @@ def test_loaded_model_scores_identically(tmp_path):
     a = model.forward(batch, mode="infer")
     b = loaded.forward(batch, mode="infer")
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["base", "shared_bottom"])
+def test_reloaded_baseline_folds_to_saved_scores(tmp_path, variant):
+    model = trained_model(variant, "pn", aux=True)
+    path = tmp_path / "m.ckpt"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    config = model.config
+    examples = (random_examples(20, config, domain=1, seed=81)
+                + random_examples(20, config, domain=2, seed=82))
+    scores = fold(loaded).score_examples(examples)
+    assert np.array_equal(scores, fold(model).score_examples(examples))
+    assert np.abs(scores - score_with_model(model, examples)).max() <= 1e-12

@@ -176,12 +176,17 @@ def test_corrupt_code_byte_exits_2(workspace, tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
-def test_fold_non_star_exits_2(workspace, tmp_path):
+@pytest.mark.parametrize("variant", ["base", "shared_bottom"])
+def test_fold_and_score_baseline_checkpoint(workspace, tmp_path, variant):
     _, _, exp_config, data, _ = workspace
-    base_ckpt = tmp_path / "base.ckpt"
-    assert main(["train", str(exp_config), str(data), str(base_ckpt),
-                 "--set", "variant=base", "--set", "normalizer=bn"]) == 0
-    assert main(["fold", str(base_ckpt), str(tmp_path / "f.fold")]) == 2
+    ckpt = tmp_path / f"{variant}.ckpt"
+    folded = tmp_path / f"{variant}.fold"
+    preds = tmp_path / "preds.tsv"
+    assert main(["train", str(exp_config), str(data), str(ckpt),
+                 "--set", f"variant={variant}"]) == 0
+    assert main(["fold", str(ckpt), str(folded)]) == 0
+    assert main(["score", str(folded), str(data), str(preds)]) == 0
+    assert len(preds.read_text().splitlines()) == 5_000
 
 
 def test_gradcheck_exits_0(capsys):

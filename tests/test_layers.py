@@ -3,6 +3,7 @@ import pytest
 
 from starctr.errors import (
     ContractViolation,
+    DataError,
     DegenerateInputError,
     DomainError,
     UninitializedStatsError,
@@ -52,7 +53,7 @@ class TestEmbedding:
         assert np.array_equal(pool_single(self.table, []), np.zeros(4))
 
     def test_out_of_vocab_names_field_and_id(self):
-        with pytest.raises(IndexError, match=r"behavior.*17"):
+        with pytest.raises(DataError, match=r"behavior.*17"):
             pool_single(self.table, [17])
 
     def test_backward_touches_exactly_looked_up_rows(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,6 @@ from starctr.gradcheck import check_model, random_examples, tiny_model_config
 from starctr.layers import relu
 from starctr.model import (
     Batch,
-    BaselineModel,
-    StarModel,
-    build_baseline,
     build_model,
     embed_and_pool,
     star_layer_params,
@@ -170,7 +169,7 @@ class TestBaselines:
         config = tiny_model_config("base", "bn", aux=False)
         config.num_domains = 1
         base = build_model(config)
-        sb = build_baseline("shared_bottom", config)
+        sb = build_model(replace(config, variant="shared_bottom"))
         assert base.param_count() == sb.param_count()
 
     def test_shared_bottom_param_count(self):
@@ -180,7 +179,7 @@ class TestBaselines:
         base = build_model(base_config)
         embed = sum(t.weights.size for t in sb.embedding_tables())
         fcn_base = sum(p.value.size
-                       for stack in base.stacks for layer in stack
+                       for layer in base.fcn.shared
                        for p in layer.params())
         norm = sum(p.value.size for p in sb.norm.params())
         expected = embed + config.num_domains * fcn_base + norm
@@ -199,13 +198,36 @@ class TestBaselines:
 
     def test_base_has_no_domain_indexed_fcn_parameters(self):
         model = build_model(tiny_model_config("base", "bn", aux=False))
-        assert isinstance(model, BaselineModel)
-        assert len(model.stacks) == 1
+        assert model.fcn.domain is None
+        assert model.fcn.stacks() == [model.fcn.shared]
         assert model.domain_params(1) == []
+
+    def test_shared_bottom_has_no_shared_fcn_parameters(self):
+        model = build_model(tiny_model_config("shared_bottom", "bn", aux=False))
+        assert model.fcn.shared is None
+        assert model.fcn.stacks() == model.fcn.domain
+        assert len(model.fcn.domain) == model.config.num_domains
+
+    def test_trunk_draws_shared_then_domains(self):
+        # One RNG stream, shared stack first: base's shared stack and the
+        # first shared-bottom domain stack take star's shared draws; star's
+        # domain stacks are overwritten to ones/zeros.
+        config = tiny_model_config("star", "bn", aux=False)
+        star = build_model(config)
+        base = build_model(replace(config, variant="base"))
+        sb = build_model(replace(config, variant="shared_bottom"))
+        for s, b, d in zip(star.fcn.shared, base.fcn.shared, sb.fcn.domain[0]):
+            assert np.array_equal(s.W.value, b.W.value)
+            assert np.array_equal(s.W.value, d.W.value)
+        for layer in star.fcn.domain[1]:
+            assert np.array_equal(layer.W.value, np.ones_like(layer.W.value))
+            assert np.array_equal(layer.b.value, np.zeros_like(layer.b.value))
+        assert not np.array_equal(sb.fcn.domain[0][0].W.value,
+                                  sb.fcn.domain[1][0].W.value)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            build_baseline("ensemble", tiny_model_config())
+            build_model(replace(tiny_model_config(), variant="ensemble"))
 
     def test_shared_bottom_gradcheck(self):
         assert check_model(tiny_model_config("shared_bottom", "bn", True)) < 1e-4

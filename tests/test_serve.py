@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from starctr.checkpoint import serialize
-from starctr.datagen import write_dataset
-from starctr.errors import ConfigError, FoldError
-from starctr.gradcheck import random_examples
+from starctr.datagen import Example, write_dataset
+from starctr.errors import DataError, FoldError
+from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import ModelConfig, build_model
 from starctr.serve import (
     fold,
@@ -21,21 +21,22 @@ from starctr.serve import (
 from reference_kernels import use_reference_kernels
 
 
-def serving_config(normalizer="pn", aux=True, num_domains=5):
+def serving_config(normalizer="pn", aux=True, num_domains=5, variant="star"):
     return ModelConfig(
-        variant="star", normalizer=normalizer, aux_enabled=aux,
+        variant=variant, normalizer=normalizer, aux_enabled=aux,
         num_domains=num_domains, embed_dim=4, vocab_items=60,
         vocab_profiles=30, vocab_contexts=8, layer_widths=(12, 6, 1),
         aux_embed_dim=6, aux_hidden=8, seed=2,
     )
 
 
-def small_trained_model(normalizer="pn", aux=True, num_domains=5):
-    """A briefly trained star model with every domain's stats populated."""
+def small_trained_model(normalizer="pn", aux=True, num_domains=5,
+                        variant="star"):
+    """A briefly trained model with every domain's stats populated."""
     from starctr.model import Batch
     from starctr.optim import Adam, bce_loss
 
-    config = serving_config(normalizer, aux, num_domains)
+    config = serving_config(normalizer, aux, num_domains, variant)
     model = build_model(config)
     opt = Adam()
     for step in range(4 * num_domains):
@@ -61,6 +62,16 @@ class TestFold:
     @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
     def test_fold_equivalence(self, normalizer):
         model = small_trained_model(normalizer)
+        folded = fold(model)
+        examples = random_eval_examples(model.config, 200)
+        a = folded.score_examples(examples)
+        b = score_with_model(model, examples)
+        assert np.abs(a - b).max() <= 1e-12
+
+    @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
+    @pytest.mark.parametrize("variant", ["base", "shared_bottom"])
+    def test_baseline_fold_equivalence(self, variant, normalizer):
+        model = small_trained_model(normalizer, variant=variant)
         folded = fold(model)
         examples = random_eval_examples(model.config, 200)
         a = folded.score_examples(examples)
@@ -105,11 +116,16 @@ class TestFold:
         with pytest.raises(FoldError, match="domain 2"):
             fold(model)
 
-    def test_fold_requires_star(self):
-        from starctr.model import build_baseline
-        base = build_baseline("base", serving_config())
-        with pytest.raises(ConfigError):
-            fold(base)
+    @pytest.mark.parametrize("variant", ["base", "shared_bottom"])
+    def test_fold_copies_single_factor_weights(self, variant):
+        model = small_trained_model("bn", variant=variant)
+        folded = fold(model)
+        stack = model.fcn.shared if variant == "base" else model.fcn.domain[1]
+        for (w, b), layer in zip(folded.domains[1].layers, stack):
+            assert np.array_equal(w, layer.W.value)
+            assert not np.shares_memory(w, layer.W.value)
+            assert np.array_equal(b, layer.b.value)
+            assert not np.shares_memory(b, layer.b.value)
 
     def test_scoring_does_not_mutate_model(self):
         model = small_trained_model()
@@ -119,6 +135,13 @@ class TestFold:
         folded.score_examples(examples)
         score_with_model(model, examples)
         assert hashlib.sha256(serialize(model)).hexdigest() == digest_before
+
+
+def test_score_with_model_out_of_vocab_is_data_error():
+    config = tiny_model_config("star", "ln", aux=False)
+    model = build_model(config)
+    with pytest.raises(DataError, match=r"item.*99.*12"):
+        score_with_model(model, [Example((1,), 0, 99, 0, 0, 1)])
 
 
 class TestScoreFile:
