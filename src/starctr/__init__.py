@@ -54,7 +54,7 @@ from .model import (
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, iter_batches, stream_batches
 from .serve import FoldedModel, fold, load_folded, save_folded, score_file
-from .tensor import grad_check, hadamard, make_rng, matmul
+from .tensor import grad_check, hadamard, make_rng
 from .train import evaluate_model, run_ablation, train_model
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
     "default_gen_config", "embed_and_pool", "errors", "evaluate_model",
     "fold", "generate", "generate_examples", "grad_check", "hadamard", "iter_batches",
     "load_experiment_config", "load_folded", "load_model", "make_rng",
-    "matmul", "parse_experiment_config", "pcoc", "read_dataset",
+    "parse_experiment_config", "pcoc", "read_dataset",
     "run_ablation", "run_gradchecks", "save_folded", "save_model",
     "score_file", "sigmoid", "star_layer_params", "stream_batches",
     "train_model", "weighted_auc", "write_dataset",

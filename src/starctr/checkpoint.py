@@ -1,221 +1,264 @@
-"""Versioned little-endian binary checkpoints.
+"""The one tensor container: checkpoints and folded models.
 
-Layout (all integers little-endian, all tensors raw float64 in C order):
+A trained checkpoint and a folded serving model are the same kind of file,
+laid out after safetensors (https://github.com/huggingface/safetensors):
 
-    magic    4 bytes  b"STAR"
-    version  u16      currently 1
-    variant  u8       0=base, 1=shared_bottom, 2=star
-    norm     u8       0=bn, 1=ln, 2=pn
-    aux      u8       0=off, 1=aux with features, 2=aux without features
-    pad      u8       0
-    M        u32      number of domains
-    embed_dim, aux_embed_dim, aux_hidden          u32 each
-    vocab_items, vocab_profiles, vocab_contexts   u32 each
-    n_layers u32, then layer widths               u32 each
-    momentum f64, epsilon f64, seed u64
+    magic        4 bytes  b"STAR"
+    version      u16      little-endian, currently 2
+    pad          u16      0
+    header_len   u64      little-endian, a multiple of 8
+    header       header_len bytes of UTF-8 JSON, padded with spaces
+    payload      the tensors, raw little-endian float64 in C order
 
-followed by tensor sections in this exact order:
+The header is one JSON object with exactly these keys:
 
-    1. embedding tables: behavior, profile, item, context
-       (vocab x embed_dim each)
-    2. normalizer state
-       bn: gamma, beta, populated u8, moving_mean, moving_var
-       ln: gamma, beta
-       pn: gamma, beta, then per domain p = 1..M:
-           gamma_p, beta_p, populated u8, mean_p, var_p
-    3. trunk: the shared stack if the variant has one (base, star), then
-       the per-domain stacks p = 1..M if it has them (shared_bottom, star);
-       per stack, per layer W then b
-    4. aux (only when the aux flag is set): embed (M x aux_embed_dim),
-       fc1.W, fc1.b, fc2.W, fc2.b
+    kind     "model" (a checkpoint) or "folded" (a folded serving model)
+    config   every ``ModelConfig`` field by name; layer_widths is a list
+    tensors  name -> {"dtype": "<f8", "shape": [...], "offset": n}, the
+             offset in bytes from the start of the payload
+    sha256   hex digest of the payload
 
-``load(save(model))`` reproduces every array bitwise.
+Header and payload start on 8-byte boundaries, and every tensor is a
+whole number of f8, so each tensor is 8-byte aligned.  The tensors tile
+the payload exactly: no gap, no overlap, no trailing byte.
+
+Tensor names, ``kind=model``: each embedding table under its
+``EmbeddingTable.name`` (behavior, profile, item, context, aux.embed),
+then each trainable array under its ``Param.name`` (pn.gamma, pn.d1.beta,
+fcn.shared.0.W, fcn.d2.1.b, aux.fc1.W, ...), then for bn and pn the moving
+statistics ``<norm>.moving_mean``, ``<norm>.moving_var`` and
+``<norm>.populated`` (1.0 populated, 0.0 not; one per domain for pn).
+
+Tensor names, ``kind=folded``: ``embed.<field>`` per embedding table;
+per domain p = 1..M and layer i, ``d<p>.<i>.W`` and ``d<p>.<i>.b`` (the
+fused weights), and for bn and pn the frozen affine ``d<p>.scale`` and
+``d<p>.shift``; for ln ``ln.gamma`` and ``ln.beta``; with the aux net
+``aux.embed``, ``aux.fc1.W``, ``aux.fc1.b``, ``aux.fc2.W``, ``aux.fc2.b``.
+
+Reading checks everything above and raises ``CheckpointError`` (a
+``VersionError`` for another version) on the first mismatch; the config
+must also pass ``ModelConfig.validate`` and every tensor must have the name
+and shape the config implies.  Files are written to ``<path>.tmp`` and
+moved into place, so a failed write leaves the previous file as it was.
+``deserialize(serialize(model))`` reproduces every array bitwise.
 """
 
 from __future__ import annotations
 
-import io
-import struct
+import hashlib
+import json
+import math
+import os
+from dataclasses import fields
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import CheckpointError, VersionError
-from .layers import BatchNorm, LayerNorm
+from .errors import CheckpointError, ConfigError, VersionError
 from .model import ModelConfig, build_model
 
 MAGIC = b"STAR"
-VERSION = 1
-_VARIANT_CODE = {"base": 0, "shared_bottom": 1, "star": 2}
-_NORM_CODE = {"bn": 0, "ln": 1, "pn": 2}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
-_NORM_NAME = {v: k for k, v in _NORM_CODE.items()}
-_AUX_CODES = (0, 1, 2)
+VERSION = 2
+_PREFIX = 16
+_DTYPE = "<f8"
+_HEADER_KEYS = {"kind", "config", "tensors", "sha256"}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
 
 
-def _write_array(buf, arr: np.ndarray):
-    buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _config_to_json(config: ModelConfig) -> dict:
+    out = {}
+    for name, kind in _CONFIG_TYPES.items():
+        value = getattr(config, name)
+        out[name] = [int(w) for w in value] if kind is tuple else kind(value)
+    return out
 
 
-def _read_array(buf, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    raw = buf.read(count * 8)
-    if len(raw) != count * 8:
-        raise CheckpointError("truncated tensor section")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+def _config_from_json(raw) -> ModelConfig:
+    if not isinstance(raw, dict):
+        raise CheckpointError("header config is not an object")
+    missing = sorted(set(_CONFIG_TYPES) - set(raw))
+    unknown = sorted(set(raw) - set(_CONFIG_TYPES))
+    if missing or unknown:
+        raise CheckpointError(f"config keys do not match ModelConfig: "
+                              f"missing {missing}, unknown {unknown}")
+    values = {}
+    for name, kind in _CONFIG_TYPES.items():
+        value = raw[name]
+        if (kind is tuple and isinstance(value, list)
+                and all(type(w) is int for w in value)):
+            value = tuple(value)
+        if type(value) is not kind:
+            raise CheckpointError(
+                f"config {name}: expected {kind.__name__}, got {raw[name]!r}")
+        values[name] = value
+    config = ModelConfig(**values)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"config: {exc}") from None
+    return config
 
 
-def _read_exact(buf, n: int) -> bytes:
-    raw = buf.read(n)
-    if len(raw) != n:
+def pack(kind: str, config: ModelConfig,
+         tensors: dict[str, np.ndarray]) -> bytes:
+    """The container bytes of named tensors, in the given order."""
+    entries, blobs, offset = {}, [], 0
+    for name, value in tensors.items():
+        arr = np.asarray(value, dtype=_DTYPE)
+        entries[name] = {"dtype": _DTYPE, "shape": list(arr.shape),
+                         "offset": offset}
+        blobs.append(arr.tobytes())
+        offset += arr.nbytes
+    payload = b"".join(blobs)
+    header = json.dumps({
+        "kind": kind,
+        "config": _config_to_json(config),
+        "tensors": entries,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-len(header) % 8)
+    return (MAGIC + VERSION.to_bytes(2, "little") + bytes(2)
+            + len(header).to_bytes(8, "little") + header + payload)
+
+
+def _spans(entries, payload_size: int) -> dict[str, tuple[tuple, int]]:
+    """Check the tensor table against the payload; name -> (shape, offset)."""
+    if not isinstance(entries, dict):
+        raise CheckpointError("header tensors is not an object")
+    spans = {}
+    for name, e in entries.items():
+        if not (isinstance(e, dict) and set(e) == {"dtype", "shape", "offset"}
+                and e["dtype"] == _DTYPE and isinstance(e["shape"], list)
+                and all(type(d) is int and d >= 0 for d in e["shape"])
+                and type(e["offset"]) is int and e["offset"] >= 0):
+            raise CheckpointError(f"tensor {name}: bad entry {e!r}")
+        spans[name] = (tuple(e["shape"]), e["offset"])
+    end = 0
+    for offset, nbytes, name in sorted(
+            (offset, 8 * math.prod(shape), name)
+            for name, (shape, offset) in spans.items()):
+        if offset + nbytes > payload_size:
+            raise CheckpointError(f"tensor {name}: bytes {offset}.."
+                                  f"{offset + nbytes} past the payload "
+                                  f"({payload_size} bytes)")
+        if offset % 8:
+            raise CheckpointError(f"tensor {name}: offset {offset} not "
+                                  "8-byte aligned")
+        if offset < end:
+            raise CheckpointError(f"tensor {name}: overlaps the tensor "
+                                  f"before it (offset {offset} < {end})")
+        if offset > end:
+            raise CheckpointError(f"payload bytes {end}..{offset} belong "
+                                  "to no tensor")
+        end = offset + nbytes
+    if end != payload_size:
+        raise CheckpointError(f"payload bytes {end}..{payload_size} belong "
+                              "to no tensor")
+    return spans
+
+
+def unpack(raw: bytes, kind: str, assemble: Callable):
+    """Check container bytes and return ``assemble(config, take)``.
+
+    ``take(name, shape)`` hands out the tensor ``name`` (a new float64
+    array) once; a tensor ``assemble`` does not take is an error.
+    """
+    if raw[:4] != MAGIC:
+        raise CheckpointError("bad magic: not a starctr model file")
+    if len(raw) < _PREFIX:
         raise CheckpointError("truncated header")
-    return raw
+    version = int.from_bytes(raw[4:6], "little")
+    if version != VERSION:
+        raise VersionError(f"file format version {version}, expected "
+                           f"{VERSION}")
+    header_len = int.from_bytes(raw[8:16], "little")
+    if header_len > len(raw) - _PREFIX:
+        raise CheckpointError(f"header length {header_len} past the end of "
+                              f"the file ({len(raw)} bytes)")
+    if header_len % 8:
+        raise CheckpointError(f"header length {header_len} is not a "
+                              "multiple of 8")
+    try:
+        header = json.loads(raw[_PREFIX:_PREFIX + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # incl. UnicodeDecodeError
+        raise CheckpointError(f"header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise CheckpointError(f"header must hold exactly the keys "
+                              f"{sorted(_HEADER_KEYS)}")
+    if header["kind"] != kind:
+        raise CheckpointError(f"file holds kind {header['kind']!r}, "
+                              f"expected {kind!r}")
+    config = _config_from_json(header["config"])
+    payload = memoryview(raw)[_PREFIX + header_len:]
+    spans = _spans(header["tensors"], len(payload))
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise CheckpointError("payload sha256 does not match the header")
+
+    def take(name: str, shape) -> np.ndarray:
+        if name not in spans:
+            raise CheckpointError(f"missing tensor {name}")
+        stored, offset = spans.pop(name)
+        if stored != tuple(shape):
+            raise CheckpointError(f"tensor {name}: shape {list(stored)}, "
+                                  f"the config implies {list(shape)}")
+        return np.frombuffer(payload, _DTYPE, math.prod(stored),
+                             offset).reshape(stored).astype(np.float64)
+
+    out = assemble(config, take)
+    if spans:
+        raise CheckpointError(f"unknown tensors: {', '.join(sorted(spans))}")
+    return out
+
+
+def write_atomic(path: str, raw: bytes):
+    """Write ``raw`` to ``path`` through ``path + ".tmp"`` and a rename."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _model_arrays(model) -> list[tuple[str, object, str]]:
+    """(tensor name, owner, attribute) of every array a model stores."""
+    out = [(t.name, t, "weights") for t in model.embedding_tables()]
+    out += [(p.name, p, "value") for p in model.params()]
+    norm = model.norm
+    if hasattr(norm, "populated"):
+        out += [(f"{norm.name}.{attr}", norm, attr)
+                for attr in ("moving_mean", "moving_var", "populated")]
+    return out
 
 
 def serialize(model) -> bytes:
-    config = model.config
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", VERSION))
-    aux_code = 0
-    if config.aux_enabled:
-        aux_code = 1 if config.aux_use_features else 2
-    buf.write(struct.pack(
-        "<BBBB", _VARIANT_CODE[config.variant], _NORM_CODE[config.normalizer],
-        aux_code, 0,
-    ))
-    buf.write(struct.pack(
-        "<IIIIIII", config.num_domains, config.embed_dim,
-        config.aux_embed_dim, config.aux_hidden, config.vocab_items,
-        config.vocab_profiles, config.vocab_contexts,
-    ))
-    buf.write(struct.pack("<I", len(config.layer_widths)))
-    for w in config.layer_widths:
-        buf.write(struct.pack("<I", w))
-    buf.write(struct.pack("<ddQ", config.momentum, config.epsilon,
-                          config.seed))
-
-    for name in ("behavior", "profile", "item", "context"):
-        _write_array(buf, model.tables[name].weights)
-
-    norm = model.norm
-    if isinstance(norm, BatchNorm):
-        _write_array(buf, norm.gamma.value)
-        _write_array(buf, norm.beta.value)
-        buf.write(struct.pack("<B", 1 if norm.populated else 0))
-        _write_array(buf, norm.moving_mean)
-        _write_array(buf, norm.moving_var)
-    elif isinstance(norm, LayerNorm):
-        _write_array(buf, norm.gamma.value)
-        _write_array(buf, norm.beta.value)
-    else:
-        _write_array(buf, norm.gamma.value)
-        _write_array(buf, norm.beta.value)
-        for i in range(config.num_domains):
-            _write_array(buf, norm.domain_gamma[i].value)
-            _write_array(buf, norm.domain_beta[i].value)
-            buf.write(struct.pack("<B", 1 if norm.populated[i] else 0))
-            _write_array(buf, norm.moving_mean[i])
-            _write_array(buf, norm.moving_var[i])
-
-    for stack in model.fcn.stacks():
-        for layer in stack:
-            _write_array(buf, layer.W.value)
-            _write_array(buf, layer.b.value)
-
-    if config.aux_enabled:
-        _write_array(buf, model.aux.embed.weights)
-        _write_array(buf, model.aux.fc1.W.value)
-        _write_array(buf, model.aux.fc1.b.value)
-        _write_array(buf, model.aux.fc2.W.value)
-        _write_array(buf, model.aux.fc2.b.value)
-    return buf.getvalue()
+    return pack("model", model.config,
+                {name: getattr(owner, attr)
+                 for name, owner, attr in _model_arrays(model)})
 
 
-def deserialize(raw: bytes):
-    buf = io.BytesIO(raw)
-    if _read_exact(buf, 4) != MAGIC:
-        raise CheckpointError("bad magic: not a model checkpoint")
-    (version,) = struct.unpack("<H", _read_exact(buf, 2))
-    if version != VERSION:
-        raise VersionError(f"checkpoint version {version}, expected {VERSION}")
-    var_code, norm_code, aux_flag, _ = struct.unpack("<BBBB", _read_exact(buf, 4))
-    if var_code not in _VARIANT_NAME:
-        raise CheckpointError(f"unknown variant code {var_code}")
-    if norm_code not in _NORM_NAME:
-        raise CheckpointError(f"unknown normalizer code {norm_code}")
-    if aux_flag not in _AUX_CODES:
-        raise CheckpointError(f"unknown aux code {aux_flag}")
-    (m, embed_dim, aux_embed_dim, aux_hidden, vocab_items, vocab_profiles,
-     vocab_contexts) = struct.unpack("<IIIIIII", _read_exact(buf, 28))
-    (n_layers,) = struct.unpack("<I", _read_exact(buf, 4))
-    widths = struct.unpack(f"<{n_layers}I", _read_exact(buf, 4 * n_layers))
-    momentum, epsilon, seed = struct.unpack("<ddQ", _read_exact(buf, 24))
-
-    config = ModelConfig(
-        variant=_VARIANT_NAME[var_code],
-        normalizer=_NORM_NAME[norm_code],
-        aux_enabled=bool(aux_flag),
-        aux_use_features=aux_flag == 1,
-        num_domains=m,
-        embed_dim=embed_dim,
-        vocab_items=vocab_items,
-        vocab_profiles=vocab_profiles,
-        vocab_contexts=vocab_contexts,
-        layer_widths=tuple(widths),
-        aux_embed_dim=aux_embed_dim,
-        aux_hidden=aux_hidden,
-        momentum=momentum,
-        epsilon=epsilon,
-        seed=int(seed),
-    )
+def _assemble_model(config: ModelConfig, take):
     model = build_model(config)
-
-    for name in ("behavior", "profile", "item", "context"):
-        table = model.tables[name]
-        table.weights = _read_array(buf, table.weights.shape)
-
-    norm = model.norm
-    dim = config.input_dim
-    if isinstance(norm, BatchNorm):
-        norm.gamma.value = _read_array(buf, (dim,))
-        norm.beta.value = _read_array(buf, (dim,))
-        norm.populated = bool(_read_exact(buf, 1)[0])
-        norm.moving_mean = _read_array(buf, (dim,))
-        norm.moving_var = _read_array(buf, (dim,))
-    elif isinstance(norm, LayerNorm):
-        norm.gamma.value = _read_array(buf, (dim,))
-        norm.beta.value = _read_array(buf, (dim,))
-    else:
-        norm.gamma.value = _read_array(buf, (dim,))
-        norm.beta.value = _read_array(buf, (dim,))
-        for i in range(m):
-            norm.domain_gamma[i].value = _read_array(buf, (dim,))
-            norm.domain_beta[i].value = _read_array(buf, (dim,))
-            norm.populated[i] = bool(_read_exact(buf, 1)[0])
-            norm.moving_mean[i] = _read_array(buf, (dim,))
-            norm.moving_var[i] = _read_array(buf, (dim,))
-
-    for stack in model.fcn.stacks():
-        for layer in stack:
-            layer.W.value = _read_array(buf, layer.W.value.shape)
-            layer.b.value = _read_array(buf, layer.b.value.shape)
-
-    if config.aux_enabled:
-        model.aux.embed.weights = _read_array(buf, (m, aux_embed_dim))
-        model.aux.fc1.W.value = _read_array(buf, model.aux.fc1.W.value.shape)
-        model.aux.fc1.b.value = _read_array(buf, model.aux.fc1.b.value.shape)
-        model.aux.fc2.W.value = _read_array(buf, model.aux.fc2.W.value.shape)
-        model.aux.fc2.b.value = _read_array(buf, model.aux.fc2.b.value.shape)
-    if buf.read(1):
-        raise CheckpointError("trailing bytes after checkpoint payload")
+    for name, owner, attr in _model_arrays(model):
+        value = take(name, np.shape(getattr(owner, attr)))
+        if attr == "populated":
+            value = value != 0
+            value = bool(value) if value.ndim == 0 else value
+        setattr(owner, attr, value)
     return model
 
 
+def deserialize(raw: bytes):
+    return unpack(raw, "model", _assemble_model)
+
+
 def save_model(model, path: str):
-    with open(path, "wb") as fh:
-        fh.write(serialize(model))
+    write_atomic(path, serialize(model))
 
 
 def load_model(path: str):
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    return deserialize(Path(path).read_bytes())

@@ -37,7 +37,6 @@ class ExperimentConfig:
     aux_hidden: int = 16
     aux_use_features: bool = False
     embed_init_scale: float = 0.1
-    combine: str = "elementwise_product"
     domains: int = 5
     lr: float = 0.001
     batch_size: int = 1024
@@ -82,7 +81,6 @@ class ExperimentConfig:
             aux_hidden=self.aux_hidden,
             aux_use_features=self.aux_use_features,
             embed_init_scale=self.embed_init_scale,
-            combine=self.combine,
             momentum=self.momentum,
             epsilon=self.epsilon,
             seed=self.seed,
@@ -99,7 +97,6 @@ _PARSERS = {
     "aux_hidden": int,
     "aux_use_features": _parse_bool,
     "embed_init_scale": float,
-    "combine": str,
     "domains": int,
     "lr": float,
     "batch_size": int,

@@ -51,10 +51,6 @@ TRUNK_FACTORS = {
 }
 VARIANTS = tuple(TRUNK_FACTORS)
 NORMALIZERS = ("bn", "ln", "pn")
-# Strategies for combining shared and domain layer parameters.  Other
-# combination functions are a plausible extension; only the element-wise
-# product (with summed bias) is implemented.
-COMBINE_STRATEGIES = ("elementwise_product",)
 
 
 @dataclass
@@ -72,7 +68,6 @@ class ModelConfig:
     aux_hidden: int = 16
     aux_use_features: bool = False
     embed_init_scale: float = 0.1
-    combine: str = "elementwise_product"
     momentum: float = 0.01
     epsilon: float = 1e-5
     seed: int = 0
@@ -92,11 +87,14 @@ class ModelConfig:
             )
         if self.num_domains < 1:
             raise ConfigError("num_domains must be >= 1")
-        if self.combine not in COMBINE_STRATEGIES:
+        sizes = ("embed_dim", "vocab_items", "vocab_profiles",
+                 "vocab_contexts", "aux_embed_dim", "aux_hidden")
+        small = [n for n in sizes if getattr(self, n) < 1]
+        if small or min(self.layer_widths) < 1:
             raise ConfigError(
-                f"unknown combination strategy {self.combine!r}; "
-                f"implemented: {COMBINE_STRATEGIES}"
-            )
+                f"sizes must be >= 1: {small or self.layer_widths}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Batch(Dataset):
@@ -124,19 +122,24 @@ class Batch(Dataset):
         return cls(as_dataset(examples))
 
 
-def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:
-    """One embedding table per field (behavior and item index the item vocab)."""
-    vocabs = {
+def field_vocabs(config: ModelConfig) -> dict[str, int]:
+    """Vocabulary size per field, in field order (behavior and item index
+    the item vocab)."""
+    return {
         "behavior": config.vocab_items,
         "profile": config.vocab_profiles,
         "item": config.vocab_items,
         "context": config.vocab_contexts,
     }
+
+
+def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:
+    """One embedding table per field."""
     return {
-        name: EmbeddingTable(vocabs[name], config.embed_dim,
+        name: EmbeddingTable(vocab, config.embed_dim,
                              rng=make_rng(config.seed, stream=10 + i),
                              init_scale=config.embed_init_scale, name=name)
-        for i, name in enumerate(FIELDS)
+        for i, (name, vocab) in enumerate(field_vocabs(config).items())
     }
 
 

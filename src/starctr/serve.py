@@ -10,17 +10,17 @@ number of domains.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import pack, unpack, write_atomic
 from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
-from .errors import CheckpointError, DataError, FoldError, VersionError
+from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid
-from .model import Batch, ModelConfig
+from .model import Batch, ModelConfig, field_vocabs
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 
@@ -209,145 +209,59 @@ def _line_numbers(path: str, rows: list[int]) -> list[int]:
         return [lineno for row, lineno in enumerate(nonblank) if row in wanted]
 
 
-# --------------------------------------------------------------------------
-# Folded model file: little-endian binary, magic FOLD, version 1.  Header
-# mirrors the checkpoint header; payload stores embeddings, per-domain fused
-# layers + affine constants, optional ln params, optional aux tensors.
-# --------------------------------------------------------------------------
-
-_FOLD_MAGIC = b"FOLD"
-_FOLD_VERSION = 1
-# Header bytes 6 and 7: the normalizer (bn and pn store a per-domain affine,
-# ln its gamma and beta once) and the aux net (0 off, 1 with features, 2
-# without).
-_FOLD_NORM_CODE = {"pn": 0, "ln": 1, "bn": 2}
-_FOLD_NORM_NAME = {v: k for k, v in _FOLD_NORM_CODE.items()}
-_FOLD_AUX_CODES = (0, 1, 2)
+# The folded model file is the container of ``checkpoint.py`` with
+# ``kind="folded"``; its module docstring names every tensor.
+_AUX_NAMES = ("aux.embed", "aux.fc1.W", "aux.fc1.b", "aux.fc2.W", "aux.fc2.b")
 
 
 def save_folded(folded: FoldedModel, path: str):
-    config = folded.config
-    buf = io.BytesIO()
-    buf.write(_FOLD_MAGIC)
-    buf.write(struct.pack("<H", _FOLD_VERSION))
-    norm_kind = _FOLD_NORM_CODE[config.normalizer]
-    aux_code = 0
-    if folded.aux is not None:
-        aux_code = 1 if folded.aux_uses_features else 2
-    buf.write(struct.pack("<BB", norm_kind, aux_code))
-    buf.write(struct.pack(
-        "<IIIIII", folded.num_domains, config.embed_dim, config.vocab_items,
-        config.vocab_profiles, config.vocab_contexts, config.aux_embed_dim,
-    ))
-    buf.write(struct.pack("<I", len(config.layer_widths)))
-    for w in config.layer_widths:
-        buf.write(struct.pack("<I", w))
-    buf.write(struct.pack("<I", config.aux_hidden))
-    buf.write(struct.pack("<d", config.epsilon))
-
-    def put(arr):
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    for name in ("behavior", "profile", "item", "context"):
-        put(folded.embeddings[name])
-    for dom in folded.domains:
-        for w, b in dom.layers:
-            put(w)
-            put(b)
+    tensors = {f"embed.{name}": w for name, w in folded.embeddings.items()}
+    for p, dom in enumerate(folded.domains, start=1):
+        for li, (w, b) in enumerate(dom.layers):
+            tensors[f"d{p}.{li}.W"] = w
+            tensors[f"d{p}.{li}.b"] = b
         if dom.norm_scale is not None:
-            put(dom.norm_scale)
-            put(dom.norm_shift)
+            tensors[f"d{p}.scale"] = dom.norm_scale
+            tensors[f"d{p}.shift"] = dom.norm_shift
     if folded.ln_params is not None:
-        put(folded.ln_params[0])
-        put(folded.ln_params[1])
+        tensors["ln.gamma"], tensors["ln.beta"] = folded.ln_params[:2]
     if folded.aux is not None:
-        for arr in folded.aux:
-            put(arr)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        tensors.update(zip(_AUX_NAMES, folded.aux))
+    write_atomic(path, pack("folded", folded.config, tensors))
+
+
+def _assemble_folded(config: ModelConfig, take) -> FoldedModel:
+    embeddings = {name: take(f"embed.{name}", (vocab, config.embed_dim))
+                  for name, vocab in field_vocabs(config).items()}
+    in_dim = config.input_dim
+    dims = (in_dim,) + config.layer_widths
+    affine = config.normalizer != "ln"
+    domains = [
+        FoldedDomain(
+            [(take(f"d{p}.{li}.W", dims[li:li + 2]),
+              take(f"d{p}.{li}.b", dims[li + 1:li + 2]))
+             for li in range(len(config.layer_widths))],
+            take(f"d{p}.scale", (in_dim,)) if affine else None,
+            take(f"d{p}.shift", (in_dim,)) if affine else None,
+        )
+        for p in range(1, config.num_domains + 1)
+    ]
+    ln_params = None
+    if not affine:
+        ln_params = (take("ln.gamma", (in_dim,)), take("ln.beta", (in_dim,)),
+                     config.epsilon)
+    aux = None
+    if config.aux_enabled:
+        m, e, h = config.num_domains, config.aux_embed_dim, config.aux_hidden
+        aux_in = e + (in_dim if config.aux_use_features else 0)
+        shapes = ((m, e), (aux_in, h), (h,), (h, 1), (1,))
+        aux = tuple(take(name, shape)
+                    for name, shape in zip(_AUX_NAMES, shapes))
+    return FoldedModel(config, embeddings, domains, ln_params, aux)
 
 
 def load_folded(path: str) -> FoldedModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise CheckpointError("truncated folded model file")
-        out = view[pos:pos + n]
-        pos += n
-        return out
-
-    if bytes(take(4)) != _FOLD_MAGIC:
-        raise CheckpointError("bad magic: not a folded model file")
-    (version,) = struct.unpack("<H", take(2))
-    if version != _FOLD_VERSION:
-        raise VersionError(f"folded model version {version}, expected "
-                           f"{_FOLD_VERSION}")
-    norm_kind, aux_flag = struct.unpack("<BB", take(2))
-    if norm_kind not in _FOLD_NORM_NAME:
-        raise CheckpointError(f"unknown normalizer code {norm_kind}")
-    if aux_flag not in _FOLD_AUX_CODES:
-        raise CheckpointError(f"unknown aux code {aux_flag}")
-    (m, embed_dim, vocab_items, vocab_profiles, vocab_contexts,
-     aux_embed_dim) = struct.unpack("<IIIIII", take(24))
-    (n_layers,) = struct.unpack("<I", take(4))
-    widths = struct.unpack(f"<{n_layers}I", take(4 * n_layers))
-    (aux_hidden,) = struct.unpack("<I", take(4))
-    (epsilon,) = struct.unpack("<d", take(8))
-
-    def arr(shape):
-        count = int(np.prod(shape))
-        return np.frombuffer(take(count * 8), dtype="<f8").astype(
-            np.float64).reshape(shape)
-
-    config = ModelConfig(
-        variant="star", normalizer=_FOLD_NORM_NAME[norm_kind],
-        aux_enabled=bool(aux_flag), aux_use_features=aux_flag == 1,
-        num_domains=m, embed_dim=embed_dim,
-        vocab_items=vocab_items, vocab_profiles=vocab_profiles,
-        vocab_contexts=vocab_contexts, layer_widths=tuple(widths),
-        aux_embed_dim=aux_embed_dim, aux_hidden=aux_hidden, epsilon=epsilon,
-    )
-    embeddings = {
-        "behavior": arr((vocab_items, embed_dim)),
-        "profile": arr((vocab_profiles, embed_dim)),
-        "item": arr((vocab_items, embed_dim)),
-        "context": arr((vocab_contexts, embed_dim)),
-    }
-    in_dim = 4 * embed_dim
-    domains = []
-    for _ in range(m):
-        layers = []
-        prev = in_dim
-        for w in widths:
-            layers.append((arr((prev, w)), arr((w,))))
-            prev = w
-        if norm_kind != 1:
-            scale = arr((in_dim,))
-            shift = arr((in_dim,))
-        else:
-            scale = shift = None
-        domains.append(FoldedDomain(layers, scale, shift))
-    ln_params = None
-    if norm_kind == 1:
-        ln_params = (arr((in_dim,)), arr((in_dim,)), epsilon)
-    aux = None
-    if aux_flag:
-        aux_in = aux_embed_dim + (in_dim if aux_flag != 2 else 0)
-        aux = (
-            arr((m, aux_embed_dim)),
-            arr((aux_in, aux_hidden)),
-            arr((aux_hidden,)),
-            arr((aux_hidden, 1)),
-            arr((1,)),
-        )
-    if pos != len(raw):
-        raise CheckpointError("trailing bytes after folded model payload")
-    return FoldedModel(config, embeddings, domains, ln_params, aux)
+    return unpack(Path(path).read_bytes(), "folded", _assemble_folded)
 
 
 def read_predictions(path: str) -> list[tuple[int, int, float, int]]:

@@ -20,24 +20,6 @@ def as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with sequential accumulation over the inner dimension.
-
-    Accumulating rank-1 terms in index order makes the result bitwise equal
-    to the classic triple loop, independent of the BLAS backend's blocking.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: need 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for t in range(a.shape[1]):
-        out += a[:, t:t + 1] * b[t:t + 1, :]
-    return out
-
-
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise product; operands must have identical shapes."""
     a = as_matrix(a)

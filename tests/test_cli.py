@@ -2,6 +2,12 @@ import json
 
 import pytest
 
+from container_bytes import (
+    edit_header,
+    flip_payload_byte,
+    header_length_past_eof,
+    set_config,
+)
 from starctr.cli import main
 from starctr.datagen import default_gen_config, format_gen_config
 
@@ -146,24 +152,38 @@ def test_incompatible_checkpoint_version_exits_2(workspace, tmp_path):
     assert main(["eval", str(stale), str(data), str(tmp_path / "r.txt")]) == 2
 
 
-@pytest.mark.parametrize("command,offset", [
-    ("eval", 6), ("eval", 7), ("eval", 8),
-    ("fold", 6), ("fold", 7), ("fold", 8),
-    ("score", 6), ("score", 7),
-])
-def test_corrupt_code_byte_exits_2(workspace, tmp_path, capsys, command,
-                                   offset):
-    # STAR bytes 6-8 hold the variant, normalizer and aux codes; FOLD bytes
-    # 6-7 the normalizer and aux codes.
+# corruption -> (edit of the expected file's bytes, words of the error)
+CORRUPTIONS = {
+    "unknown_variant": (lambda raw: edit_header(
+        raw, set_config("variant", "ensemble")), "unknown model variant"),
+    "unknown_normalizer": (lambda raw: edit_header(
+        raw, set_config("normalizer", "gn")), "unknown normalizer"),
+    "unknown_aux": (lambda raw: edit_header(
+        raw, set_config("aux_enabled", 2)), "aux_enabled: expected bool"),
+    "payload_byte_flipped": (flip_payload_byte, "sha256"),
+    "header_length_past_eof": (header_length_past_eof, "past the end"),
+    "wrong_kind": (None, "kind"),
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("command", ["eval", "fold", "score"])
+def test_corrupt_container_exits_2(workspace, tmp_path, capsys, command,
+                                   corruption):
     _, _, _, data, ckpt = workspace
-    source = ckpt
+    fold_file = tmp_path / "m.fold"
+    assert main(["fold", str(ckpt), str(fold_file)]) == 0
     if command == "score":
-        source = tmp_path / "m.fold"
-        assert main(["fold", str(ckpt), str(source)]) == 0
-    raw = bytearray(source.read_bytes())
-    raw[offset] = 9
+        expected, other = fold_file, ckpt
+    else:
+        expected, other = ckpt, fold_file
+    corrupt_bytes, message = CORRUPTIONS[corruption]
+    if corrupt_bytes is None:
+        raw = other.read_bytes()
+    else:
+        raw = corrupt_bytes(expected.read_bytes())
     corrupt = tmp_path / "corrupt.bin"
-    corrupt.write_bytes(bytes(raw))
+    corrupt.write_bytes(raw)
     capsys.readouterr()
     args = {
         "eval": ["eval", str(corrupt), str(data), str(tmp_path / "r.txt")],
@@ -173,7 +193,16 @@ def test_corrupt_code_byte_exits_2(workspace, tmp_path, capsys, command,
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "checkpoint error:" in err
+    assert message in err
     assert "Traceback" not in err
+
+
+def test_combine_key_is_unknown(workspace, tmp_path, capsys):
+    _, _, exp_config, data, _ = workspace
+    capsys.readouterr()
+    assert main(["train", str(exp_config), str(data), str(tmp_path / "x.ckpt"),
+                 "--set", "combine=elementwise_product"]) == 2
+    assert "unknown config keys: combine" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", ["base", "shared_bottom"])

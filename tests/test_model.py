@@ -268,9 +268,3 @@ class TestConfigSurface:
         for name in m_small.tables:
             assert np.array_equal(m_small.tables[name].weights,
                                   m_big.tables[name].weights)
-
-    def test_unknown_combination_strategy_rejected(self):
-        config = tiny_model_config()
-        config.combine = "attention"
-        with pytest.raises(ConfigError, match="combination strategy"):
-            build_model(config)

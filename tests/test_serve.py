@@ -208,6 +208,20 @@ class TestScoreFile:
             assert np.array_equal(loaded.score_examples(examples),
                                   folded.score_examples(examples))
 
+    @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
+    @pytest.mark.parametrize("variant", ["base", "shared_bottom", "star"])
+    def test_reloaded_fold_keeps_config_and_scores(self, tmp_path, variant,
+                                                   normalizer):
+        model = small_trained_model(normalizer, variant=variant)
+        folded = fold(model)
+        path = tmp_path / "m.fold"
+        save_folded(folded, str(path))
+        loaded = load_folded(str(path))
+        assert loaded.config == folded.config == model.config
+        examples = random_eval_examples(model.config, 40)
+        assert (loaded.score_examples(examples).tobytes()
+                == folded.score_examples(examples).tobytes())
+
 
 class TestThroughput:
     def test_folded_not_slower_than_unfolded(self):

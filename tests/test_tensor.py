@@ -3,52 +3,7 @@ import pytest
 
 from starctr.errors import NumericError, ShapeError
 from starctr.layers import sigmoid
-from starctr.tensor import add, grad_check, hadamard, make_rng, matmul
-
-
-def naive_matmul(a, b):
-    """O(n^3) triple-loop reference."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        v = np.array([[3.0], [4.0]])
-        assert np.array_equal(matmul(eye, v), v)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = make_rng(42)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_shapes_match_oracle(self, seed):
-        rng = make_rng(seed, stream=99)
-        n, k, m = (int(v) for v in rng.integers(1, 17, size=3))
-        a = rng.normal(size=(n, k))
-        b = rng.normal(size=(k, m))
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+from starctr.tensor import add, grad_check, hadamard, make_rng
 
 
 class TestHadamard:
