@@ -242,13 +242,16 @@ def serialize(model) -> bytes:
 
 
 def _assemble_model(config: ModelConfig, take):
+    """Build the model and fill each array in place: trainable arrays are
+    views of the model's parameter arena and must stay so."""
     model = build_model(config)
     for name, owner, attr in _model_arrays(model):
         value = take(name, np.shape(getattr(owner, attr)))
         if attr == "populated":
             value = value != 0
-            value = bool(value) if value.ndim == 0 else value
-        setattr(owner, attr, value)
+            setattr(owner, attr, bool(value) if value.ndim == 0 else value)
+        else:
+            getattr(owner, attr)[...] = value
     return model
 
 

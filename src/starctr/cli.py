@@ -1,21 +1,25 @@
 """Command-line entry point for the full experiment lifecycle.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric/check failure.
-Every command writes a ``<output>.manifest.json`` with the configuration
-hash, seed, and package version next to its primary output, and the same
-inputs plus seed always produce byte-identical outputs.
+Every command writes a ``<output>.manifest.json`` with the sha256 of its
+input files, the seed and the package version next to its primary output;
+``train`` and ``ablation`` add ``config_hash``, the hash of the effective
+configuration after ``--set``.  The same inputs plus seed always produce
+byte-identical outputs.  A training run that diverges exits 4 and writes
+neither the checkpoint nor its log.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 
 from . import __version__
-from .checkpoint import load_model, save_model
-from .config import load_experiment_config
+from .checkpoint import load_model, save_model, write_atomic
+from .config import ExperimentConfig, config_hash, load_experiment_config
 from .datagen import generate, load_gen_config, read_dataset
 from .errors import (
     CheckpointError,
@@ -57,7 +61,8 @@ def _sha256_file(path: str) -> str:
 
 
 def _write_manifest(primary_output: str, command: str, seed,
-                    inputs: dict[str, str], outputs: list[str]):
+                    inputs: dict[str, str], outputs: list[str],
+                    config: ExperimentConfig | None = None):
     manifest = {
         "command": command,
         "version": __version__,
@@ -65,6 +70,8 @@ def _write_manifest(primary_output: str, command: str, seed,
         "inputs": {name: _sha256_file(path) for name, path in inputs.items()},
         "outputs": sorted(outputs),
     }
+    if config is not None:
+        manifest["config_hash"] = config_hash(config)
     with open(primary_output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -86,12 +93,13 @@ def cmd_train(args) -> int:
     config = load_experiment_config(args.config, _overrides(args.set))
     examples = read_dataset(args.data)
     log_path = args.checkpoint_out + ".log"
-    with open(log_path, "w", encoding="ascii", newline="\n") as log:
-        result = train_model(config, examples, log=log)
+    log = io.StringIO()
+    result = train_model(config, examples, log=log)
     save_model(result.model, args.checkpoint_out)
+    write_atomic(log_path, log.getvalue().encode("ascii"))
     _write_manifest(args.checkpoint_out, "train", config.seed,
                     {"config": args.config, "data": args.data},
-                    [args.checkpoint_out, log_path])
+                    [args.checkpoint_out, log_path], config)
     print(f"trained {result.steps} steps, final epoch mean loss "
           f"{result.final_epoch_loss:.6f}")
     print(f"checkpoint: {args.checkpoint_out}")
@@ -141,7 +149,8 @@ def cmd_ablation(args) -> int:
         inputs = {"config": args.config, "data": args.data}
         if args.eval_data:
             inputs["eval_data"] = args.eval_data
-        _write_manifest(args.out, "ablation", config.seed, inputs, [args.out])
+        _write_manifest(args.out, "ablation", config.seed, inputs, [args.out],
+                        config)
     print(text, end="")
     return EXIT_OK
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .datagen import parse_kv_text
@@ -60,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
         self.model_config().validate()
 
     @property

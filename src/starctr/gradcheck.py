@@ -23,10 +23,6 @@ def _scatter(theta: np.ndarray, arrays):
         offset += n
 
 
-def _grad_of(param) -> np.ndarray:
-    return np.zeros_like(param.value) if param.grad is None else param.grad
-
-
 def check_fc_layer(h: float = 1e-5) -> float:
     rng = make_rng(11)
     layer = FcLayer(5, 3, activation="relu", rng=rng, name="fc")
@@ -44,7 +40,7 @@ def check_fc_layer(h: float = 1e-5) -> float:
     layer.b.zero_grad()
     layer.forward(x)
     dx = layer.backward(r.copy())
-    analytic = _pack([dx, _grad_of(layer.W), _grad_of(layer.b)])
+    analytic = _pack([dx, layer.W.grad, layer.b.grad])
     return grad_check(f, theta0, analytic, h)
 
 
@@ -76,7 +72,7 @@ def check_embedding(h: float = 1e-5) -> float:
         table.zero_grad()
         table.pool(flat, offsets)
         table.backward(r.copy())
-        worst = max(worst, grad_check(f, theta0, _pack([table._grad_dense]), h))
+        worst = max(worst, grad_check(f, theta0, _pack([table.grad]), h))
     return worst
 
 
@@ -98,7 +94,7 @@ def _check_norm(norm, forward, params, h: float) -> float:
         p.zero_grad()
     forward(x)
     dx = norm.backward(r.copy())
-    analytic = _pack([dx] + [_grad_of(p) for p in params])
+    analytic = _pack([dx] + [p.grad for p in params])
     return grad_check(f, theta0, analytic, h)
 
 
@@ -185,8 +181,7 @@ def check_model(config: ModelConfig, batch_size: int = 4,
     model.zero_grad()
     _, dlogits = loss_value()
     model.backward(dlogits)
-    analytic = _pack([_grad_of(p) for p in params]
-                     + [t._grad_dense for t in tables])
+    analytic = _pack([p.grad for p in params] + [t.grad for t in tables])
     err = grad_check(f, theta0, analytic, h)
     _scatter(theta0, arrays)
     return err

@@ -3,8 +3,14 @@
 Layers follow one protocol: ``forward`` caches whatever the matching
 ``backward`` needs, ``backward`` takes dL/d(output), fills parameter
 gradients, and returns dL/d(input).  Gradients accumulate across calls until
-``zero_grad``; untouched parameters keep ``grad is None`` so the optimizer can
-tell "zero gradient" from "not on the compute path".
+``zero_grad``.  A ``Param`` carries a ``touched`` flag and an embedding table
+a per-row ``touched`` mask: set by the first backward that writes the
+gradient, cleared by ``zero_grad``, so the optimizer can tell "zero gradient"
+from "not on the compute path".  An untouched gradient is all zeros.
+
+A model keeps every trainable array in one ``Arena``: a flat float64
+``values`` vector and a flat ``grads`` vector, of which each ``Param.value``
+and ``grad`` and each table's ``weights`` and ``grad`` are views.
 
 All three normalizers share one arithmetic core so that partitioned
 normalization with unit domain scale and zero domain bias is bitwise equal to
@@ -12,6 +18,8 @@ plain batch normalization.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -26,27 +34,105 @@ from .tensor import make_rng
 
 
 class Param:
-    """A named trainable array and its accumulated gradient."""
+    """A named trainable array and its accumulated gradient.
 
-    __slots__ = ("name", "value", "grad")
+    ``grad`` has the shape of ``value`` and is zero while ``touched`` is
+    False.  ``arena`` is the ``Arena`` holding both, or None, and ``start``
+    their offset in it.
+    """
+
+    __slots__ = ("name", "value", "grad", "touched", "arena", "start")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros_like(self.value)
+        self.touched = False
+        self.arena = None
+        self.start = 0
 
     def zero_grad(self):
-        self.grad = None
+        if self.touched:
+            self.grad.fill(0.0)
+            self.touched = False
 
     def __repr__(self):
         return f"Param({self.name}, shape={self.value.shape})"
 
 
 def _acc(param: Param, g: np.ndarray):
-    if param.grad is None:
-        param.grad = g.copy()
-    else:
+    if param.touched:
         param.grad += g
+    else:
+        param.grad[...] = g
+        param.touched = True
+
+
+class Arena:
+    """One flat float64 ``values`` vector and one ``grads`` vector holding
+    ``params`` and then ``tables``, each in the order given.
+
+    Each ``Param.value``/``grad`` and ``EmbeddingTable.weights``/``grad``
+    becomes a view of its span and keeps its contents; gradients start at
+    zero.  Each table's ``touched`` becomes a view of one row mask over all
+    tables.  The optimizer keeps its moments in vectors of the same layout.
+    The owners refer to the arena and the arena holds only arrays, so no
+    reference cycle keeps a dropped model's arrays alive until the cycle
+    collector runs.
+    """
+
+    def __init__(self, params: list["Param"],
+                 tables: list["EmbeddingTable"] = ()):
+        owners = [(p, "value") for p in params]
+        owners += [(t, "weights") for t in tables]
+        self.size = sum(getattr(o, attr).size for o, attr in owners)
+        self.num_tables = len(tables)
+        self.values = np.empty(self.size)
+        self.grads = np.zeros(self.size)
+        start = 0
+        for owner, attr in owners:
+            old = getattr(owner, attr)
+            span = slice(start, start + old.size)
+            setattr(owner, attr, self.values[span].reshape(old.shape))
+            getattr(owner, attr)[...] = old
+            owner.grad = self.grads[span].reshape(old.shape)
+            owner.arena = self
+            owner.start = start
+            start = span.stop
+        for p in params:
+            p.touched = False
+        # Consecutive tables of one width form a block of rows: one
+        # flatnonzero over its part of the row mask finds its touched rows.
+        touched = np.zeros(sum(t.vocab_size for t in tables), dtype=bool)
+        self._blocks = []       # (row mask, gradient rows, offset, columns)
+        row = 0
+        for dim, group in itertools.groupby(tables, lambda t: t.dim):
+            group = list(group)
+            rows = sum(t.vocab_size for t in group)
+            first = group[0].start
+            self._blocks.append((
+                touched[row:row + rows],
+                self.grads[first:first + rows * dim].reshape(rows, dim),
+                first, np.arange(dim)))
+            for t in group:
+                t.touched = touched[row:row + t.vocab_size]
+                row += t.vocab_size
+
+    def row_index(self) -> np.ndarray:
+        """Offsets of every value in a touched table row, ascending."""
+        parts = [np.zeros(0, dtype=np.int64)]
+        for mask, _, first, cols in self._blocks:
+            rows = np.flatnonzero(mask)
+            parts.append(np.add.outer(rows * cols.size + first, cols).ravel())
+        return np.concatenate(parts)
+
+    def clear_rows(self):
+        """Zero the gradient of every touched table row and clear its mark:
+        ``zero_grad`` for all tables at once."""
+        for mask, grad_rows, _, _ in self._blocks:
+            rows = np.flatnonzero(mask)
+            grad_rows[rows] = 0.0
+            mask[rows] = False
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -123,8 +209,10 @@ class EmbeddingTable:
         if rng is None:
             rng = make_rng(0)
         self.weights = rng.normal(0.0, init_scale, size=(vocab_size, dim))
-        self._grad_dense = np.zeros((vocab_size, dim))
-        self._touched = np.zeros(vocab_size, dtype=bool)
+        self.grad = np.zeros((vocab_size, dim))
+        self.touched = np.zeros(vocab_size, dtype=bool)
+        self.arena = None
+        self.start = 0
         self._cache = None
 
     def _check_ids(self, flat_ids: np.ndarray):
@@ -154,28 +242,25 @@ class EmbeddingTable:
         if flat_ids.size:
             scaled = np.repeat(upstream / np.maximum(counts, 1)[:, None],
                                counts, axis=0)
-            self._grad_dense += _segment_sum(flat_ids, scaled, self.vocab_size)
-            self._touched[flat_ids] = True
+            self.grad += _segment_sum(flat_ids, scaled, self.vocab_size)
+            self.touched[flat_ids] = True
         self._cache = None
 
     def add_row_grad(self, row: int, g: np.ndarray):
         """Accumulate a gradient into a single row (used by the aux network)."""
-        self._grad_dense[row] += g
-        self._touched[row] = True
+        self.grad[row] += g
+        self.touched[row] = True
 
     @property
     def grad_rows(self) -> np.ndarray:
-        return np.nonzero(self._touched)[0]
-
-    def sparse_grads(self) -> dict[int, np.ndarray]:
-        """Accumulated gradients keyed by row index (touched rows only)."""
-        return {int(r): self._grad_dense[r].copy() for r in self.grad_rows}
+        """The touched rows, ascending."""
+        return np.flatnonzero(self.touched)
 
     def zero_grad(self):
         rows = self.grad_rows
         if rows.size:
-            self._grad_dense[rows] = 0.0
-        self._touched[:] = False
+            self.grad[rows] = 0.0
+            self.touched[rows] = False
 
 
 class FcLayer:

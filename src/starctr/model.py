@@ -31,6 +31,7 @@ import numpy as np
 from .datagen import FIELDS, Dataset, Example, as_dataset
 from .errors import ConfigError, ContractViolation
 from .layers import (
+    Arena,
     BatchNorm,
     EmbeddingTable,
     FcLayer,
@@ -358,6 +359,16 @@ class _CtrNet:
                               rng=make_rng(config.seed, stream=30))
         else:
             self.aux = None
+        self._params = list(self.norm.params()) + self.fcn.params()
+        if self.aux is not None:
+            self._params += self.aux.params()
+        # Owner order: shared parameters, then domain 1's, ..., domain M's,
+        # so a step's touched dense values form at most two runs.
+        domains = [q for p in range(1, config.num_domains + 1)
+                   for q in self.domain_params(p)]
+        owned = set(map(id, domains))
+        shared = [q for q in self._params if id(q) not in owned]
+        self.arena = Arena(shared + domains, self.embedding_tables())
         self.last_forward: ForwardState | None = None
 
     def _normalize(self, z, p, mode, update_stats):
@@ -405,11 +416,8 @@ class _CtrNet:
         self.last_forward = None
 
     def params(self) -> list[Param]:
-        out = list(self.norm.params())
-        out.extend(self.fcn.params())
-        if self.aux is not None:
-            out.extend(self.aux.params())
-        return out
+        """Every dense parameter: normalizer, trunk, then aux net."""
+        return list(self._params)
 
     def embedding_tables(self) -> list[EmbeddingTable]:
         out = [self.tables[name] for name in FIELDS]
@@ -418,10 +426,9 @@ class _CtrNet:
         return out
 
     def zero_grad(self):
-        for p in self.params():
+        for p in self._params:
             p.zero_grad()
-        for t in self.embedding_tables():
-            t.zero_grad()
+        self.arena.clear_rows()
 
     def param_count(self) -> int:
         dense = sum(p.value.size for p in self.params())

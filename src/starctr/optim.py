@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, ShapeError
-from .layers import EmbeddingTable, Param
+from .errors import ContractViolation, DataError
+from .layers import Arena, EmbeddingTable, Param
 
 
 def _check_labels(y: np.ndarray):
@@ -37,14 +37,20 @@ def bce_loss(yhat: np.ndarray, y: np.ndarray, logits: np.ndarray | None = None
 
 
 class Adam:
-    """Adam with bias correction and lazy updates for embedding tables.
+    """Adam with bias correction and lazy updates, over one ``Arena``.
 
-    Dense parameters with ``grad is None`` are skipped entirely: their values
-    and moments stay bitwise unchanged, which is what keeps untouched domains
-    isolated.  Embedding rows are updated lazily -- only rows with accumulated
-    gradient move, and the moments of untouched rows are deliberately frozen
-    (no decay), the usual trade made by sparse trainers.  Bias correction uses
-    the global step count.
+    The moments ``m`` and ``v`` are flat vectors in the arena's layout.  A
+    step updates the touched values only: each run of adjacent touched
+    dense ``Param`` spans in place (a model's arena is laid out by owner,
+    so a step has at most two: shared, then the batch's domain), and the
+    touched rows of every embedding table gathered by one index.
+    Untouched parameters and rows keep their values and moments bitwise (no
+    decay), which is what keeps untouched domains isolated and makes
+    embedding updates lazy, the usual trade made by sparse trainers.  Per
+    value the arithmetic is the textbook update in a fixed order,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)``; bias correction uses the
+    global step count.
     """
 
     def __init__(self, lr: float = 0.001, beta1: float = 0.9,
@@ -54,41 +60,87 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.arena: Arena | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def _moments(self, key: str, shape) -> tuple[np.ndarray, np.ndarray]:
-        if key not in self._m:
-            self._m[key] = np.zeros(shape)
-            self._v[key] = np.zeros(shape)
-        return self._m[key], self._v[key]
+    def _bind(self, owners: list[Param] | list[EmbeddingTable]):
+        if not owners:
+            raise ContractViolation("Adam.step: no parameters to step")
+        if owners[0].arena is None:
+            raise ContractViolation(f"{owners[0].name}: not in a parameter "
+                                    "arena")
+        self.arena = owners[0].arena
+        self.m = np.zeros(self.arena.size)
+        self.v = np.zeros(self.arena.size)
+        self._work = np.empty((5, 0))
+
+    def _scratch(self, n: int) -> np.ndarray:
+        """Five work vectors of at least ``n`` values for the update's
+        temporaries, kept between steps rather than allocated in each."""
+        if self._work.shape[1] < n:
+            self._work = np.empty((5, 2 * n))
+        return self._work
+
+    def _dense_runs(self, params: list[Param]) -> list[tuple[int, int]]:
+        """The touched spans of ``params``, adjacent ones merged."""
+        spans = []
+        for p in params:
+            if p.arena is not self.arena:
+                raise ContractViolation(f"{p.name}: not in the optimizer's "
+                                        "parameter arena")
+            if p.touched:
+                spans.append((p.start, p.start + p.value.size))
+        spans.sort()
+        runs = []
+        for lo, hi in spans:
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs
+
+    def _update(self, g, m, v, c1, c2) -> np.ndarray:
+        """Update the moments ``m``, ``v`` in place; return the step."""
+        tmp, upd = self._work[3, :g.size], self._work[4, :g.size]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        np.divide(m, c1, out=upd)
+        upd *= self.lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.epsilon
+        upd /= tmp
+        return upd
 
     def step(self, params: list[Param], tables: list[EmbeddingTable] = ()):
-        """One optimization step over dense params and embedding tables."""
+        """One optimization step over dense params and embedding tables,
+        all views of one arena; ``tables`` must be every table of it."""
+        if self.arena is None:
+            self._bind(params or tables)
+        arena = self.arena
+        runs = self._dense_runs(params)
+        if len(tables) != arena.num_tables or any(
+                t.arena is not arena for t in tables):
+            raise ContractViolation("Adam steps every embedding table of its "
+                                    "arena, and only those")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p in params:
-            if p.grad is None:
-                continue
-            if p.grad.shape != p.value.shape:
-                raise ShapeError(
-                    f"{p.name}: grad {p.grad.shape} vs value {p.value.shape}"
-                )
-            m, v = self._moments(p.name, p.value.shape)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
-        for table in tables:
-            rows = table.grad_rows
-            if rows.size == 0:
-                continue
-            g = table._grad_dense[rows]
-            m, v = self._moments(table.name, table.weights.shape)
-            m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * g
-            v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * (g * g)
-            table.weights[rows] -= (
-                self.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + self.epsilon)
-            )
+        idx = arena.row_index()
+        work = self._scratch(max([idx.size] + [hi - lo for lo, hi in runs]))
+        for lo, hi in runs:
+            arena.values[lo:hi] -= self._update(
+                arena.grads[lo:hi], self.m[lo:hi], self.v[lo:hi], c1, c2)
+        if idx.size:
+            g, m, v = (np.take(a, idx, out=w[:idx.size], mode="clip")
+                       for a, w in zip((arena.grads, self.m, self.v), work))
+            upd = self._update(g, m, v, c1, c2)
+            self.m[idx] = m
+            self.v[idx] = v
+            np.subtract.at(arena.values, idx, upd)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .config import ExperimentConfig, with_overrides
 from .datagen import Dataset, Example, as_dataset, validate_ids
+from .errors import ConfigError, NumericError
 from .metrics import MetricReport, PredictionColumns, build_report
-from .model import build_model
+from .model import Batch, build_model
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, stream_batches
 from .serve import score_with_model
@@ -24,34 +26,92 @@ class TrainResult:
     final_epoch_loss: float
 
 
+def _plan_key(config: ExperimentConfig) -> tuple:
+    """Every setting the training batches depend on, besides the data."""
+    return (config.seed, config.batch_size, config.effective_buffer_capacity,
+            config.epochs, config.vocab_items, config.vocab_profiles,
+            config.vocab_contexts)
+
+
+def _epoch_batches(config: ExperimentConfig, data: Dataset,
+                   epoch: int) -> Iterator[Batch]:
+    buffer = ShuffleBuffer(config.effective_buffer_capacity,
+                           make_rng(config.seed, stream=1000 + epoch))
+    return stream_batches(data, buffer, config.batch_size)
+
+
+def _validated(config: ExperimentConfig,
+               examples: Dataset | Sequence[Example]) -> Dataset:
+    data = as_dataset(examples)
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
+    return data
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """Every epoch's training batches of one dataset, built once.
+
+    The batches depend only on the data and on the seed, batch size, buffer
+    capacity and epoch count, so configs that differ elsewhere (variant,
+    normalizer, aux, lr, ...) train on one plan; ids were checked against
+    the vocabularies.  ``train_model`` accepts a plan only for a config
+    with the same ``key``.
+    """
+
+    key: tuple
+    epochs: tuple[tuple[Batch, ...], ...]
+
+    @classmethod
+    def build(cls, config: ExperimentConfig,
+              examples: Dataset | Sequence[Example]) -> "BatchPlan":
+        config.validate()
+        data = _validated(config, examples)
+        return cls(_plan_key(config),
+                   tuple(tuple(_epoch_batches(config, data, epoch))
+                         for epoch in range(config.epochs)))
+
+
 def train_model(config: ExperimentConfig,
-                examples: Dataset | Sequence[Example],
+                examples: Dataset | Sequence[Example] | BatchPlan,
                 log: TextIO | None = None) -> TrainResult:
     """Train a model over the arrival stream via the shuffle buffer.
 
-    Batches smaller than 2 (possible only while the buffer drains) are
-    skipped: batch-statistics normalizers cannot consume them.
+    ``examples`` is streamed through the buffer epoch by epoch, or is a
+    ``BatchPlan`` of it whose batches are replayed.  Batches smaller than 2
+    (possible only while the buffer drains) are skipped: batch-statistics
+    normalizers cannot consume them.  A non-finite loss stops the run with
+    a ``NumericError`` naming the step and the domain.
     """
     config.validate()
-    examples = as_dataset(examples)
-    validate_ids(examples, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
+    if isinstance(examples, BatchPlan):
+        if examples.key != _plan_key(config):
+            raise ConfigError(f"batch plan built for (seed, batch_size, "
+                              f"buffer, epochs, vocabularies) {examples.key},"
+                              f" config has {_plan_key(config)}")
+        epochs = examples.epochs
+    else:
+        data = _validated(config, examples)
+        epochs = (_epoch_batches(config, data, epoch)
+                  for epoch in range(config.epochs))
     model = build_model(config.model_config())
     opt = Adam(lr=config.lr)
     step = 0
     epoch_loss = 0.0
-    for epoch in range(config.epochs):
-        rng = make_rng(config.seed, stream=1000 + epoch)
-        buffer = ShuffleBuffer(config.effective_buffer_capacity, rng)
+    for epoch, batches in enumerate(epochs):
         epoch_loss = 0.0
         epoch_examples = 0
-        for batch in stream_batches(examples, buffer, config.batch_size):
+        for batch in batches:
             if batch.size < 2:
                 continue
             model.zero_grad()
             yhat = model.forward(batch, mode="train")
             loss, dlogits = bce_loss(yhat, batch.y,
                                      logits=model.last_forward.logits)
+            if not math.isfinite(loss):
+                raise NumericError(f"loss {loss!r} at step {step + 1} "
+                                   f"(domain {batch.domain}): training "
+                                   f"diverged")
             model.backward(dlogits)
             opt.step(model.params(), model.embedding_tables())
             step += 1
@@ -109,15 +169,16 @@ def run_ablation(config: ExperimentConfig,
                  train_examples: Dataset | Sequence[Example],
                  eval_examples: Dataset | Sequence[Example],
                  log: TextIO | None = None) -> list[AblationRow]:
-    """Overall AUC for the five architecture/normalizer cells, aux on and off."""
-    train_examples = as_dataset(train_examples)
+    """Overall AUC for the five architecture/normalizer cells, aux on and
+    off; all ten train on one ``BatchPlan`` of ``train_examples``."""
+    plan = BatchPlan.build(config, train_examples)
     eval_examples = as_dataset(eval_examples)
     rows = []
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):
             cell = with_overrides(config, variant=variant,
                                   normalizer=normalizer, aux=aux)
-            result = train_model(cell, train_examples)
+            result = train_model(cell, plan)
             report = evaluate_model(result.model, eval_examples)
             rows.append(AblationRow(variant, normalizer, aux,
                                     report.overall_auc))

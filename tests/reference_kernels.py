@@ -1,5 +1,6 @@
-"""The ``np.add.at`` embedding kernels the bincount ones replaced, kept as
-the bitwise reference for the pool, its backward and the folded scorer."""
+"""Kernels the package replaced, kept as bitwise references: the
+``np.add.at`` embedding kernels (for the pool, its backward and the folded
+scorer) and the per-parameter Adam (for the one-pass arena Adam)."""
 
 import numpy as np
 
@@ -21,13 +22,13 @@ def reference_pool(table, flat_ids, offsets):
 
 
 def reference_backward(table, upstream):
-    """``EmbeddingTable.backward`` by ``np.add.at`` into ``_grad_dense``."""
+    """``EmbeddingTable.backward`` by ``np.add.at`` into ``grad``."""
     flat_ids, counts = table._cache
     if flat_ids.size:
         scaled = upstream / np.maximum(counts, 1)[:, None]
         owner = np.repeat(np.arange(counts.size), counts)
-        np.add.at(table._grad_dense, flat_ids, scaled[owner])
-        table._touched[flat_ids] = True
+        np.add.at(table.grad, flat_ids, scaled[owner])
+        table.touched[flat_ids] = True
     table._cache = None
 
 
@@ -57,3 +58,59 @@ def use_reference_kernels(monkeypatch):
     monkeypatch.setattr(EmbeddingTable, "pool", reference_pool)
     monkeypatch.setattr(EmbeddingTable, "backward", reference_backward)
     monkeypatch.setattr(FoldedModel, "_pool", reference_folded_pool)
+
+
+class ReferenceAdam:
+    """``Adam.step`` as a loop: one update per touched ``Param`` and one
+    row-gathered update per embedding table, with moments keyed by name.
+    The same per-value arithmetic, in the same order, as the arena Adam."""
+
+    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+    def _moments(self, key, shape):
+        if key not in self.m:
+            self.m[key] = np.zeros(shape)
+            self.v[key] = np.zeros(shape)
+        return self.m[key], self.v[key]
+
+    def step(self, params, tables=()):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p in params:
+            if not p.touched:
+                continue
+            m, v = self._moments(p.name, p.value.shape)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (p.grad * p.grad)
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        for table in tables:
+            rows = table.grad_rows
+            if rows.size == 0:
+                continue
+            g = table.grad[rows]
+            m, v = self._moments(table.name, table.weights.shape)
+            m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * g
+            v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * (g * g)
+            table.weights[rows] -= (
+                self.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + self.epsilon)
+            )
+
+    def flat(self, moments, model):
+        """``moments`` (``self.m`` or ``self.v``) in the layout of the
+        model's arena; zeros where no moment exists yet."""
+        out = np.zeros(model.arena.size)
+        for owner in model.params() + model.embedding_tables():
+            if owner.name in moments:
+                data = moments[owner.name].ravel()
+                out[owner.start:owner.start + data.size] = data
+        return out

@@ -26,7 +26,7 @@ from starctr.pipeline import (
 )
 from starctr.serve import fold, score_with_model
 from starctr.tensor import make_rng
-from starctr.train import evaluate_model, train_model
+from starctr.train import BatchPlan, evaluate_model, train_model
 
 from test_metrics import eq9_oracle, pairwise_auc
 
@@ -64,10 +64,13 @@ def grid_reports():
             default_gen_config(num_domains=5, seed=seed, n_examples=50_000,
                                sample_seed=seed + 7700)
         ).examples
+        # Every cell trains on the same batches, planned once per seed as
+        # the ablation grid does.
+        plan = BatchPlan.build(ExperimentConfig(seed=seed), train)
         for variant, norm, aux in GRID:
             config = ExperimentConfig(variant=variant, normalizer=norm,
                                       aux=aux, seed=seed)
-            result = train_model(config, train)
+            result = train_model(config, plan)
             reports[(variant, norm, aux, seed)] = evaluate_model(result.model,
                                                                  test)
         seed_time[seed] = time.time() - t0

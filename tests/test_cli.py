@@ -51,6 +51,51 @@ def test_train_outputs(workspace):
     assert manifest["command"] == "train"
 
 
+def test_manifest_hashes_the_effective_config(workspace, tmp_path):
+    """``--set`` changes ``config_hash``; the config file's sha256 stays
+    under ``inputs``; a rerun gives the same hash."""
+    root, _, exp_config, data, _ = workspace
+    hashes = {}
+    for name, extra in (("a", []), ("b", ["--set", "variant=shared_bottom"]),
+                        ("again", [])):
+        out = tmp_path / f"{name}.ckpt"
+        assert main(["train", str(exp_config), str(data), str(out)]
+                    + extra) == 0
+        manifest = json.loads((tmp_path / f"{name}.ckpt.manifest.json")
+                              .read_text())
+        hashes[name] = manifest["config_hash"]
+        assert manifest["inputs"]["config"] == json.loads(
+            (root / "model.ckpt.manifest.json").read_text()
+        )["inputs"]["config"]
+    assert hashes["a"] == hashes["again"] != hashes["b"]
+    out = tmp_path / "grid.txt"
+    assert main(["ablation", str(exp_config), str(data), "--out", str(out),
+                 "--set", "variant=shared_bottom"]) == 0
+    manifest = json.loads((tmp_path / "grid.txt.manifest.json").read_text())
+    assert manifest["config_hash"] == hashes["b"]
+
+
+@pytest.mark.parametrize("lr", ["nan", "1e400", "-1", "0"])
+def test_bad_lr_exits_2(workspace, tmp_path, capsys, lr):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(data), str(out),
+                 "--set", f"lr={lr}"]) == 2
+    assert "lr must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_divergence_exits_4_and_writes_nothing(workspace, tmp_path, capsys):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(data), str(out),
+                 "--set", "lr=1e300"]) == 4
+    err = capsys.readouterr().err
+    assert "check failure: loss nan at step" in err and "(domain" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_train_eval_reproducible(workspace, tmp_path):
     root, _, exp_config, data, ckpt = workspace
     ckpt2 = tmp_path / "again.ckpt"

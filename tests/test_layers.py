@@ -61,7 +61,9 @@ class TestEmbedding:
         offsets = np.array([0, 2, 4], dtype=np.int64)
         self.table.pool(flat, offsets)
         self.table.backward(np.ones((2, 4)))
-        assert sorted(self.table.sparse_grads()) == [1, 4, 9]
+        assert self.table.grad_rows.tolist() == [1, 4, 9]
+        others = np.setdiff1d(np.arange(10), [1, 4, 9])
+        assert not self.table.grad[others].any()
 
     def test_duplicate_grads_accumulate(self):
         flat = np.array([4, 4], dtype=np.int64)
@@ -69,7 +71,8 @@ class TestEmbedding:
         self.table.pool(flat, offsets)
         self.table.backward(np.full((1, 4), 2.0))
         # each occurrence contributes upstream / count
-        assert np.allclose(self.table.sparse_grads()[4], np.full(4, 2.0))
+        assert self.table.grad_rows.tolist() == [4]
+        assert np.allclose(self.table.grad[4], np.full(4, 2.0))
 
     def test_gradcheck(self):
         assert check_embedding() < 1e-4
@@ -115,8 +118,8 @@ class TestEmbeddingKernel:
             upstream = rng.normal(size=out.shape)
             table.backward(upstream)
             reference_backward(ref, upstream.copy())
-            assert table._grad_dense.tobytes() == ref._grad_dense.tobytes()
-            assert np.array_equal(table._touched, ref._touched)
+            assert table.grad.tobytes() == ref.grad.tobytes()
+            assert np.array_equal(table.touched, ref.touched)
             table.zero_grad()
             ref.zero_grad()
 
@@ -127,10 +130,10 @@ class TestEmbeddingKernel:
         upstream = make_rng(1).normal(size=(2, 2))
         table.pool(flat, offsets)
         table.backward(upstream)
-        first = table._grad_dense.copy()
+        first = table.grad.copy()
         table.pool(flat, offsets)
         table.backward(upstream)
-        assert np.array_equal(table._grad_dense, first + first)
+        assert np.array_equal(table.grad, first + first)
 
 
 class TestFcLayer:

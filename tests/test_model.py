@@ -128,8 +128,9 @@ class TestStarBackward:
         _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
         model.backward(dlogits)
         for param in model.domain_params(2):
-            assert param.grad is None
-        touched = [p for p in model.domain_params(1) if p.grad is not None]
+            assert not param.touched
+            assert not param.grad.any()
+        touched = [p for p in model.domain_params(1) if p.touched]
         assert touched
 
     def test_dlogit_is_yhat_minus_y(self):

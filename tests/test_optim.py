@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from starctr.errors import DataError
+from starctr.errors import ContractViolation, DataError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.layers import EmbeddingTable, Param, sigmoid
+from starctr.layers import Arena, EmbeddingTable, Param, sigmoid
 from starctr.model import Batch, build_model
 from starctr.optim import Adam, bce_loss
 from starctr.tensor import make_rng
+
+from reference_kernels import ReferenceAdam
 
 
 class TestBceLoss:
@@ -51,68 +55,97 @@ class TestBceLoss:
             bce_loss(np.array([0.5]), np.array([2.0]))
 
 
+def arena_param(name, value):
+    """A Param in an arena of its own, as the optimizer requires."""
+    p = Param(name, np.array(value, dtype=np.float64))
+    Arena([p])
+    return p
+
+
+def set_grad(p, g):
+    p.grad[...] = g
+    p.touched = True
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        p = Param("w", np.array([1.0, -2.0, 3.0]))
-        p.grad = np.zeros(3)
+        p = arena_param("w", [1.0, -2.0, 3.0])
+        set_grad(p, np.zeros(3))
         before = p.value.copy()
         Adam().step([p])
         assert np.array_equal(p.value, before)
 
-    def test_none_gradient_skipped_bitwise(self):
-        p = Param("w", np.array([0.1, 0.2]))
+    def test_untouched_param_skipped_bitwise(self):
+        p = arena_param("w", [0.1, 0.2])
         before = p.value.copy()
         opt = Adam()
         opt.step([p])
         assert np.array_equal(p.value, before)
-        assert "w" not in opt._m
+        assert not opt.m.any() and not opt.v.any()
 
     def test_first_step_moves_by_lr(self):
-        p = Param("w", np.array([0.0]))
-        p.grad = np.array([1.0])
+        p = arena_param("w", [0.0])
+        set_grad(p, [1.0])
         Adam(lr=0.001).step([p])
         assert p.value[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_scalar_quadratic_convergence(self):
         # Its own oracle: run the optimization and check it lands near 3.
-        p = Param("theta", np.array([0.0]))
+        p = arena_param("theta", [0.0])
         opt = Adam(lr=0.05)
         for _ in range(200):
-            p.grad = 2.0 * (p.value - 3.0)
+            set_grad(p, 2.0 * (p.value - 3.0))
             opt.step([p])
         assert abs(p.value[0] - 3.0) < 0.05
 
     def test_step_counter_increments(self):
         opt = Adam()
-        p = Param("w", np.array([1.0]))
+        p = arena_param("w", [1.0])
         for expected in (1, 2, 3):
-            p.grad = np.array([0.5])
+            set_grad(p, [0.5])
             opt.step([p])
             assert opt.t == expected
+
+    def test_param_outside_an_arena_rejected(self):
+        p = Param("w", np.array([1.0]))
+        set_grad(p, [0.5])
+        with pytest.raises(ContractViolation, match="w: not in a parameter"):
+            Adam().step([p])
+
+    def test_params_of_two_arenas_rejected(self):
+        a, b = arena_param("a", [1.0]), arena_param("b", [2.0])
+        with pytest.raises(ContractViolation, match="b: not in the"):
+            Adam().step([a, b])
+
+    def test_tables_must_be_the_arenas(self):
+        model = build_model(tiny_model_config())
+        with pytest.raises(ContractViolation, match="every embedding table"):
+            Adam().step(model.params(), model.embedding_tables()[:2])
 
 
 class TestSparseAdam:
     def test_lazy_equals_dense_for_touched_rows(self):
         rng = make_rng(23)
         table = EmbeddingTable(6, 3, rng=rng, name="e")
-        dense = Param("d", table.weights.copy())
+        dense = arena_param("d", table.weights.copy())
+        Arena([], [table])
         opt_sparse = Adam()
         opt_dense = Adam()
         for step in range(5):
             g = make_rng(step, stream=50).normal(size=(6, 3))
             # every row gets a nonzero gradient each step
-            table._grad_dense[:] = g
-            table._touched[:] = True
+            table.grad[:] = g
+            table.touched[:] = True
             opt_sparse.step([], [table])
-            dense.grad = g.copy()
+            set_grad(dense, g)
             opt_dense.step([dense])
-            table._grad_dense[:] = 0.0
-            table._touched[:] = False
+            table.zero_grad()
         assert np.allclose(table.weights, dense.value, atol=1e-15)
 
     def test_untouched_rows_frozen(self):
         rng = make_rng(24)
         table = EmbeddingTable(8, 2, rng=rng, name="e")
+        Arena([], [table])
         before = table.weights.copy()
         flat = np.array([2, 5], dtype=np.int64)
         offsets = np.array([0, 1, 2], dtype=np.int64)
@@ -123,7 +156,63 @@ class TestSparseAdam:
         changed = np.any(table.weights != before, axis=1)
         assert set(np.nonzero(changed)[0]) == {2, 5}
         # moments exist only where touched
-        assert np.array_equal(np.nonzero(opt._m["e"].any(axis=1))[0], [2, 5])
+        m = opt.m[table.start:table.start + 16].reshape(8, 2)
+        assert np.array_equal(np.nonzero(m.any(axis=1))[0], [2, 5])
+
+
+CELLS = [(variant, norm, aux, features)
+         for variant in ("star", "base", "shared_bottom")
+         for norm in ("pn", "bn", "ln")
+         for aux, features in ((False, False), (True, False), (True, True))]
+
+
+@pytest.mark.parametrize("variant,norm,aux,features", CELLS)
+def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
+    """20 steps alternating domains 1 and 2 of 3: the one-pass arena Adam
+    and the per-Param reference agree on values, m and v bit for bit, and
+    each step leaves every value and moment of the other domains, and every
+    untouched embedding row, as it was."""
+    config = replace(tiny_model_config(variant, norm, aux), num_domains=3,
+                     aux_use_features=features)
+    model, ref_model = build_model(config), build_model(config)
+    opt, ref = Adam(lr=0.01), ReferenceAdam(lr=0.01)
+    arena = model.arena
+    initial = arena.values.copy()
+    for step in range(20):
+        domain = 1 + step % 2
+        batch = Batch.from_examples(
+            random_examples(16, config, domain, seed=400 + step))
+        for net in (model, ref_model):
+            net.zero_grad()
+            yhat = net.forward(batch, mode="train")
+            _, dlogits = bce_loss(yhat, batch.y,
+                                  logits=net.last_forward.logits)
+            net.backward(dlogits)
+        frozen = np.ones(arena.size, dtype=bool)
+        for p in model.params():
+            if p.touched:
+                frozen[p.start:p.start + p.value.size] = False
+        for t in model.embedding_tables():
+            for row in t.grad_rows:
+                frozen[t.start + row * t.dim:t.start + (row + 1) * t.dim] = False
+        others = [p for q in range(1, 4) if q != domain
+                  for p in model.domain_params(q)]
+        assert not any(p.touched for p in others)
+        before = [arena.values.copy()] + [
+            np.zeros(arena.size) if x is None else x.copy()
+            for x in (opt.m, opt.v)]
+        opt.step(model.params(), model.embedding_tables())
+        ref.step(ref_model.params(), ref_model.embedding_tables())
+        assert arena.values.tobytes() == ref_model.arena.values.tobytes()
+        assert opt.m.tobytes() == ref.flat(ref.m, ref_model).tobytes()
+        assert opt.v.tobytes() == ref.flat(ref.v, ref_model).tobytes()
+        for old, new in zip(before, (arena.values, opt.m, opt.v)):
+            assert old[frozen].tobytes() == new[frozen].tobytes()
+    # Domain 3 never trained: its parameters and moments are as built.
+    for p in model.domain_params(3):
+        span = slice(p.start, p.start + p.value.size)
+        assert arena.values[span].tobytes() == initial[span].tobytes()
+        assert not opt.m[span].any() and not opt.v[span].any()
 
 
 VARIANTS = [

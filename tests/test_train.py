@@ -7,10 +7,11 @@ from starctr.config import (
     config_hash,
     format_experiment_config,
     parse_experiment_config,
+    with_overrides,
 )
 from starctr.datagen import default_gen_config, generate_examples
 from starctr.errors import ConfigError
-from starctr.train import evaluate_model, run_ablation, train_model
+from starctr.train import BatchPlan, evaluate_model, run_ablation, train_model
 
 from reference_kernels import use_reference_kernels
 
@@ -82,6 +83,18 @@ class TestTrainLoop:
         use_reference_kernels(monkeypatch)
         assert new == serialize(train_model(config, train[:3000]).model)
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1", "0"])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+            parse_experiment_config(f"lr={lr}\n")
+
+    def test_divergence_raises_numeric_error(self, tiny_data):
+        from starctr.errors import NumericError
+        train, _ = tiny_data
+        log = io.StringIO()
+        with pytest.raises(NumericError, match=r"step \d+ \(domain \d\)"):
+            train_model(tiny_config(lr=1e300), train, log=log)
+
     def test_vocab_validation(self, tiny_data):
         train, _ = tiny_data
         bad = tiny_config(vocab_items=10)
@@ -99,6 +112,26 @@ class TestAblation:
         assert len(cells) == 10
         for r in rows:
             assert 0.0 <= r.overall_auc <= 1.0
+
+    def test_rows_equal_cells_trained_one_by_one(self, tiny_data):
+        """The shared batch plan changes no bit: each row's AUC is the AUC
+        of the same cell streamed and trained on its own."""
+        train, test = tiny_data
+        config = tiny_config(epochs=2)
+        rows = run_ablation(config, train[:3000], test[:1000])
+        for row in rows:
+            cell = with_overrides(config, variant=row.variant,
+                                  normalizer=row.normalizer, aux=row.aux)
+            alone = evaluate_model(train_model(cell, train[:3000]).model,
+                                   test[:1000])
+            assert repr(row.overall_auc) == repr(alone.overall_auc)
+
+    def test_plan_of_another_setting_rejected(self, tiny_data):
+        train, _ = tiny_data
+        plan = BatchPlan.build(tiny_config(), train[:1000])
+        assert train_model(tiny_config(variant="base", lr=0.01), plan).steps
+        with pytest.raises(ConfigError, match="batch plan"):
+            train_model(tiny_config(batch_size=64), plan)
 
     def test_row_format(self, tiny_data):
         train, test = tiny_data
