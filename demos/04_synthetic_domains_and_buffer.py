@@ -9,6 +9,8 @@ dropping or duplicating a single example.
 
 from collections import Counter
 
+import numpy as np
+
 from starctr.datagen import default_gen_config, generate_examples
 from starctr.pipeline import (
     ShuffleBuffer,
@@ -23,14 +25,15 @@ from starctr.tensor import make_rng
 def main():
     config = default_gen_config(num_domains=5, seed=0, n_examples=50_000)
     result = generate_examples(config)
+    data = result.examples
     print("domain   share    target_ctr  realized_ctr")
-    counts = Counter(ex.p for ex in result.examples)
+    counts = Counter(data.p.tolist())
     for p, prof in enumerate(config.profiles, start=1):
-        print(f"  {p}      {counts[p] / len(result.examples):.3f}"
+        print(f"  {p}      {counts[p] / len(data):.3f}"
               f"    {prof.base_ctr:.4f}      {result.realized_ctr[p]:.4f}")
 
     print("\nworst-case arrival order: the stream sorted by domain")
-    stream = sorted(result.examples, key=lambda ex: ex.p)
+    stream = data.take(np.argsort(data.p, kind="stable"))
     global_mix = {p: c / len(stream) for p, c in counts.items()}
 
     chrono = list(iter_batches(stream, 512))
@@ -45,7 +48,7 @@ def main():
     print(f"  emitted examples == stored examples: "
           f"{emitted == Counter(stream)}")
     print(f"  every batch single-domain: "
-          f"{all(len({e.p for e in b}) == 1 for b in buffered)}")
+          f"{all(len(set(b.p.tolist())) == 1 for b in buffered)}")
 
 
 if __name__ == "__main__":

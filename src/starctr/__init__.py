@@ -27,7 +27,6 @@ from .datagen import (
 )
 from .gradcheck import run_all as run_gradchecks
 from .layers import (
-    BatchNorm,
     EmbeddingTable,
     FcLayer,
     LayerNorm,
@@ -54,18 +53,18 @@ from .model import (
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, iter_batches, stream_batches
 from .serve import FoldedModel, fold, load_folded, save_folded, score_file
-from .tensor import grad_check, hadamard, make_rng
+from .tensor import grad_check, make_rng
 from .train import evaluate_model, run_ablation, train_model
 
 __all__ = [
-    "Adam", "AuxNet", "Batch", "BatchNorm", "Dataset",
+    "Adam", "AuxNet", "Batch", "Dataset",
     "DomainProfile",
     "EmbeddingTable", "Example", "ExperimentConfig", "FcLayer", "FoldedModel",
     "GenConfig", "LayerNorm", "MetricReport", "ModelConfig",
     "PartitionedNorm", "Prediction", "ShuffleBuffer", "StarFcn",
     "as_dataset", "auc", "bce_loss", "build_model", "build_report",
     "default_gen_config", "embed_and_pool", "errors", "evaluate_model",
-    "fold", "generate", "generate_examples", "grad_check", "hadamard", "iter_batches",
+    "fold", "generate", "generate_examples", "grad_check", "iter_batches",
     "load_experiment_config", "load_folded", "load_model", "make_rng",
     "parse_experiment_config", "pcoc", "read_dataset",
     "run_ablation", "run_gradchecks", "save_folded", "save_model",

@@ -27,7 +27,8 @@ Tensor names, ``kind=model``: each embedding table under its
 then each trainable array under its ``Param.name`` (pn.gamma, pn.d1.beta,
 fcn.shared.0.W, fcn.d2.1.b, aux.fc1.W, ...), then for bn and pn the moving
 statistics ``<norm>.moving_mean``, ``<norm>.moving_var`` and
-``<norm>.populated`` (1.0 populated, 0.0 not; one per domain for pn).
+``<norm>.populated`` (1.0 populated, 0.0 not), one row per partition: M
+for pn, 1 for bn, so bn stores shapes (1, dim) and (1,).
 
 Tensor names, ``kind=folded``: ``embed.<field>`` per embedding table;
 per domain p = 1..M and layer i, ``d<p>.<i>.W`` and ``d<p>.<i>.b`` (the
@@ -228,9 +229,8 @@ def _model_arrays(model) -> list[tuple[str, object, str]]:
     """(tensor name, owner, attribute) of every array a model stores."""
     out = [(t.name, t, "weights") for t in model.embedding_tables()]
     out += [(p.name, p, "value") for p in model.params()]
-    norm = model.norm
-    if hasattr(norm, "populated"):
-        out += [(f"{norm.name}.{attr}", norm, attr)
+    if model.config.normalizer != "ln":
+        out += [(f"{model.norm.name}.{attr}", model.norm, attr)
                 for attr in ("moving_mean", "moving_var", "populated")]
     return out
 
@@ -243,15 +243,12 @@ def serialize(model) -> bytes:
 
 def _assemble_model(config: ModelConfig, take):
     """Build the model and fill each array in place: trainable arrays are
-    views of the model's parameter arena and must stay so."""
+    views of the model's parameter arena and must stay so.  A nonzero
+    ``populated`` value reads as True."""
     model = build_model(config)
     for name, owner, attr in _model_arrays(model):
-        value = take(name, np.shape(getattr(owner, attr)))
-        if attr == "populated":
-            value = value != 0
-            setattr(owner, attr, bool(value) if value.ndim == 0 else value)
-        else:
-            getattr(owner, attr)[...] = value
+        array = getattr(owner, attr)
+        array[...] = take(name, array.shape)
     return model
 
 

@@ -714,7 +714,8 @@ def load_gen_config(path: str) -> GenConfig:
 def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
                  vocab_profiles: int, vocab_contexts: int):
     """Raise DataError naming the first example (1-based) whose ids fall
-    outside the given vocabularies."""
+    outside the given vocabularies, and its first such id (a behavior id
+    counts as an item id)."""
     data = as_dataset(examples)
 
     def outside(ids, vocab):
@@ -731,7 +732,12 @@ def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
     if not bad.any():
         return
     i = int(np.argmax(bad))
+    lo, hi = data.behavior_offsets[i:i + 2]
+    row = {"item": [data.item[i], *data.behavior_flat[lo:hi]],
+           "profile": [data.profile[i]], "context": [data.context[i]]}
     for mask, field_name, vocab in checks:
         if mask[i]:
-            raise DataError(
-                f"example {i + 1}: {field_name} id outside vocab {vocab}")
+            bad_id = next(int(v) for v in row[field_name]
+                          if not 0 <= v < vocab)
+            raise DataError(f"example {i + 1}: {field_name} id outside "
+                            f"vocab: {bad_id} not in [0, {vocab})")

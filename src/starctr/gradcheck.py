@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import Example
-from .layers import BatchNorm, EmbeddingTable, FcLayer, LayerNorm, PartitionedNorm
+from .layers import EmbeddingTable, FcLayer, LayerNorm, PartitionedNorm
 from .model import Batch, ModelConfig, build_model
 from .optim import bce_loss
 from .tensor import grad_check, make_rng
 
 
+# Layer checks perturb inputs as well as parameters: they pack both into one
+# vector and scatter it back.
 def _pack(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a).ravel() for a in arrays])
 
@@ -56,8 +58,8 @@ _EMBEDDING_CASES = (
 def check_embedding(h: float = 1e-5) -> float:
     rng = make_rng(12)
     table = EmbeddingTable(7, 3, rng=rng, name="field")
-    arrays = [table.weights]
-    theta0 = _pack(arrays)
+    weights = table.weights
+    theta0 = weights.ravel().copy()
     worst = 0.0
     for flat, offsets in _EMBEDDING_CASES:
         flat = np.array(flat, dtype=np.int64)
@@ -65,14 +67,14 @@ def check_embedding(h: float = 1e-5) -> float:
         r = rng.normal(size=(offsets.size - 1, 3))
 
         def f(theta):
-            _scatter(theta, arrays)
+            weights[...] = theta.reshape(weights.shape)
             return float((table.pool(flat, offsets) * r).sum())
 
-        _scatter(theta0, arrays)
+        weights[...] = theta0.reshape(weights.shape)
         table.zero_grad()
         table.pool(flat, offsets)
         table.backward(r.copy())
-        worst = max(worst, grad_check(f, theta0, _pack([table.grad]), h))
+        worst = max(worst, grad_check(f, theta0, table.grad, h))
     return worst
 
 
@@ -99,16 +101,18 @@ def _check_norm(norm, forward, params, h: float) -> float:
 
 
 def check_batchnorm(h: float = 1e-5) -> float:
-    norm = BatchNorm(4)
+    # bn is one partition that every domain maps to; domain 2 of 3 runs it.
+    norm = PartitionedNorm(4, num_domains=3, per_domain=False)
     return _check_norm(
-        norm, lambda x: norm.forward_train(x, update_stats=False),
+        norm, lambda x: norm.forward_train(x, 2, update_stats=False),
         norm.params(), h,
     )
 
 
 def check_layernorm(h: float = 1e-5) -> float:
     norm = LayerNorm(4)
-    return _check_norm(norm, norm.forward, norm.params(), h)
+    return _check_norm(norm, lambda x: norm.forward_train(x, 1),
+                       norm.params(), h)
 
 
 def check_partitioned_norm(h: float = 1e-5) -> float:
@@ -140,7 +144,9 @@ def tiny_model_config(variant: str = "star", normalizer: str = "pn",
 
 
 def random_examples(n: int, config: ModelConfig, domain: int,
-                    seed: int = 5) -> list[Example]:
+                    seed: int = 5) -> Batch:
+    """A batch of n random examples of one domain; the first has an empty
+    behavior list."""
     rng = make_rng(seed, stream=domain)
     out = []
     for i in range(n):
@@ -154,18 +160,18 @@ def random_examples(n: int, config: ModelConfig, domain: int,
             y=int(rng.integers(0, 2)),
             p=domain,
         ))
-    return out
+    return Batch.from_examples(out)
 
 
 def check_model(config: ModelConfig, batch_size: int = 4,
                 h: float = 1e-5) -> float:
-    """End-to-end check of dL/d(theta) for every parameter of a model."""
+    """End-to-end check of dL/d(theta) for every parameter of a model: the
+    model's arena ``values`` are perturbed in place and ``grads`` hold the
+    analytic gradient."""
     model = build_model(config)
-    batch = Batch.from_examples(random_examples(batch_size, config, domain=1))
-    params = model.params()
-    tables = model.embedding_tables()
-    arrays = [p.value for p in params] + [t.weights for t in tables]
-    theta0 = _pack(arrays)
+    batch = random_examples(batch_size, config, domain=1)
+    values = model.arena.values
+    theta0 = values.copy()
 
     def loss_value():
         yhat = model.forward(batch, mode="train", update_stats=False)
@@ -174,16 +180,14 @@ def check_model(config: ModelConfig, batch_size: int = 4,
         return loss, dlogits
 
     def f(theta):
-        _scatter(theta, arrays)
+        values[...] = theta
         return loss_value()[0]
 
-    _scatter(theta0, arrays)
     model.zero_grad()
     _, dlogits = loss_value()
     model.backward(dlogits)
-    analytic = _pack([p.grad for p in params] + [t.grad for t in tables])
-    err = grad_check(f, theta0, analytic, h)
-    _scatter(theta0, arrays)
+    err = grad_check(f, theta0, model.arena.grads, h)
+    values[...] = theta0
     return err
 
 

@@ -12,9 +12,13 @@ A model keeps every trainable array in one ``Arena``: a flat float64
 ``values`` vector and a flat ``grads`` vector, of which each ``Param.value``
 and ``grad`` and each table's ``weights`` and ``grad`` are views.
 
-All three normalizers share one arithmetic core so that partitioned
-normalization with unit domain scale and zero domain bias is bitwise equal to
-plain batch normalization.
+Batch normalization is partitioned normalization with one partition and no
+domain affine (``PartitionedNorm(..., per_domain=False)``), so bn and pn
+run the same arithmetic, and pn with unit domain scale and zero domain bias
+is bitwise equal to bn.  Moving statistics are kept one row per partition:
+M for pn, 1 for bn.  Both normalizers and ``LayerNorm`` take the same calls:
+``forward_train(z, p, update_stats)``, ``forward_infer(z, p)``,
+``backward``, ``params`` and ``domain_params(p)``.
 """
 
 from __future__ import annotations
@@ -178,8 +182,13 @@ def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
     data generator all call it.  Sums run in occurrence order from 0.0 and
     are then divided by the count, so the result is bitwise equal to an
     unbuffered scatter-add (``ufunc.at`` on ``np.add``) into zeros followed
-    by the same division.  Ids are not checked: numpy wraps negative ones.
+    by the same division.  When every slice holds one id the rows are
+    gathered as they are, which is the same bits (``0.0 + w`` and ``w / 1``
+    are ``w`` for every w but -0.0).  Ids are not checked: numpy wraps
+    negative ones.
     """
+    if flat_ids.size == counts.size and (counts == 1).all():
+        return weights.take(flat_ids, axis=0)
     owner = np.repeat(np.arange(counts.size), counts)
     out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
     out /= np.maximum(counts, 1)[:, None]
@@ -324,122 +333,63 @@ def _norm_train_backward(upstream, gamma_eff, inv, xhat):
     return dz, dgamma, dbeta
 
 
-class BatchNorm:
-    """Batch normalization with moving moments for inference.
-
-    The first training batch populates the moving statistics directly;
-    subsequent batches blend with ``E <- (1-m) E + m mu``.
-    """
-
-    kind = "bn"
-
-    def __init__(self, dim: int, momentum: float = 0.01, epsilon: float = 1e-5,
-                 name: str = "bn"):
-        self.name = name
-        self.dim = dim
-        self.momentum = momentum
-        self.epsilon = epsilon
-        self.gamma = Param(f"{name}.gamma", np.ones(dim))
-        self.beta = Param(f"{name}.beta", np.zeros(dim))
-        self.moving_mean = np.zeros(dim)
-        self.moving_var = np.ones(dim)
-        self.populated = False
-        self._cache = None
-
-    def _update_stats(self, mu, var):
-        if not self.populated:
-            self.moving_mean = mu.copy()
-            self.moving_var = var.copy()
-            self.populated = True
-        else:
-            m = self.momentum
-            self.moving_mean = (1.0 - m) * self.moving_mean + m * mu
-            self.moving_var = (1.0 - m) * self.moving_var + m * var
-
-    def forward_train(self, z: np.ndarray, update_stats: bool = True) -> np.ndarray:
-        if z.shape[0] < 2:
-            raise DegenerateInputError(
-                f"{self.name}: batch of {z.shape[0]} cannot be normalized"
-            )
-        out, mu, var, inv, xhat = _norm_train_core(
-            z, self.gamma.value, self.beta.value, self.epsilon
-        )
-        if update_stats:
-            self._update_stats(mu, var)
-        self._cache = (inv, xhat)
-        return out
-
-    def forward_infer(self, z: np.ndarray) -> np.ndarray:
-        if not self.populated:
-            raise UninitializedStatsError(f"{self.name}: no training batch seen")
-        inv = 1.0 / np.sqrt(self.moving_var + self.epsilon)
-        return self.gamma.value * ((z - self.moving_mean) * inv) + self.beta.value
-
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise ContractViolation(f"{self.name}: backward without forward")
-        inv, xhat = self._cache
-        dz, dgamma, dbeta = _norm_train_backward(
-            upstream, self.gamma.value, inv, xhat
-        )
-        _acc(self.gamma, dgamma)
-        _acc(self.beta, dbeta)
-        self._cache = None
-        return dz
-
-    def params(self) -> list[Param]:
-        return [self.gamma, self.beta]
-
-
 class PartitionedNorm:
-    """Batch normalization privatized per domain.
+    """Batch normalization with moments and an affine per partition.
 
-    Training normalizes by the current (single-domain) mini-batch moments and
-    applies scale ``gamma * gamma_p`` and bias ``beta + beta_p``; only domain
-    p's moving moments are updated.  Inference standardizes with domain p's
+    pn (``per_domain=True``): one partition per domain.  Training
+    normalizes by the current (single-domain) mini-batch moments and applies
+    scale ``gamma * gamma_p`` and bias ``beta + beta_p``; only partition p's
+    moving moments are updated.  Inference standardizes with partition p's
     moving moments.
-    """
 
-    kind = "pn"
+    bn (``per_domain=False``): one partition that every domain maps to and
+    no domain affine; ``gamma`` and ``beta`` are used as they are, so this is
+    plain batch normalization.
+
+    A partition's first training batch populates its moving moments
+    directly; later batches blend with ``E <- (1-m) E + m mu``.
+    """
 
     def __init__(self, dim: int, num_domains: int, momentum: float = 0.01,
-                 epsilon: float = 1e-5, name: str = "pn"):
-        self.name = name
+                 epsilon: float = 1e-5, per_domain: bool = True):
+        self.name = "pn" if per_domain else "bn"
         self.dim = dim
         self.num_domains = num_domains
+        self.per_domain = per_domain
         self.momentum = momentum
         self.epsilon = epsilon
-        self.gamma = Param(f"{name}.gamma", np.ones(dim))
-        self.beta = Param(f"{name}.beta", np.zeros(dim))
-        self.domain_gamma = [
-            Param(f"{name}.d{p}.gamma", np.ones(dim))
-            for p in range(1, num_domains + 1)
-        ]
-        self.domain_beta = [
-            Param(f"{name}.d{p}.beta", np.zeros(dim))
-            for p in range(1, num_domains + 1)
-        ]
-        self.moving_mean = np.zeros((num_domains, dim))
-        self.moving_var = np.ones((num_domains, dim))
-        self.populated = np.zeros(num_domains, dtype=bool)
+        self.gamma = Param(f"{self.name}.gamma", np.ones(dim))
+        self.beta = Param(f"{self.name}.beta", np.zeros(dim))
+        domains = range(1, num_domains + 1) if per_domain else ()
+        self.domain_gamma = [Param(f"{self.name}.d{p}.gamma", np.ones(dim))
+                             for p in domains]
+        self.domain_beta = [Param(f"{self.name}.d{p}.beta", np.zeros(dim))
+                            for p in domains]
+        partitions = num_domains if per_domain else 1
+        self.moving_mean = np.zeros((partitions, dim))
+        self.moving_var = np.ones((partitions, dim))
+        self.populated = np.zeros(partitions, dtype=bool)
         self._cache = None
 
-    def _check_domain(self, p: int):
+    def affine(self, p: int):
+        """Domain p's (partition index, effective scale, effective bias)."""
         if not 1 <= p <= self.num_domains:
             raise DomainError(
                 f"{self.name}: domain {p} outside 1..{self.num_domains}"
             )
+        if not self.per_domain:
+            return 0, self.gamma.value, self.beta.value
+        i = p - 1
+        return (i, self.gamma.value * self.domain_gamma[i].value,
+                self.beta.value + self.domain_beta[i].value)
 
     def forward_train(self, z: np.ndarray, p: int, update_stats: bool = True
                       ) -> np.ndarray:
-        self._check_domain(p)
+        i, gamma_eff, beta_eff = self.affine(p)
         if z.shape[0] < 2:
             raise DegenerateInputError(
                 f"{self.name}: batch of {z.shape[0]} cannot be normalized"
             )
-        i = p - 1
-        gamma_eff = self.gamma.value * self.domain_gamma[i].value
-        beta_eff = self.beta.value + self.domain_beta[i].value
         out, mu, var, inv, xhat = _norm_train_core(z, gamma_eff, beta_eff,
                                                    self.epsilon)
         if update_stats:
@@ -455,14 +405,11 @@ class PartitionedNorm:
         return out
 
     def forward_infer(self, z: np.ndarray, p: int) -> np.ndarray:
-        self._check_domain(p)
-        i = p - 1
+        i, gamma_eff, beta_eff = self.affine(p)
         if not self.populated[i]:
             raise UninitializedStatsError(
                 f"{self.name}: domain {p} has no populated statistics"
             )
-        gamma_eff = self.gamma.value * self.domain_gamma[i].value
-        beta_eff = self.beta.value + self.domain_beta[i].value
         inv = 1.0 / np.sqrt(self.moving_var[i] + self.epsilon)
         return gamma_eff * ((z - self.moving_mean[i]) * inv) + beta_eff
 
@@ -472,10 +419,12 @@ class PartitionedNorm:
         i, gamma_eff, inv, xhat = self._cache
         dz, dgamma_eff, dbeta_eff = _norm_train_backward(upstream, gamma_eff,
                                                          inv, xhat)
-        _acc(self.gamma, dgamma_eff * self.domain_gamma[i].value)
-        _acc(self.domain_gamma[i], dgamma_eff * self.gamma.value)
+        if self.per_domain:
+            _acc(self.domain_gamma[i], dgamma_eff * self.gamma.value)
+            _acc(self.domain_beta[i], dbeta_eff)
+            dgamma_eff = dgamma_eff * self.domain_gamma[i].value
+        _acc(self.gamma, dgamma_eff)
         _acc(self.beta, dbeta_eff)
-        _acc(self.domain_beta[i], dbeta_eff)
         self._cache = None
         return dz
 
@@ -483,15 +432,16 @@ class PartitionedNorm:
         return [self.gamma, self.beta] + self.domain_gamma + self.domain_beta
 
     def domain_params(self, p: int) -> list[Param]:
+        if not self.per_domain:
+            return []
         return [self.domain_gamma[p - 1], self.domain_beta[p - 1]]
 
 
 class LayerNorm:
     """Per-row standardization with a learned per-feature affine.
 
-    Identical in training and inference; rows need at least two features."""
-
-    kind = "ln"
+    Identical in training and inference, and the same for every domain;
+    rows need at least two features."""
 
     def __init__(self, dim: int, epsilon: float = 1e-5, name: str = "ln"):
         self.name = name
@@ -514,11 +464,13 @@ class LayerNorm:
         self._cache = (inv, xhat)
         return self.gamma.value * xhat + self.beta.value
 
-    # Same transform in both modes; aliases keep the normalizer protocol uniform.
-    def forward_train(self, z: np.ndarray, update_stats: bool = True) -> np.ndarray:
+    # Same transform in both modes and for every domain p; the aliases take
+    # the calls of ``PartitionedNorm``.
+    def forward_train(self, z: np.ndarray, p: int,
+                      update_stats: bool = True) -> np.ndarray:
         return self.forward(z)
 
-    def forward_infer(self, z: np.ndarray) -> np.ndarray:
+    def forward_infer(self, z: np.ndarray, p: int) -> np.ndarray:
         return self.forward(z)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
@@ -539,3 +491,6 @@ class LayerNorm:
 
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
+
+    def domain_params(self, p: int) -> list[Param]:
+        return []

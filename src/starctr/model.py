@@ -19,6 +19,11 @@ pooling, concatenation), a configurable normalizer (bn / ln / pn), and an
 optional auxiliary network that embeds the domain indicator, concatenates it
 with the raw pooled features, and adds its scalar output to the main logit
 before the sigmoid.
+
+The normalizer is ln (``LayerNorm``) or a ``PartitionedNorm``: pn keeps
+moving statistics and a domain affine per domain, and bn is the same class
+with one partition that every domain maps to and no domain affine.  Moving
+statistics are kept one per partition: M for pn, 1 for bn.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import FIELDS, Dataset, Example, as_dataset
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, ShapeError
 from .layers import (
     Arena,
-    BatchNorm,
     EmbeddingTable,
     FcLayer,
     LayerNorm,
@@ -42,7 +46,7 @@ from .layers import (
     sigmoid,
     _acc,
 )
-from .tensor import add, hadamard, make_rng
+from .tensor import make_rng
 
 # The trunk factors each variant holds: (shared stack, per-domain stacks).
 TRUNK_FACTORS = {
@@ -122,6 +126,14 @@ class Batch(Dataset):
     def from_examples(cls, examples: Dataset | Sequence[Example]) -> "Batch":
         return cls(as_dataset(examples))
 
+    def fields(self):
+        """Each field's ``(name, flat ids, offsets)`` in ``FIELDS`` order:
+        row i's ids are ``flat_ids[offsets[i]:offsets[i + 1]]``."""
+        yield FIELDS[0], self.behavior_flat, self.behavior_offsets
+        single = np.arange(self.size + 1, dtype=np.int64)
+        for name in FIELDS[1:]:
+            yield name, getattr(self, name), single
+
 
 def field_vocabs(config: ModelConfig) -> dict[str, int]:
     """Vocabulary size per field, in field order (behavior and item index
@@ -146,15 +158,8 @@ def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:
 
 def embed_and_pool(batch: Batch, tables: dict[str, EmbeddingTable]) -> np.ndarray:
     """Mean-pool each field's embeddings and concatenate in field order."""
-    n = batch.size
-    single_offsets = np.arange(n + 1, dtype=np.int64)
-    parts = [
-        tables["behavior"].pool(batch.behavior_flat, batch.behavior_offsets),
-        tables["profile"].pool(batch.profile, single_offsets),
-        tables["item"].pool(batch.item, single_offsets),
-        tables["context"].pool(batch.context, single_offsets),
-    ]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([tables[name].pool(ids, offsets)
+                           for name, ids, offsets in batch.fields()], axis=1)
 
 
 def embed_backward(dz: np.ndarray, tables: dict[str, EmbeddingTable],
@@ -165,8 +170,14 @@ def embed_backward(dz: np.ndarray, tables: dict[str, EmbeddingTable],
 
 def star_layer_params(w: np.ndarray, b: np.ndarray, w_p: np.ndarray,
                       b_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse shared and domain layer parameters: (w_p * w, b_p + b)."""
-    return hadamard(w_p, w), add(b_p, b)
+    """Fuse shared and domain layer parameters: (w_p * w, b_p + b).
+
+    Each factor must have the shape of its counterpart; numpy would
+    otherwise broadcast a mismatch into a wrong-shaped layer."""
+    if w_p.shape != w.shape or b_p.shape != b.shape:
+        raise ShapeError(f"star layer: domain factors {w_p.shape}, "
+                         f"{b_p.shape} vs shared {w.shape}, {b.shape}")
+    return w_p * w, b_p + b
 
 
 def _build_stack(in_dim: int, widths: Sequence[int], rng, name: str,
@@ -315,16 +326,6 @@ class AuxNet:
         return self.fc1.params() + self.fc2.params()
 
 
-def _make_normalizer(config: ModelConfig):
-    dim = config.input_dim
-    if config.normalizer == "bn":
-        return BatchNorm(dim, config.momentum, config.epsilon)
-    if config.normalizer == "ln":
-        return LayerNorm(dim, config.epsilon)
-    return PartitionedNorm(dim, config.num_domains, config.momentum,
-                           config.epsilon)
-
-
 @dataclass
 class ForwardState:
     s_main: np.ndarray
@@ -346,7 +347,12 @@ class _CtrNet:
         config.validate()
         self.config = config
         self.tables = make_tables(config)
-        self.norm = _make_normalizer(config)
+        if config.normalizer == "ln":
+            self.norm = LayerNorm(config.input_dim, config.epsilon)
+        else:
+            self.norm = PartitionedNorm(config.input_dim, config.num_domains,
+                                        config.momentum, config.epsilon,
+                                        per_domain=config.normalizer == "pn")
         self.fcn = StarFcn(config.input_dim, config.layer_widths,
                            config.num_domains,
                            rng=make_rng(config.seed, stream=20),
@@ -371,15 +377,6 @@ class _CtrNet:
         self.arena = Arena(shared + domains, self.embedding_tables())
         self.last_forward: ForwardState | None = None
 
-    def _normalize(self, z, p, mode, update_stats):
-        if isinstance(self.norm, PartitionedNorm):
-            if mode == "train":
-                return self.norm.forward_train(z, p, update_stats=update_stats)
-            return self.norm.forward_infer(z, p)
-        if mode == "train":
-            return self.norm.forward_train(z, update_stats=update_stats)
-        return self.norm.forward_infer(z)
-
     def forward(self, batch: Batch, mode: str = "train",
                 update_stats: bool | None = None) -> np.ndarray:
         if mode not in ("train", "infer"):
@@ -387,7 +384,10 @@ class _CtrNet:
         if update_stats is None:
             update_stats = mode == "train"
         z = embed_and_pool(batch, self.tables)
-        zn = self._normalize(z, batch.domain, mode, update_stats)
+        if mode == "train":
+            zn = self.norm.forward_train(z, batch.domain, update_stats)
+        else:
+            zn = self.norm.forward_infer(z, batch.domain)
         s_main = self.fcn.forward(zn, batch.domain)
         if self.aux is not None and self.aux_enabled:
             s_aux = self.aux.forward(z, batch.domain)
@@ -437,11 +437,7 @@ class _CtrNet:
 
     def domain_params(self, p: int) -> list[Param]:
         """Parameters that belong exclusively to domain p."""
-        out = []
-        if isinstance(self.norm, PartitionedNorm):
-            out.extend(self.norm.domain_params(p))
-        out.extend(self.fcn.domain_params(p))
-        return out
+        return self.norm.domain_params(p) + self.fcn.domain_params(p)
 
 
 def build_model(config: ModelConfig) -> _CtrNet:

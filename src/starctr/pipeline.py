@@ -10,7 +10,7 @@ threaded by design: one caller drives the iterator.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,34 +116,30 @@ def stream_batches(examples: Dataset | Iterable[Example], buffer: ShuffleBuffer,
         refill()
 
 
-def iter_batches(examples: Iterable[Example], batch_size: int):
+def iter_batches(examples: Dataset | Iterable[Example], batch_size: int
+                 ) -> Iterator[Batch]:
     """Chronological batching (no buffer): consecutive same-domain runs.
 
-    Splits the stream wherever the domain changes so every batch stays
-    single-domain; used as the no-buffer comparison point for the pipeline.
+    Splits the stream wherever the domain changes, and runs longer than
+    ``batch_size``, so every batch stays single-domain; used as the
+    no-buffer comparison point for the pipeline.
     """
-    run: list[Example] = []
-    for ex in examples:
-        if run and (ex.p != run[0].p or len(run) >= batch_size):
-            yield run
-            run = []
-        run.append(ex)
-    if run:
-        yield run
+    data = as_dataset(examples)
+    domain_starts = np.flatnonzero(np.diff(data.p)) + 1
+    for run in np.split(np.arange(len(data)), domain_starts):
+        for start in range(0, run.size, batch_size):
+            yield Batch(data.take(run[start:start + batch_size]))
 
 
-def batch_domain_mix(batches: list[list[Example]], window: int = 50
+def batch_domain_mix(batches: Sequence[Batch], window: int = 50
                      ) -> list[dict[int, float]]:
     """Per-window domain mix (fraction of examples per domain) over batches."""
     mixes = []
     for start in range(0, len(batches), window):
-        chunk = batches[start:start + window]
         counts: dict[int, int] = {}
-        total = 0
-        for batch in chunk:
-            for ex in batch:
-                counts[ex.p] = counts.get(ex.p, 0) + 1
-                total += 1
+        for batch in batches[start:start + window]:
+            counts[batch.domain] = counts.get(batch.domain, 0) + batch.size
+        total = sum(counts.values())
         mixes.append({p: c / total for p, c in counts.items()})
     return mixes
 

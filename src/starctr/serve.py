@@ -52,23 +52,14 @@ class FoldedModel:
     def num_domains(self) -> int:
         return len(self.domains)
 
-    def _pool(self, batch: Batch) -> np.ndarray:
-        d = self.config.embed_dim
-        n = batch.size
-        z = np.empty((n, 4 * d))
-        z[:, 0:d] = mean_pool(self.embeddings["behavior"], batch.behavior_flat,
-                              np.diff(batch.behavior_offsets))
-        z[:, d:2 * d] = self.embeddings["profile"][batch.profile]
-        z[:, 2 * d:3 * d] = self.embeddings["item"][batch.item]
-        z[:, 3 * d:4 * d] = self.embeddings["context"][batch.context]
-        return z
-
     def score_batch(self, batch: Batch) -> np.ndarray:
         p = batch.domain
         if not 1 <= p <= self.num_domains:
             raise DataError(f"unknown domain {p} (model serves 1..{self.num_domains})")
         folded = self.domains[p - 1]
-        z = self._pool(batch)
+        z = np.concatenate([mean_pool(self.embeddings[name], ids,
+                                      np.diff(offsets))
+                            for name, ids, offsets in batch.fields()], axis=1)
         if folded.norm_scale is not None:
             x = z * folded.norm_scale + folded.norm_shift
         else:
@@ -92,7 +83,10 @@ class FoldedModel:
 
     def score_examples(self, examples: Dataset | Sequence[Example],
                        batch_size: int = 4096) -> np.ndarray:
-        return _score_grouped(self.score_batch, examples, batch_size)
+        """Scores in input order; an id outside the vocabularies is a
+        DataError naming the example."""
+        return _score_grouped(self.score_batch, self.config, examples,
+                              batch_size)
 
 
 def fold(model) -> FoldedModel:
@@ -100,26 +94,20 @@ def fold(model) -> FoldedModel:
     for a model of any variant."""
     config = model.config
     norm = model.norm
+    ln = config.normalizer == "ln"
     ln_params = None
     domains = []
     for p in range(1, config.num_domains + 1):
         layers = model.fcn.fused_params(p)
-        if norm.kind == "pn":
-            if not norm.populated[p - 1]:
+        scale = shift = None
+        if not ln:
+            i, gamma_eff, beta_eff = norm.affine(p)
+            if not norm.populated[i]:
                 raise FoldError(f"domain {p}: statistics never populated")
-            gamma_eff = norm.gamma.value * norm.domain_gamma[p - 1].value
-            beta_eff = norm.beta.value + norm.domain_beta[p - 1].value
-            scale = gamma_eff / np.sqrt(norm.moving_var[p - 1] + norm.epsilon)
-            shift = beta_eff - scale * norm.moving_mean[p - 1]
-        elif norm.kind == "bn":
-            if not norm.populated:
-                raise FoldError("normalizer statistics never populated")
-            scale = norm.gamma.value / np.sqrt(norm.moving_var + norm.epsilon)
-            shift = norm.beta.value - scale * norm.moving_mean
-        else:
-            scale = shift = None
+            scale = gamma_eff / np.sqrt(norm.moving_var[i] + norm.epsilon)
+            shift = beta_eff - scale * norm.moving_mean[i]
         domains.append(FoldedDomain(layers, scale, shift))
-    if norm.kind == "ln":
+    if ln:
         ln_params = (norm.gamma.value.copy(), norm.beta.value.copy(),
                      norm.epsilon)
     embeddings = {name: model.tables[name].weights.copy()
@@ -140,13 +128,17 @@ def score_with_model(model, examples: Dataset | Sequence[Example],
     def score_batch(batch: Batch) -> np.ndarray:
         return _clamp_probs(model.forward(batch, mode="infer"))
 
-    return _score_grouped(score_batch, examples, batch_size)
+    return _score_grouped(score_batch, model.config, examples, batch_size)
 
 
-def _score_grouped(score_batch, examples: Dataset | Sequence[Example],
+def _score_grouped(score_batch, config: ModelConfig,
+                   examples: Dataset | Sequence[Example],
                    batch_size: int) -> np.ndarray:
-    """Score per-domain chunks and scatter back into input order."""
+    """Check ids against ``config``'s vocabularies, then score per-domain
+    chunks and scatter back into input order."""
     data = as_dataset(examples)
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
     out = np.empty(len(data))
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1

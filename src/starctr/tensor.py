@@ -1,8 +1,8 @@
-"""Dense float64 matrix ops, seeded RNG, and the finite-difference gradient checker.
+"""Seeded RNG and the finite-difference gradient checker.
 
 Everything numeric in this package is a plain 2-D (or 1-D) ``numpy.ndarray``
-of float64.  The helpers here add the shape contracts the rest of the code
-relies on, plus the central-difference harness used to validate every
+of float64.  This module holds the seeded generator every experiment draws
+from and the central-difference harness used to validate every
 hand-derived backward pass.
 """
 
@@ -13,29 +13,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a float64 array without copying when already one."""
-    return np.asarray(a, dtype=np.float64)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise product; operands must have identical shapes."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    return a * b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise sum; operands must have identical shapes."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return a + b
 
 
 def make_rng(seed: int | Sequence[int], stream: int = 0) -> np.random.Generator:
@@ -66,8 +43,8 @@ def grad_check(
     ``f`` must be a pure function of ``theta``; it is evaluated 2 * len(theta)
     times on perturbed copies.
     """
-    theta = as_matrix(theta).ravel()
-    analytic_grad = as_matrix(analytic_grad).ravel()
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    analytic_grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
     if theta.shape != analytic_grad.shape:
         raise ShapeError(
             f"grad_check: theta {theta.shape} vs gradient {analytic_grad.shape}"

@@ -131,9 +131,6 @@ def predictions_for(model, examples: Dataset | Sequence[Example],
     """Score ``examples`` unfolded; ids outside the model's vocabularies are
     a DataError naming the example."""
     data = as_dataset(examples)
-    config = model.config
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
     yhat = score_with_model(model, data, batch_size)
     return PredictionColumns(user=data.profile, p=data.p, yhat=yhat, y=data.y)
 

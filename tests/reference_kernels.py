@@ -1,6 +1,6 @@
 """Kernels the package replaced, kept as bitwise references: the
 ``np.add.at`` embedding kernels (for the pool, its backward and the folded
-scorer) and the per-parameter Adam (for the one-pass arena Adam)."""
+scorer's mean pool) and the per-parameter Adam (for the one-pass arena Adam)."""
 
 import numpy as np
 
@@ -32,32 +32,27 @@ def reference_backward(table, upstream):
     table._cache = None
 
 
-def reference_folded_pool(folded, batch):
-    """``FoldedModel._pool`` with its own ``np.add.at`` behavior pool."""
-    d = folded.config.embed_dim
-    n = batch.size
-    z = np.zeros((n, 4 * d))
-    counts = np.diff(batch.behavior_offsets)
-    if batch.behavior_flat.size:
-        owner = np.repeat(np.arange(n), counts)
-        np.add.at(z[:, 0:d], owner,
-                  folded.embeddings["behavior"][batch.behavior_flat])
-        z[:, 0:d] /= np.maximum(counts, 1)[:, None]
-    z[:, d:2 * d] = folded.embeddings["profile"][batch.profile]
-    z[:, 2 * d:3 * d] = folded.embeddings["item"][batch.item]
-    z[:, 3 * d:4 * d] = folded.embeddings["context"][batch.context]
-    return z
+def reference_mean_pool(weights, flat_ids, counts):
+    """``layers.mean_pool`` by ``np.add.at`` into zeros for every slice
+    length, one-id slices included (the folded scorer used to gather those
+    rows directly; both give the same bits)."""
+    out = np.zeros((counts.size, weights.shape[1]))
+    if flat_ids.size:
+        owner = np.repeat(np.arange(counts.size), counts)
+        np.add.at(out, owner, weights[flat_ids])
+        out /= np.maximum(counts, 1)[:, None]
+    return out
 
 
 def use_reference_kernels(monkeypatch):
     """Route every embedding pool, backward and folded pool through the
     ``np.add.at`` reference for the rest of the test."""
+    from starctr import serve
     from starctr.layers import EmbeddingTable
-    from starctr.serve import FoldedModel
 
     monkeypatch.setattr(EmbeddingTable, "pool", reference_pool)
     monkeypatch.setattr(EmbeddingTable, "backward", reference_backward)
-    monkeypatch.setattr(FoldedModel, "_pool", reference_folded_pool)
+    monkeypatch.setattr(serve, "mean_pool", reference_mean_pool)
 
 
 class ReferenceAdam:

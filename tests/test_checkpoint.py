@@ -130,8 +130,8 @@ def test_reloaded_baseline_folds_to_saved_scores(tmp_path, variant):
     save_model(model, str(path))
     loaded = load_model(str(path))
     config = model.config
-    examples = (random_examples(20, config, domain=1, seed=81)
-                + random_examples(20, config, domain=2, seed=82))
+    examples = (list(random_examples(20, config, domain=1, seed=81))
+                + list(random_examples(20, config, domain=2, seed=82)))
     scores = fold(loaded).score_examples(examples)
     assert np.array_equal(scores, fold(model).score_examples(examples))
     assert np.abs(scores - score_with_model(model, examples)).max() <= 1e-12

@@ -8,8 +8,12 @@ from container_bytes import (
     header_length_past_eof,
     set_config,
 )
+from starctr import checkpoint
 from starctr.cli import main
 from starctr.datagen import default_gen_config, format_gen_config
+from starctr.errors import CheckpointError
+from starctr.gradcheck import tiny_model_config
+from starctr.model import build_model
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +199,27 @@ def test_incompatible_checkpoint_version_exits_2(workspace, tmp_path):
     stale = tmp_path / "stale.ckpt"
     stale.write_bytes(bytes(raw))
     assert main(["eval", str(stale), str(data), str(tmp_path / "r.txt")]) == 2
+
+
+def test_bn_checkpoint_of_the_old_layout_exits_2(workspace, tmp_path,
+                                                 capsys):
+    # bn used to store moving statistics of shape (dim,) and a 0-d
+    # populated flag; now it stores one partition: (1, dim) and (1,).
+    _, _, _, data, _ = workspace
+    model = build_model(tiny_model_config("base", "bn"))
+    tensors = {name: getattr(owner, attr)
+               for name, owner, attr in checkpoint._model_arrays(model)}
+    for name in ("bn.moving_mean", "bn.moving_var", "bn.populated"):
+        tensors[name] = tensors[name][0]
+    old = tmp_path / "old_bn.ckpt"
+    old.write_bytes(checkpoint.pack("model", model.config, tensors))
+    with pytest.raises(CheckpointError, match=r"bn\.moving_mean: shape \[16\]"):
+        checkpoint.load_model(str(old))
+    capsys.readouterr()
+    assert main(["eval", str(old), str(data), str(tmp_path / "r.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error:" in err and "bn.moving_mean" in err
+    assert "Traceback" not in err
 
 
 # corruption -> (edit of the expected file's bytes, words of the error)

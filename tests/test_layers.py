@@ -16,7 +16,6 @@ from starctr.gradcheck import (
     check_partitioned_norm,
 )
 from starctr.layers import (
-    BatchNorm,
     EmbeddingTable,
     FcLayer,
     LayerNorm,
@@ -163,63 +162,80 @@ class TestFcLayer:
         assert check_fc_layer() < 1e-4
 
 
+M = 3    # domains of the batch-normalization tests
+
+
+def batch_norm(dim, **kwargs):
+    """bn: one partition that all M domains map to, no domain affine."""
+    return PartitionedNorm(dim, M, per_domain=False, **kwargs)
+
+
 class TestBatchNorm:
     def test_standardizes_columns(self):
-        bn = BatchNorm(3)
+        bn = batch_norm(3)
         z = make_rng(4).normal(2.0, 3.0, size=(64, 3))
-        out = bn.forward_train(z)
+        out = bn.forward_train(z, 1)
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4  # epsilon effect
 
     def test_affine_transform_of_standardized_data(self):
-        bn = BatchNorm(3)
+        bn = batch_norm(3)
         bn.gamma.value[:] = 2.0
         bn.beta.value[:] = 3.0
         z = make_rng(5).normal(0.0, 1.0, size=(128, 3))
-        out = bn.forward_train(z)
+        out = bn.forward_train(z, 2)
         var = z.var(axis=0)
         assert np.abs(out.mean(axis=0) - 3.0).max() < 1e-10
         # output variance is 4 * var/(var+eps); compare pre-epsilon
         assert np.abs(out.var(axis=0) * (var + bn.epsilon) / var - 4.0).max() < 1e-6
 
     def test_moving_stats_after_one_batch_with_momentum_one(self):
-        bn = BatchNorm(2, momentum=1.0)
+        bn = batch_norm(2, momentum=1.0)
         z = make_rng(6).normal(1.0, 2.0, size=(32, 2))
-        bn.forward_train(z)
+        bn.forward_train(z, M)
         mu = z.mean(axis=0)
         var = ((z - mu) ** 2).mean(axis=0)
-        assert np.array_equal(bn.moving_mean, mu)
-        assert np.array_equal(bn.moving_var, var)
+        assert bn.moving_mean.shape == bn.moving_var.shape == (1, 2)
+        assert np.array_equal(bn.moving_mean[0], mu)
+        assert np.array_equal(bn.moving_var[0], var)
 
     def test_infer_centers_moving_mean(self):
-        bn = BatchNorm(2)
-        bn.forward_train(make_rng(7).normal(3.0, 1.0, size=(64, 2)))
-        out = bn.forward_infer(bn.moving_mean[None, :])
+        bn = batch_norm(2)
+        bn.forward_train(make_rng(7).normal(3.0, 1.0, size=(64, 2)), 1)
+        out = bn.forward_infer(bn.moving_mean, 2)
         assert np.abs(out).max() < 1e-12
 
     def test_infer_deterministic(self):
-        bn = BatchNorm(2)
-        bn.forward_train(make_rng(8).normal(size=(16, 2)))
+        bn = batch_norm(2)
+        bn.forward_train(make_rng(8).normal(size=(16, 2)), 1)
         z = make_rng(9).normal(size=(5, 2))
-        assert np.array_equal(bn.forward_infer(z), bn.forward_infer(z))
+        assert np.array_equal(bn.forward_infer(z, 1), bn.forward_infer(z, 1))
+        # Every domain maps to the one partition.
+        assert np.array_equal(bn.forward_infer(z, 1), bn.forward_infer(z, M))
 
     def test_infer_matches_hand_formula(self):
-        bn = BatchNorm(3)
+        bn = batch_norm(3)
         bn.gamma.value[:] = [1.0, 2.0, 0.5]
         bn.beta.value[:] = [0.0, 1.0, -1.0]
-        bn.forward_train(make_rng(10).normal(2.0, 1.5, size=(32, 3)))
+        bn.forward_train(make_rng(10).normal(2.0, 1.5, size=(32, 3)), 2)
         z = np.array([[1.0, 2.0, 3.0]])
-        expected = (bn.gamma.value * (z - bn.moving_mean)
-                    / np.sqrt(bn.moving_var + bn.epsilon) + bn.beta.value)
-        assert np.array_equal(bn.forward_infer(z), expected)
+        expected = (bn.gamma.value * (z - bn.moving_mean[0])
+                    / np.sqrt(bn.moving_var[0] + bn.epsilon) + bn.beta.value)
+        assert np.array_equal(bn.forward_infer(z, 2), expected)
 
     def test_never_trained_infer_raises(self):
         with pytest.raises(UninitializedStatsError):
-            BatchNorm(2).forward_infer(np.zeros((1, 2)))
+            batch_norm(2).forward_infer(np.zeros((1, 2)), 1)
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateInputError):
-            BatchNorm(2).forward_train(np.zeros((1, 2)))
+            batch_norm(2).forward_train(np.zeros((1, 2)), 1)
+
+    def test_one_partition_and_no_domain_affine(self):
+        bn = batch_norm(2)
+        assert [q.name for q in bn.params()] == ["bn.gamma", "bn.beta"]
+        assert bn.domain_params(M) == []
+        assert bn.populated.shape == (1,)
 
     def test_gradcheck_through_train_mode(self):
         assert check_batchnorm() < 1e-4
@@ -230,23 +246,23 @@ class TestPartitionedNorm:
         rng = make_rng(11)
         gamma = rng.normal(1.0, 0.2, size=4)
         beta = rng.normal(0.0, 0.2, size=4)
-        bn = BatchNorm(4)
+        bn = batch_norm(4)
         pn = PartitionedNorm(4, num_domains=3)
         bn.gamma.value[:] = gamma
         pn.gamma.value[:] = gamma
         bn.beta.value[:] = beta
         pn.beta.value[:] = beta
         z = rng.normal(2.0, 3.0, size=(32, 4))
-        assert np.array_equal(pn.forward_train(z, 2), bn.forward_train(z))
+        assert np.array_equal(pn.forward_train(z, 2), bn.forward_train(z, 2))
 
     def test_single_domain_pn_equals_bn(self):
         rng = make_rng(12)
-        bn = BatchNorm(3)
+        bn = PartitionedNorm(3, num_domains=1, per_domain=False)
         pn = PartitionedNorm(3, num_domains=1)
         z = rng.normal(size=(16, 3))
-        assert np.array_equal(pn.forward_train(z, 1), bn.forward_train(z))
+        assert np.array_equal(pn.forward_train(z, 1), bn.forward_train(z, 1))
         z2 = rng.normal(size=(4, 3))
-        assert np.array_equal(pn.forward_infer(z2, 1), bn.forward_infer(z2))
+        assert np.array_equal(pn.forward_infer(z2, 1), bn.forward_infer(z2, 1))
 
     def test_other_domain_state_bitwise_unchanged(self):
         pn = PartitionedNorm(4, num_domains=3)
@@ -342,7 +358,9 @@ class TestLayerNorm:
     def test_train_equals_infer(self):
         ln = LayerNorm(4)
         z = make_rng(19).normal(size=(8, 4))
-        assert np.array_equal(ln.forward_train(z), ln.forward_infer(z))
+        # ... and for every domain: ln ignores p.
+        assert np.array_equal(ln.forward_train(z, 1), ln.forward_infer(z, 2))
+        assert ln.domain_params(1) == []
 
     def test_degenerate_width(self):
         with pytest.raises(DegenerateInputError):

@@ -49,6 +49,17 @@ class TestStarLayerParams:
             star_layer_params(np.zeros((2, 2)), np.zeros(2),
                               np.zeros((2, 3)), np.zeros(3))
 
+    def test_weight_shape_mismatch(self):
+        # Without the check, (2, 1) against (2, 2) would broadcast.
+        with pytest.raises(ShapeError):
+            star_layer_params(np.zeros((2, 2)), np.zeros(2),
+                              np.zeros((2, 1)), np.zeros(2))
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            star_layer_params(np.zeros((2, 3)), np.zeros(3),
+                              np.zeros((2, 3)), np.zeros(1))
+
 
 class TestStarForward:
     def test_zero_shared_weights_give_half(self):
@@ -93,7 +104,7 @@ class TestStarForward:
         yhat = model.forward(batch, mode="train", update_stats=False)
         # Oracle: manual forward through the shared parameters only.
         z = embed_and_pool(batch, model.tables)
-        x = model.norm.forward_train(z, update_stats=False)
+        x = model.norm.forward_train(z, batch.domain, update_stats=False)
         for li, layer in enumerate(model.fcn.shared):
             pre = x @ layer.W.value + layer.b.value
             x = relu(pre) if layer.activation == "relu" else pre
@@ -105,7 +116,7 @@ class TestStarForward:
         a = random_examples(2, config, domain=1)
         b = random_examples(2, config, domain=2)
         with pytest.raises(ContractViolation):
-            Batch.from_examples(a + b)
+            Batch.from_examples(list(a) + list(b))
 
     def test_train_requires_two_examples_for_pn(self):
         from starctr.errors import DegenerateInputError

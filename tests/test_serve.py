@@ -144,6 +144,18 @@ def test_score_with_model_out_of_vocab_is_data_error():
         score_with_model(model, [Example((1,), 0, 99, 0, 0, 1)])
 
 
+@pytest.mark.parametrize("example", [Example((-3,), -1, -5, -2, 0, 1),
+                                     Example((1,), 0, 4000, 0, 0, 1)],
+                         ids=["negative", "past_vocab"])
+def test_scorers_check_ids(example):
+    # Negative ids would wrap to the last embedding rows and score.
+    model = small_trained_model()
+    for score in (fold(model).score_examples,
+                  lambda data: score_with_model(model, data)):
+        with pytest.raises(DataError, match="example 1: item id outside"):
+            score([example])
+
+
 class TestScoreFile:
     def test_empty_file(self, tmp_path):
         model = small_trained_model()

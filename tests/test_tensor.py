@@ -3,49 +3,7 @@ import pytest
 
 from starctr.errors import NumericError, ShapeError
 from starctr.layers import sigmoid
-from starctr.tensor import add, grad_check, hadamard, make_rng
-
-
-class TestHadamard:
-    def test_multiplicative_identity(self):
-        rng = make_rng(1)
-        a = rng.normal(size=(3, 4))
-        assert np.array_equal(hadamard(a, np.ones((3, 4))), a)
-
-    def test_annihilator(self):
-        rng = make_rng(2)
-        a = rng.normal(size=(3, 4))
-        assert np.array_equal(hadamard(a, np.zeros((3, 4))), np.zeros((3, 4)))
-
-    def test_hand_arithmetic(self):
-        out = hadamard(np.array([[2.0, 3.0]]), np.array([[4.0, 5.0]]))
-        assert np.array_equal(out, np.array([[8.0, 15.0]]))
-
-    def test_commutative(self):
-        rng = make_rng(3)
-        a = rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4))
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestAdd:
-    def test_commutative(self):
-        rng = make_rng(4)
-        a = rng.normal(size=(5,))
-        b = rng.normal(size=(5,))
-        assert np.array_equal(add(a, b), add(b, a))
-
-    def test_zero_identity(self):
-        a = np.array([1.0, -2.0, 3.5])
-        assert np.array_equal(add(a, np.zeros(3)), a)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            add(np.zeros(2), np.zeros(3))
+from starctr.tensor import grad_check, make_rng
 
 
 class TestRng:
@@ -99,17 +57,3 @@ class TestGradCheck:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             grad_check(lambda t: 0.0, np.zeros(3), np.zeros(2))
-
-
-class TestAssociativity:
-    def test_hadamard_associative_up_to_rounding(self):
-        rng = make_rng(6)
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        left = hadamard(hadamard(a, b), c)
-        right = hadamard(a, hadamard(b, c))
-        assert np.allclose(left, right, rtol=1e-15)
-
-    def test_add_associative_up_to_rounding(self):
-        rng = make_rng(7)
-        a, b, c = (rng.normal(size=(8,)) for _ in range(3))
-        assert np.allclose(add(add(a, b), c), add(a, add(b, c)), rtol=1e-14)
