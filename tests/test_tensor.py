@@ -3,7 +3,37 @@ import pytest
 
 from starctr.errors import NumericError, ShapeError
 from starctr.layers import sigmoid
+from starctr.model import star_layer_params
 from starctr.tensor import grad_check, make_rng
+
+
+# The element-wise product and sum of the star fusion live in
+# model.star_layer_params: W = w_p * w, b = b_p + b.
+
+class TestHadamard:
+    def test_multiplicative_identity(self):
+        rng = make_rng(1)
+        a = rng.normal(size=(3, 4))
+        w, _ = star_layer_params(a, np.zeros(4), np.ones((3, 4)), np.zeros(4))
+        assert np.array_equal(w, a)
+
+    def test_annihilator(self):
+        rng = make_rng(2)
+        a = rng.normal(size=(3, 4))
+        w, _ = star_layer_params(a, np.zeros(4), np.zeros((3, 4)), np.zeros(4))
+        assert np.array_equal(w, np.zeros((3, 4)))
+
+    def test_hand_arithmetic(self):
+        w, _ = star_layer_params(np.array([[2.0, 3.0]]), np.zeros(2),
+                                 np.array([[4.0, 5.0]]), np.zeros(2))
+        assert np.array_equal(w, np.array([[8.0, 15.0]]))
+
+
+class TestAdd:
+    def test_zero_identity(self):
+        a = np.array([1.0, -2.0, 3.5])
+        _, b = star_layer_params(np.ones((2, 3)), a, np.ones((2, 3)), np.zeros(3))
+        assert np.array_equal(b, a)
 
 
 class TestRng:
