@@ -144,14 +144,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: ``1 / (1 + e)`` where x >= 0
+    and ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``, so no exp
+    overflows.  Both branches are computed for every value and ``np.where``
+    picks one, which is cheaper than masking the input."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[np.logical_not(pos)])
-    out[np.logical_not(pos)] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _segment_sum(segments: np.ndarray, values: np.ndarray,
@@ -174,9 +174,13 @@ def _segment_sum(segments: np.ndarray, values: np.ndarray,
 
 
 def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
-              counts: np.ndarray) -> np.ndarray:
+              counts: np.ndarray | None, out: np.ndarray | None = None
+              ) -> np.ndarray:
     """Mean of ``weights`` rows over consecutive slices of ``flat_ids``, one
     slice of ``counts[i]`` ids per output row; an empty slice pools to zeros.
+    ``counts=None`` means one id per row.  With ``out`` the rows are written
+    there (it may be a column block of a wider matrix) and ``out`` is
+    returned.
 
     The one pooling routine of the package: training, folded serving and the
     data generator all call it.  Sums run in occurrence order from 0.0 and
@@ -187,12 +191,17 @@ def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
     are ``w`` for every w but -0.0).  Ids are not checked: numpy wraps
     negative ones.
     """
-    if flat_ids.size == counts.size and (counts == 1).all():
-        return weights.take(flat_ids, axis=0)
+    if counts is None or (flat_ids.size == counts.size and (counts == 1).all()):
+        rows = weights.take(flat_ids, axis=0)
+        if out is None:
+            return rows
+        # A gather straight into a strided block is slower than this copy.
+        out[...] = rows
+        return out
     owner = np.repeat(np.arange(counts.size), counts)
-    out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
-    out /= np.maximum(counts, 1)[:, None]
-    return out
+    sums = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
+    return np.divide(sums, np.maximum(counts, 1)[:, None],
+                     out=sums if out is None else out)
 
 
 class EmbeddingTable:
@@ -235,12 +244,15 @@ class EmbeddingTable:
                 f"{self.vocab_size}"
             )
 
-    def pool(self, flat_ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Mean-pool each example's ids; caches the lookup for backward."""
+    def pool(self, flat_ids: np.ndarray,
+             offsets: np.ndarray | None) -> np.ndarray:
+        """Mean-pool each example's ids (``offsets=None``: one id per
+        example); caches the lookup for backward."""
         flat_ids = np.asarray(flat_ids, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
         self._check_ids(flat_ids)
-        counts = np.diff(offsets)
+        counts = None
+        if offsets is not None:
+            counts = np.diff(np.asarray(offsets, dtype=np.int64))
         self._cache = (flat_ids, counts)
         return mean_pool(self.weights, flat_ids, counts)
 
@@ -249,8 +261,12 @@ class EmbeddingTable:
             raise ContractViolation(f"{self.name}: backward without forward")
         flat_ids, counts = self._cache
         if flat_ids.size:
-            scaled = np.repeat(upstream / np.maximum(counts, 1)[:, None],
-                               counts, axis=0)
+            # One id per example: dividing by a count of 1 and repeating
+            # once would leave every value as it is.
+            scaled = upstream
+            if counts is not None:
+                scaled = np.repeat(upstream / np.maximum(counts, 1)[:, None],
+                                   counts, axis=0)
             self.grad += _segment_sum(flat_ids, scaled, self.vocab_size)
             self.touched[flat_ids] = True
         self._cache = None

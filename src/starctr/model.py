@@ -128,11 +128,11 @@ class Batch(Dataset):
 
     def fields(self):
         """Each field's ``(name, flat ids, offsets)`` in ``FIELDS`` order:
-        row i's ids are ``flat_ids[offsets[i]:offsets[i + 1]]``."""
+        row i's ids are ``flat_ids[offsets[i]:offsets[i + 1]]``; offsets
+        is None for a field of one id per row."""
         yield FIELDS[0], self.behavior_flat, self.behavior_offsets
-        single = np.arange(self.size + 1, dtype=np.int64)
         for name in FIELDS[1:]:
-            yield name, getattr(self, name), single
+            yield name, getattr(self, name), None
 
 
 def field_vocabs(config: ModelConfig) -> dict[str, int]:
@@ -156,10 +156,27 @@ def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:
     }
 
 
+def pool_fields(batch: Batch, dim: int, pool) -> np.ndarray:
+    """The pooled features of ``batch``: one (size, len(FIELDS) * dim)
+    matrix, each field's ``dim`` columns in ``FIELDS`` order.
+
+    ``pool(name, flat_ids, offsets, out)`` fills ``out``, the column block
+    of field ``name`` (``Batch.fields`` gives the other arguments).  The one
+    pooling front end: training pools through the embedding tables, folded
+    serving through ``mean_pool`` over plain weight arrays."""
+    z = np.empty((batch.size, len(FIELDS) * dim))
+    for i, (name, ids, offsets) in enumerate(batch.fields()):
+        pool(name, ids, offsets, z[:, i * dim:(i + 1) * dim])
+    return z
+
+
 def embed_and_pool(batch: Batch, tables: dict[str, EmbeddingTable]) -> np.ndarray:
-    """Mean-pool each field's embeddings and concatenate in field order."""
-    return np.concatenate([tables[name].pool(ids, offsets)
-                           for name, ids, offsets in batch.fields()], axis=1)
+    """Mean-pool each field's embeddings through its table, in field order."""
+
+    def pool(name, ids, offsets, out):
+        out[...] = tables[name].pool(ids, offsets)
+
+    return pool_fields(batch, tables[FIELDS[0]].dim, pool)
 
 
 def embed_backward(dz: np.ndarray, tables: dict[str, EmbeddingTable],

@@ -6,6 +6,16 @@ bn/pn) the frozen normalization becomes a plain per-feature affine
 ``z * scale_p + shift_p``.  Folded inference therefore never touches the
 shared-vs-domain split and its per-example cost does not depend on the
 number of domains.
+
+A request is scored in one pass.  Rows that all share one domain are
+scored where they lie, without a copy; mixed requests are grouped by a
+stable sort.  Each field is pooled into its column block of one feature
+matrix.  An aux net that does not read the features depends only on the
+domain, so it folds to one logit per domain, computed once when the
+FoldedModel is built.  BLAS kernels can round the same example's score
+differently in the last bit at different batch shapes, which is why a
+request's scores are compared with the predictions file at 1e-12 rather
+than bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +30,14 @@ from .checkpoint import pack, unpack, write_atomic
 from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid
-from .model import Batch, ModelConfig, field_vocabs
+from .model import Batch, ModelConfig, field_vocabs, pool_fields
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 
 
 def _clamp_probs(yhat: np.ndarray) -> np.ndarray:
-    return np.clip(yhat, 1e-15, 1.0 - 1e-15)
+    """Clip fresh probabilities in place."""
+    return np.clip(yhat, 1e-15, 1.0 - 1e-15, out=yhat)
 
 
 @dataclass
@@ -37,7 +48,10 @@ class FoldedDomain:
 
 
 class FoldedModel:
-    """Immutable per-domain serving model produced by fold()."""
+    """Immutable per-domain serving model produced by fold().
+
+    Scoring allocates its buffers per call, so one model may serve
+    concurrent callers."""
 
     def __init__(self, config, embeddings: dict[str, np.ndarray],
                  domains: list[FoldedDomain], ln_params, aux):
@@ -47,21 +61,32 @@ class FoldedModel:
         self.ln_params = ln_params          # (gamma, beta, epsilon) or None
         self.aux = aux                      # (embed, W1, b1, W2, b2) or None
         self.aux_uses_features = config.aux_use_features
+        # Without features the aux net sees only the domain embedding: its
+        # output is one logit per domain, computed here once.  Derived from
+        # ``aux``; the file stores only the aux tensors.
+        self.aux_logit = None
+        if aux is not None and not self.aux_uses_features:
+            embed, w1, b1, w2, b2 = aux
+            self.aux_logit = (relu(embed @ w1 + b1) @ w2 + b2)[:, 0]
 
     @property
     def num_domains(self) -> int:
         return len(self.domains)
+
+    def _pool_field(self, name, ids, offsets, out):
+        counts = None if offsets is None else np.diff(offsets)
+        mean_pool(self.embeddings[name], ids, counts, out=out)
 
     def score_batch(self, batch: Batch) -> np.ndarray:
         p = batch.domain
         if not 1 <= p <= self.num_domains:
             raise DataError(f"unknown domain {p} (model serves 1..{self.num_domains})")
         folded = self.domains[p - 1]
-        z = np.concatenate([mean_pool(self.embeddings[name], ids,
-                                      np.diff(offsets))
-                            for name, ids, offsets in batch.fields()], axis=1)
+        z = pool_fields(batch, self.config.embed_dim,
+                        self._pool_field)
         if folded.norm_scale is not None:
-            x = z * folded.norm_scale + folded.norm_shift
+            x = z * folded.norm_scale
+            x += folded.norm_shift
         else:
             gamma, beta, eps = self.ln_params
             mu = z.mean(axis=1, keepdims=True)
@@ -69,24 +94,27 @@ class FoldedModel:
             x = gamma * ((z - mu) / np.sqrt(var + eps)) + beta
         last = len(folded.layers) - 1
         for li, (w, b) in enumerate(folded.layers):
-            x = x @ w + b
+            x = x @ w
+            x += b
             if li != last:
-                x = relu(x)
+                np.maximum(x, 0.0, out=x)
         logits = x[:, 0]
-        if self.aux is not None:
+        if self.aux_logit is not None:
+            logits += self.aux_logit[p - 1]
+        elif self.aux is not None:
             embed, w1, b1, w2, b2 = self.aux
             e = np.tile(embed[p - 1], (batch.size, 1))
-            x_aux = np.concatenate([e, z], axis=1) if self.aux_uses_features else e
-            h = relu(x_aux @ w1 + b1)
-            logits = logits + (h @ w2 + b2)[:, 0]
+            h = relu(np.concatenate([e, z], axis=1) @ w1 + b1)
+            logits += (h @ w2 + b2)[:, 0]
         return _clamp_probs(sigmoid(logits))
 
     def score_examples(self, examples: Dataset | Sequence[Example],
                        batch_size: int = 4096) -> np.ndarray:
         """Scores in input order; an id outside the vocabularies is a
         DataError naming the example."""
-        return _score_grouped(self.score_batch, self.config, examples,
-                              batch_size)
+        data = as_dataset(examples)
+        _check_ids(data, self.config)
+        return _score_grouped(self.score_batch, data, batch_size)
 
 
 def fold(model) -> FoldedModel:
@@ -128,24 +156,39 @@ def score_with_model(model, examples: Dataset | Sequence[Example],
     def score_batch(batch: Batch) -> np.ndarray:
         return _clamp_probs(model.forward(batch, mode="infer"))
 
-    return _score_grouped(score_batch, model.config, examples, batch_size)
-
-
-def _score_grouped(score_batch, config: ModelConfig,
-                   examples: Dataset | Sequence[Example],
-                   batch_size: int) -> np.ndarray:
-    """Check ids against ``config``'s vocabularies, then score per-domain
-    chunks and scatter back into input order."""
     data = as_dataset(examples)
+    _check_ids(data, model.config)
+    return _score_grouped(score_batch, data, batch_size)
+
+
+def _check_ids(data: Dataset, config: ModelConfig):
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
-    out = np.empty(len(data))
+
+
+def _score_grouped(score_batch, data: Dataset, batch_size: int) -> np.ndarray:
+    """Scores of ``data`` in input order, from one ``score_batch`` call per
+    run of at most ``batch_size`` rows of one domain.
+
+    Rows that all share one domain are scored where they lie, in
+    contiguous ranges; mixed domains are grouped by a stable sort and the
+    scores scattered back."""
+    n = len(data)
+    if n and (data.p == data.p[0]).all():
+        if n <= batch_size:
+            return score_batch(Batch(data))
+        out = np.empty(n)
+        for start in range(0, n, batch_size):
+            out[start:start + batch_size] = score_batch(
+                Batch(data[start:start + batch_size]))
+        return out
+    out = np.empty(n)
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1
     for rows in np.split(order, domain_starts):
         for start in range(0, rows.size, batch_size):
             chunk = rows[start:start + batch_size]
-            out[chunk] = score_batch(Batch.from_examples(data.take(chunk)))
+            out[chunk] = score_batch(Batch(data.take(chunk)))
     return out
 
 
@@ -172,9 +215,7 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
     vocabularies is a DataError, raised before the output is opened.
     """
     data = read_dataset(data_path)
-    config = folded.config
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
+    _check_ids(data, folded.config)
     served = data.p <= folded.num_domains
     skipped = np.flatnonzero(~served)
     errors = []
@@ -183,7 +224,7 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
         errors = [f"line {lineno}: unknown domain {data.p[row]}"
                   for row, lineno in zip(first, _line_numbers(data_path, first))]
         data = data.take(np.flatnonzero(served))
-    yhat = folded.score_examples(data, batch_size) if len(data) else []
+    yhat = _score_grouped(folded.score_batch, data, batch_size)
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
         for user, p, prob, y in zip(data.profile.tolist(), data.p.tolist(),
                                     yhat, data.y.tolist()):

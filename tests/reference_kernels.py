@@ -1,17 +1,26 @@
 """Kernels the package replaced, kept as bitwise references: the
 ``np.add.at`` embedding kernels (for the pool, its backward and the folded
-scorer's mean pool) and the per-parameter Adam (for the one-pass arena Adam)."""
+scorer's mean pool), the per-parameter Adam (for the one-pass arena Adam),
+and the folded request path that regrouped every request by a sort and a
+gather (for the one-pass scorer), with its masked sigmoid."""
 
 import numpy as np
 
+from starctr.datagen import as_dataset, validate_ids
+from starctr.errors import DataError
+from starctr.model import Batch
+
 
 def reference_pool(table, flat_ids, offsets):
-    """``EmbeddingTable.pool`` by ``np.add.at`` into zeros."""
+    """``EmbeddingTable.pool`` by ``np.add.at`` into zeros; ``offsets=None``
+    means one id per row."""
     flat_ids = np.asarray(flat_ids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
     table._check_ids(flat_ids)
-    n = offsets.size - 1
-    counts = np.diff(offsets)
+    if offsets is None:
+        counts = np.ones(flat_ids.size, dtype=np.int64)
+    else:
+        counts = np.diff(np.asarray(offsets, dtype=np.int64))
+    n = counts.size
     out = np.zeros((n, table.dim))
     if flat_ids.size:
         owner = np.repeat(np.arange(n), counts)
@@ -32,15 +41,84 @@ def reference_backward(table, upstream):
     table._cache = None
 
 
-def reference_mean_pool(weights, flat_ids, counts):
+def reference_mean_pool(weights, flat_ids, counts, out=None):
     """``layers.mean_pool`` by ``np.add.at`` into zeros for every slice
     length, one-id slices included (the folded scorer used to gather those
-    rows directly; both give the same bits)."""
-    out = np.zeros((counts.size, weights.shape[1]))
+    rows directly; both give the same bits); written into ``out`` if
+    given."""
+    counts = np.ones(flat_ids.size, dtype=np.int64) if counts is None else counts
+    pooled = np.zeros((counts.size, weights.shape[1]))
     if flat_ids.size:
         owner = np.repeat(np.arange(counts.size), counts)
-        np.add.at(out, owner, weights[flat_ids])
-        out /= np.maximum(counts, 1)[:, None]
+        np.add.at(pooled, owner, weights[flat_ids])
+        pooled /= np.maximum(counts, 1)[:, None]
+    if out is None:
+        return pooled
+    out[...] = pooled
+    return out
+
+
+def reference_sigmoid(x):
+    """``layers.sigmoid`` as a boolean-mask split of the input."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[np.logical_not(pos)])
+    out[np.logical_not(pos)] = ex / (1.0 + ex)
+    return out
+
+
+def reference_score_batch(folded, batch):
+    """``FoldedModel.score_batch`` with the aux net run per row, the pooled
+    fields concatenated, and fresh arrays at every step."""
+    p = batch.domain
+    if not 1 <= p <= folded.num_domains:
+        raise DataError(f"unknown domain {p} (model serves 1..{folded.num_domains})")
+    dom = folded.domains[p - 1]
+    behavior = reference_mean_pool(folded.embeddings["behavior"],
+                                   batch.behavior_flat,
+                                   np.diff(batch.behavior_offsets))
+    z = np.concatenate([behavior] + [
+        folded.embeddings[name].take(getattr(batch, name), axis=0)
+        for name in ("profile", "item", "context")], axis=1)
+    if dom.norm_scale is not None:
+        x = z * dom.norm_scale + dom.norm_shift
+    else:
+        gamma, beta, eps = folded.ln_params
+        mu = z.mean(axis=1, keepdims=True)
+        var = np.mean((z - mu) ** 2, axis=1, keepdims=True)
+        x = gamma * ((z - mu) / np.sqrt(var + eps)) + beta
+    last = len(dom.layers) - 1
+    for li, (w, b) in enumerate(dom.layers):
+        x = x @ w + b
+        if li != last:
+            x = np.maximum(x, 0.0)
+    logits = x[:, 0]
+    if folded.aux is not None:
+        embed, w1, b1, w2, b2 = folded.aux
+        e = np.tile(embed[p - 1], (batch.size, 1))
+        x_aux = np.concatenate([e, z], axis=1) if folded.aux_uses_features else e
+        h = np.maximum(x_aux @ w1 + b1, 0.0)
+        logits = logits + (h @ w2 + b2)[:, 0]
+    return np.clip(reference_sigmoid(logits), 1e-15, 1.0 - 1e-15)
+
+
+def reference_score_examples(folded, examples, batch_size=4096):
+    """``FoldedModel.score_examples`` that checks ids, then sorts every
+    input by domain and gathers each chunk before scoring it."""
+    data = as_dataset(examples)
+    config = folded.config
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
+    out = np.empty(len(data))
+    order = np.argsort(data.p, kind="stable")
+    domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1
+    for rows in np.split(order, domain_starts):
+        for start in range(0, rows.size, batch_size):
+            chunk = rows[start:start + batch_size]
+            out[chunk] = reference_score_batch(
+                folded, Batch.from_examples(data.take(chunk)))
     return out
 
 

@@ -145,6 +145,32 @@ def test_score_unknown_domain_exits_3(workspace, tmp_path):
     assert main(["score", str(folded), str(bad_data), str(preds)]) == 3
 
 
+def test_score_checks_ids_once(workspace, tmp_path, capsys, monkeypatch):
+    from starctr import serve
+
+    _, _, _, data, ckpt = workspace
+    folded = tmp_path / "m.fold"
+    assert main(["fold", str(ckpt), str(folded)]) == 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_ids(*args)
+
+    validate_ids = serve.validate_ids
+    monkeypatch.setattr(serve, "validate_ids", counted)
+    assert main(["score", str(folded), str(data), str(tmp_path / "p.tsv")]) == 0
+    assert len(calls) == 1
+    bad_data = tmp_path / "bad.tsv"
+    bad_data.write_text("1\t1\tbehavior:1,2\tprofile:1\titem:1\tctx:1\n"
+                        "1\t0\tbehavior:1\tprofile:1\titem:99999\tctx:1\n")
+    capsys.readouterr()
+    assert main(["score", str(folded), str(bad_data), str(tmp_path / "q.tsv")]) == 3
+    assert len(calls) == 2
+    assert ("example 2: item id outside vocab: 99999 not in [0, 300)"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["eval", "score"])
 @pytest.mark.parametrize("bad_line,field", [
     ("1\t0\tbehavior:1\tprofile:1\titem:99999\tctx:1\n", "item"),

@@ -20,10 +20,11 @@ from starctr.layers import (
     FcLayer,
     LayerNorm,
     PartitionedNorm,
+    sigmoid,
 )
 from starctr.tensor import make_rng
 
-from reference_kernels import reference_backward, reference_pool
+from reference_kernels import reference_backward, reference_pool, reference_sigmoid
 
 
 def pool_single(table, ids):
@@ -122,6 +123,21 @@ class TestEmbeddingKernel:
             table.zero_grad()
             ref.zero_grad()
 
+    @pytest.mark.parametrize("case", ["unit_offsets", "context_vocab"])
+    def test_no_offsets_matches_unit_offsets_bitwise(self, case):
+        # Training pools one-id fields with offsets=None; its backward gets a
+        # column block of the pooled gradient, as in the model.
+        vocab, flat, offsets = _kernel_case(case)
+        unit = EmbeddingTable(vocab, 8, rng=make_rng(5), name="f")
+        none = EmbeddingTable(vocab, 8, rng=make_rng(5), name="f")
+        assert (none.pool(flat, None).tobytes()
+                == unit.pool(flat, offsets).tobytes())
+        upstream = make_rng(33).normal(size=(flat.size, 24))[:, 8:16]
+        none.backward(upstream)
+        unit.backward(upstream)
+        assert none.grad.tobytes() == unit.grad.tobytes()
+        assert np.array_equal(none.touched, unit.touched)
+
     def test_second_backward_adds_its_sum_to_the_gradient(self):
         table = EmbeddingTable(5, 2, rng=make_rng(0), name="f")
         flat = np.array([1, 1, 3], dtype=np.int64)
@@ -133,6 +149,25 @@ class TestEmbeddingKernel:
         table.pool(flat, offsets)
         table.backward(upstream)
         assert np.array_equal(table.grad, first + first)
+
+
+class TestSigmoid:
+    """The np.where sigmoid against the boolean-mask reference, bit for
+    bit."""
+
+    @pytest.mark.parametrize("scale", [1, 5, 30, 800])
+    def test_matches_masked_reference_bitwise(self, scale):
+        x = make_rng(17, stream=scale).normal(0.0, scale, size=500_000)
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
+    def test_signed_zeros_and_infinities(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf])
+        out = sigmoid(x)
+        assert out.tobytes() == reference_sigmoid(x).tobytes()
+        assert out.tolist() == [0.5, 0.5, 1.0, 0.0]
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestFcLayer:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from starctr.checkpoint import serialize
-from starctr.datagen import Example, write_dataset
+from starctr.datagen import Example, as_dataset, write_dataset
 from starctr.errors import DataError, FoldError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import ModelConfig, build_model
+from starctr.model import NORMALIZERS, VARIANTS, ModelConfig, build_model
 from starctr.serve import (
     fold,
     load_folded,
@@ -18,25 +18,28 @@ from starctr.serve import (
     score_with_model,
 )
 
-from reference_kernels import use_reference_kernels
+from reference_kernels import reference_score_examples, use_reference_kernels
 
 
-def serving_config(normalizer="pn", aux=True, num_domains=5, variant="star"):
+def serving_config(normalizer="pn", aux=True, num_domains=5, variant="star",
+                   aux_use_features=False):
     return ModelConfig(
         variant=variant, normalizer=normalizer, aux_enabled=aux,
         num_domains=num_domains, embed_dim=4, vocab_items=60,
         vocab_profiles=30, vocab_contexts=8, layer_widths=(12, 6, 1),
-        aux_embed_dim=6, aux_hidden=8, seed=2,
+        aux_embed_dim=6, aux_hidden=8, aux_use_features=aux_use_features,
+        seed=2,
     )
 
 
 def small_trained_model(normalizer="pn", aux=True, num_domains=5,
-                        variant="star"):
+                        variant="star", aux_use_features=False):
     """A briefly trained model with every domain's stats populated."""
     from starctr.model import Batch
     from starctr.optim import Adam, bce_loss
 
-    config = serving_config(normalizer, aux, num_domains, variant)
+    config = serving_config(normalizer, aux, num_domains, variant,
+                            aux_use_features)
     model = build_model(config)
     opt = Adam()
     for step in range(4 * num_domains):
@@ -135,6 +138,71 @@ class TestFold:
         folded.score_examples(examples)
         score_with_model(model, examples)
         assert hashlib.sha256(serialize(model)).hexdigest() == digest_before
+
+
+AUX_SETTINGS = {"aux_off": (False, False), "aux_on": (True, False),
+                "aux_features": (True, True)}
+CELLS = [(v, n, a) for v in VARIANTS for n in NORMALIZERS for a in AUX_SETTINGS]
+
+
+@pytest.mark.parametrize("variant,normalizer,aux", CELLS,
+                         ids=["-".join(cell) for cell in CELLS])
+def test_one_pass_scorer_matches_regrouping_reference(variant, normalizer,
+                                                      aux):
+    # The reference sorts and gathers every request and runs the aux net per
+    # row.  Only the folded feature-free aux logit may move, by rounding.
+    enabled, features = AUX_SETTINGS[aux]
+    folded = fold(small_trained_model(normalizer, enabled, variant=variant,
+                                      aux_use_features=features))
+    config = folded.config
+    one = random_examples(150, config, 3, seed=7)
+    mixed = random_eval_examples(config, 30, seed=40)
+    mixed = [mixed[i] for i in np.random.default_rng(5).permutation(len(mixed))]
+    cases = {
+        "one-domain list": (list(one[:100]), 4096),
+        "one-domain Dataset": (one[:100], 4096),
+        "mixed unsorted list": (mixed, 4096),
+        "longer than batch_size": (list(one), 64),
+        "n=1": (list(one[:1]), 4096),
+        "n=0": ([], 4096),
+    }
+    tolerance = 1e-15 if aux == "aux_on" else 0.0
+    for name, (examples, batch_size) in cases.items():
+        got = folded.score_examples(examples, batch_size)
+        want = reference_score_examples(folded, examples, batch_size)
+        assert got.dtype == np.float64 and got.shape == (len(examples),), name
+        assert not np.shares_memory(got, folded.score_examples(examples,
+                                                                 batch_size))
+        if tolerance:
+            assert np.abs(got - want).max(initial=0.0) <= tolerance, name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_feature_free_aux_net_folds_to_one_logit_per_domain(variant,
+                                                             tmp_path):
+    model = small_trained_model(variant=variant)
+    folded = fold(model)
+    assert folded.aux_logit.shape == (model.config.num_domains,)
+    for p in range(1, model.config.num_domains + 1):
+        per_row = model.aux.forward(np.zeros((64, 0)), p)
+        assert np.abs(per_row - folded.aux_logit[p - 1]).max() <= 1e-15
+    # The logit is derived on load, never written: a re-save of a loaded
+    # file gives the same bytes.
+    path, again = tmp_path / "m.fold", tmp_path / "again.fold"
+    save_folded(folded, str(path))
+    loaded = load_folded(str(path))
+    save_folded(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    assert loaded.aux_logit.tobytes() == folded.aux_logit.tobytes()
+
+
+@pytest.mark.parametrize("aux,features", [(False, False), (True, True)],
+                         ids=["aux_off", "aux_features"])
+def test_aux_net_with_features_or_off_has_no_folded_logit(aux, features):
+    folded = fold(small_trained_model(aux=aux, aux_use_features=features))
+    assert folded.aux_logit is None
 
 
 def test_score_with_model_out_of_vocab_is_data_error():
