@@ -174,13 +174,10 @@ def _segment_sum(segments: np.ndarray, values: np.ndarray,
 
 
 def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
-              counts: np.ndarray | None, out: np.ndarray | None = None
-              ) -> np.ndarray:
+              counts: np.ndarray | None) -> np.ndarray:
     """Mean of ``weights`` rows over consecutive slices of ``flat_ids``, one
     slice of ``counts[i]`` ids per output row; an empty slice pools to zeros.
-    ``counts=None`` means one id per row.  With ``out`` the rows are written
-    there (it may be a column block of a wider matrix) and ``out`` is
-    returned.
+    ``counts=None`` means one id per row.
 
     The one pooling routine of the package: training, folded serving and the
     data generator all call it.  Sums run in occurrence order from 0.0 and
@@ -192,16 +189,11 @@ def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
     negative ones.
     """
     if counts is None or (flat_ids.size == counts.size and (counts == 1).all()):
-        rows = weights.take(flat_ids, axis=0)
-        if out is None:
-            return rows
-        # A gather straight into a strided block is slower than this copy.
-        out[...] = rows
-        return out
+        return weights.take(flat_ids, axis=0)
     owner = np.repeat(np.arange(counts.size), counts)
-    sums = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
-    return np.divide(sums, np.maximum(counts, 1)[:, None],
-                     out=sums if out is None else out)
+    out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
+    out /= np.maximum(counts, 1)[:, None]
+    return out
 
 
 class EmbeddingTable:

@@ -156,27 +156,10 @@ def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:
     }
 
 
-def pool_fields(batch: Batch, dim: int, pool) -> np.ndarray:
-    """The pooled features of ``batch``: one (size, len(FIELDS) * dim)
-    matrix, each field's ``dim`` columns in ``FIELDS`` order.
-
-    ``pool(name, flat_ids, offsets, out)`` fills ``out``, the column block
-    of field ``name`` (``Batch.fields`` gives the other arguments).  The one
-    pooling front end: training pools through the embedding tables, folded
-    serving through ``mean_pool`` over plain weight arrays."""
-    z = np.empty((batch.size, len(FIELDS) * dim))
-    for i, (name, ids, offsets) in enumerate(batch.fields()):
-        pool(name, ids, offsets, z[:, i * dim:(i + 1) * dim])
-    return z
-
-
 def embed_and_pool(batch: Batch, tables: dict[str, EmbeddingTable]) -> np.ndarray:
-    """Mean-pool each field's embeddings through its table, in field order."""
-
-    def pool(name, ids, offsets, out):
-        out[...] = tables[name].pool(ids, offsets)
-
-    return pool_fields(batch, tables[FIELDS[0]].dim, pool)
+    """Mean-pool each field's embeddings and concatenate in field order."""
+    return np.concatenate([tables[name].pool(ids, offsets)
+                           for name, ids, offsets in batch.fields()], axis=1)
 
 
 def embed_backward(dz: np.ndarray, tables: dict[str, EmbeddingTable],

@@ -7,10 +7,9 @@ bn/pn) the frozen normalization becomes a plain per-feature affine
 shared-vs-domain split and its per-example cost does not depend on the
 number of domains.
 
-A request is scored in one pass.  Rows that all share one domain are
-scored where they lie, without a copy; mixed requests are grouped by a
-stable sort.  Each field is pooled into its column block of one feature
-matrix.  An aux net that does not read the features depends only on the
+A request is scored in one pass.  A request whose rows all share one
+domain is scored without a copy; other inputs are grouped by a stable
+sort.  An aux net that does not read the features depends only on the
 domain, so it folds to one logit per domain, computed once when the
 FoldedModel is built.  BLAS kernels can round the same example's score
 differently in the last bit at different batch shapes, which is why a
@@ -30,7 +29,7 @@ from .checkpoint import pack, unpack, write_atomic
 from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid
-from .model import Batch, ModelConfig, field_vocabs, pool_fields
+from .model import Batch, ModelConfig, field_vocabs
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 
@@ -73,17 +72,15 @@ class FoldedModel:
     def num_domains(self) -> int:
         return len(self.domains)
 
-    def _pool_field(self, name, ids, offsets, out):
-        counts = None if offsets is None else np.diff(offsets)
-        mean_pool(self.embeddings[name], ids, counts, out=out)
-
     def score_batch(self, batch: Batch) -> np.ndarray:
         p = batch.domain
         if not 1 <= p <= self.num_domains:
             raise DataError(f"unknown domain {p} (model serves 1..{self.num_domains})")
         folded = self.domains[p - 1]
-        z = pool_fields(batch, self.config.embed_dim,
-                        self._pool_field)
+        z = np.concatenate([
+            mean_pool(self.embeddings[name], ids,
+                      None if offsets is None else np.diff(offsets))
+            for name, ids, offsets in batch.fields()], axis=1)
         if folded.norm_scale is not None:
             x = z * folded.norm_scale
             x += folded.norm_shift
@@ -170,18 +167,12 @@ def _score_grouped(score_batch, data: Dataset, batch_size: int) -> np.ndarray:
     """Scores of ``data`` in input order, from one ``score_batch`` call per
     run of at most ``batch_size`` rows of one domain.
 
-    Rows that all share one domain are scored where they lie, in
-    contiguous ranges; mixed domains are grouped by a stable sort and the
-    scores scattered back."""
+    At most ``batch_size`` rows of one domain are scored as they are,
+    without a copy; otherwise rows are grouped by domain with a stable sort
+    and the scores scattered back."""
     n = len(data)
-    if n and (data.p == data.p[0]).all():
-        if n <= batch_size:
-            return score_batch(Batch(data))
-        out = np.empty(n)
-        for start in range(0, n, batch_size):
-            out[start:start + batch_size] = score_batch(
-                Batch(data[start:start + batch_size]))
-        return out
+    if n and n <= batch_size and (data.p == data.p[0]).all():
+        return score_batch(Batch(data))
     out = np.empty(n)
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1

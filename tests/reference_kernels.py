@@ -41,20 +41,17 @@ def reference_backward(table, upstream):
     table._cache = None
 
 
-def reference_mean_pool(weights, flat_ids, counts, out=None):
+def reference_mean_pool(weights, flat_ids, counts):
     """``layers.mean_pool`` by ``np.add.at`` into zeros for every slice
     length, one-id slices included (the folded scorer used to gather those
-    rows directly; both give the same bits); written into ``out`` if
-    given."""
+    rows directly; both give the same bits); ``counts=None`` means one id
+    per row."""
     counts = np.ones(flat_ids.size, dtype=np.int64) if counts is None else counts
-    pooled = np.zeros((counts.size, weights.shape[1]))
+    out = np.zeros((counts.size, weights.shape[1]))
     if flat_ids.size:
         owner = np.repeat(np.arange(counts.size), counts)
-        np.add.at(pooled, owner, weights[flat_ids])
-        pooled /= np.maximum(counts, 1)[:, None]
-    if out is None:
-        return pooled
-    out[...] = pooled
+        np.add.at(out, owner, weights[flat_ids])
+        out /= np.maximum(counts, 1)[:, None]
     return out
 
 
