@@ -138,8 +138,6 @@ def cmd_ablation(args) -> int:
         split = int(len(examples) * 0.8)
         train_examples = examples[:split]
         eval_examples = examples[split:]
-    if not eval_examples:
-        raise DataError("no evaluation examples available for the ablation")
     rows = run_ablation(config, train_examples, eval_examples)
     lines = [row.format() for row in rows]
     text = "\n".join(lines) + "\n"

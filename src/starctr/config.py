@@ -6,7 +6,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .datagen import parse_kv_text
+from .datagen import parse_kv_text, parse_value
 from .errors import ConfigError
 from .model import ModelConfig, NORMALIZERS, VARIANTS
 
@@ -17,14 +17,11 @@ def _parse_bool(value: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(value)
 
 
 def _parse_widths(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in value.split(",") if t.strip())
-    except ValueError:
-        raise ConfigError(f"bad layer widths {value!r}") from None
+    return tuple(int(t) for t in value.split(",") if t.strip())
 
 
 @dataclass
@@ -70,70 +67,32 @@ class ExperimentConfig:
         return self.buffer_capacity or 50 * self.batch_size
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant,
-            normalizer=self.normalizer,
-            aux_enabled=self.aux,
-            num_domains=self.domains,
-            embed_dim=self.embed_dim,
-            vocab_items=self.vocab_items,
-            vocab_profiles=self.vocab_profiles,
-            vocab_contexts=self.vocab_contexts,
-            layer_widths=self.layers,
-            aux_embed_dim=self.aux_embed_dim,
-            aux_hidden=self.aux_hidden,
-            aux_use_features=self.aux_use_features,
-            embed_init_scale=self.embed_init_scale,
-            momentum=self.momentum,
-            epsilon=self.epsilon,
-            seed=self.seed,
-        )
+        return ModelConfig(**{
+            f.name: getattr(self, _MODEL_KEYS.get(f.name, f.name))
+            for f in fields(ModelConfig)})
 
 
-_PARSERS = {
-    "variant": str,
-    "normalizer": str,
-    "aux": _parse_bool,
-    "layers": _parse_widths,
-    "embed_dim": int,
-    "aux_embed_dim": int,
-    "aux_hidden": int,
-    "aux_use_features": _parse_bool,
-    "embed_init_scale": float,
-    "domains": int,
-    "lr": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "buffer_capacity": int,
-    "momentum": float,
-    "epsilon": float,
-    "vocab_items": int,
-    "vocab_profiles": int,
-    "vocab_contexts": int,
-    "train_data": str,
-    "eval_data": str,
-}
+# The ModelConfig fields whose config key is spelled differently.
+_MODEL_KEYS = {"aux_enabled": "aux", "num_domains": "domains",
+               "layer_widths": "layers"}
+_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_PARSE_TYPE = {bool: _parse_bool, tuple: _parse_widths}
 
 
 def parse_experiment_config(text: str,
                             overrides: dict[str, str] | None = None
                             ) -> ExperimentConfig:
+    """The config of ``key=value`` text, with ``overrides`` applied; each
+    key is an ExperimentConfig field and parses to its default's type."""
     kv = parse_kv_text(text)
     if overrides:
         kv.update(overrides)
-    unknown = sorted(k for k in kv if k not in _PARSERS)
+    unknown = sorted(k for k in kv if k not in _TYPES)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    values = {}
-    for key, raw in kv.items():
-        try:
-            values[key] = _PARSERS[key](raw)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    config = ExperimentConfig(**values)
+    config = ExperimentConfig(**{
+        key: parse_value(key, raw, _PARSE_TYPE.get(_TYPES[key], _TYPES[key]))
+        for key, raw in kv.items()})
     config.validate()
     return config
 
@@ -149,7 +108,7 @@ def format_experiment_config(config: ExperimentConfig) -> str:
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.name == "layers":
+        if isinstance(value, tuple):
             value = ",".join(str(w) for w in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"

@@ -15,8 +15,9 @@ calibrated by bisection so the realized CTR hits the profile's target.
 from __future__ import annotations
 
 import io
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -136,9 +137,14 @@ def as_dataset(examples: "Dataset | Iterable[Example]") -> Dataset:
     return Dataset.from_examples(examples)
 
 
+def _bounded(low, high=math.inf, **kwargs):
+    """A dataclass field whose value ``validate`` keeps in [low, high]."""
+    return field(metadata={"range": (low, high)}, **kwargs)
+
+
 @dataclass
 class DomainProfile:
-    traffic_share: float
+    traffic_share: float = _bounded(0.0, 1.0)
     base_ctr: float
     specificity: float = 0.6
     feature_shift: np.ndarray | None = None
@@ -147,17 +153,18 @@ class DomainProfile:
 @dataclass
 class GenConfig:
     profiles: list[DomainProfile]
-    n_examples: int = 200_000
-    seed: int = 0
-    sample_seed: int = -1        # -1: reuse seed; set differently for a holdout
-    latent_dim: int = 8
-    vocab_items: int = 4000
-    vocab_profiles: int = 1200
-    vocab_contexts: int = 50
-    behavior_mean_len: float = 4.0
-    behavior_max_len: int = 10
-    shared_weight_scale: float = 0.35
-    domain_weight_scale: float = 0.5
+    n_examples: int = _bounded(0, default=200_000)
+    seed: int = _bounded(0, default=0)
+    # -1: reuse seed; set differently for a holdout
+    sample_seed: int = _bounded(-1, default=-1)
+    latent_dim: int = _bounded(1, default=8)
+    vocab_items: int = _bounded(1, default=4000)
+    vocab_profiles: int = _bounded(1, default=1200)
+    vocab_contexts: int = _bounded(1, default=50)
+    behavior_mean_len: float = _bounded(0.0, default=4.0)
+    behavior_max_len: int = _bounded(0, default=10)
+    shared_weight_scale: float = _bounded(0.0, default=0.35)
+    domain_weight_scale: float = _bounded(0.0, default=0.5)
     # Constant added to every shared-weight coordinate: puts part of the label
     # signal on the overall feature intensity (the row mean), mimicking an
     # "engagement level" effect.
@@ -165,8 +172,9 @@ class GenConfig:
     # Rank of the per-domain deviation weights.  0 draws each domain's
     # deviation independently; r > 0 draws them from a shared r-dimensional
     # subspace (domains deviate in related directions, as related business
-    # domains do), scaled to keep the same total deviation energy.
-    domain_rank: int = 2
+    # domains do), scaled to keep the same total deviation energy.  At most
+    # 4 * latent_dim, the dimension of the space.
+    domain_rank: int = _bounded(0, default=2)
 
     @property
     def num_domains(self) -> int:
@@ -177,8 +185,19 @@ class GenConfig:
         return self.seed if self.sample_seed < 0 else self.sample_seed
 
     def validate(self):
+        """Raise ConfigError, naming the config file key, for a value out of
+        range (CalibrationError for a base_ctr outside (0, 1))."""
         if not self.profiles:
             raise ConfigError("at least one domain profile required")
+        for key, f in _GEN_FIELDS.items():
+            _check_value(key, getattr(self, f.name), f)
+        if self.domain_rank > 4 * self.latent_dim:
+            raise ConfigError(f"domain_rank must be <= 4 * latent_dim = "
+                              f"{4 * self.latent_dim}, got {self.domain_rank}")
+        for i, p in enumerate(self.profiles, start=1):
+            for name, f in _PROFILE_FIELDS.items():
+                if f.default is not None:
+                    _check_value(f"domain.{i}.{name}", getattr(p, name), f)
         shares = np.array([p.traffic_share for p in self.profiles])
         if abs(shares.sum() - 1.0) > 1e-9:
             raise ConfigError(f"traffic shares sum to {shares.sum()}, not 1")
@@ -187,10 +206,13 @@ class GenConfig:
                 raise CalibrationError(
                     f"domain {i}: base_ctr {p.base_ctr} outside (0, 1)"
                 )
-            if p.feature_shift is not None and len(p.feature_shift) != self.latent_dim:
+            shift = p.feature_shift
+            if shift is not None and (len(shift) != self.latent_dim
+                                      or not np.isfinite(shift).all()):
                 raise ConfigError(
-                    f"domain {i}: feature_shift length {len(p.feature_shift)} "
-                    f"!= latent_dim {self.latent_dim}"
+                    f"domain.{i}.feature_shift must be {self.latent_dim} "
+                    f"(latent_dim) finite floats, got "
+                    f"{np.asarray(shift, dtype=float).tolist()}"
                 )
 
 
@@ -504,7 +526,9 @@ def parse_example(line: str, lineno: int = 0) -> Example:
 # arrays; every other line goes through parse_example.
 _CANONICAL_LINE = (rb"[1-9]\d{0,17}\t[01]\tbehavior:(?:\d{1,18}(?:,\d{1,18})*)?"
                    rb"\tprofile:\d{1,18}\titem:\d{1,18}\tctx:\d{1,18}\n")
-_CANONICAL_RUN = re.compile(rb"(?:" + _CANONICAL_LINE + rb")*")
+# Possessive: a run never gives lines back, so ``re`` keeps no backtracking
+# state per line matched.
+_CANONICAL_RUN = re.compile(rb"(?:" + _CANONICAL_LINE + rb")*+")
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 _READ_BYTES = 1 << 20
 _INT64 = range(-2 ** 63, 2 ** 63)
@@ -598,26 +622,48 @@ def read_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Generator config file: flat key=value, one DomainProfile per domain.N.*
+# Generator config file: flat key=value.  The keys are "domains" (the number
+# of profiles), the GenConfig field names ("examples" for n_examples) and
+# domain.<i>.<field> for each DomainProfile field; each value parses to the
+# type of its field's default (a float for a required field, comma-separated
+# floats for feature_shift).
 # ---------------------------------------------------------------------------
 
-_GEN_SCALARS = {
-    "examples": ("n_examples", int),
-    "seed": ("seed", int),
-    "sample_seed": ("sample_seed", int),
-    "latent_dim": ("latent_dim", int),
-    "vocab_items": ("vocab_items", int),
-    "vocab_profiles": ("vocab_profiles", int),
-    "vocab_contexts": ("vocab_contexts", int),
-    "behavior_mean_len": ("behavior_mean_len", float),
-    "behavior_max_len": ("behavior_max_len", int),
-    "shared_weight_scale": ("shared_weight_scale", float),
-    "domain_weight_scale": ("domain_weight_scale", float),
-    "weight_mean_shift": ("weight_mean_shift", float),
-    "domain_rank": ("domain_rank", int),
-}
+_GEN_FIELDS = {("examples" if f.name == "n_examples" else f.name): f
+               for f in fields(GenConfig) if f.name != "profiles"}
+_PROFILE_FIELDS = {f.name: f for f in fields(DomainProfile)}
 
-_PROFILE_KEYS = ("traffic_share", "base_ctr", "specificity", "feature_shift")
+
+def _check_value(key: str, value, f):
+    low, high = f.metadata.get("range", (-math.inf, math.inf))
+    if not ((isinstance(value, int) or math.isfinite(value))
+            and low <= value <= high):
+        raise ConfigError(f"{key} must be finite and within [{low}, {high}], "
+                          f"got {value!r}")
+
+
+def _parse_shift(value: str) -> np.ndarray | None:
+    return np.array([float(t) for t in value.split(",")]) if value else None
+
+
+def _parser(f):
+    if f.default is None:
+        return _parse_shift
+    return float if f.default is MISSING else type(f.default)
+
+
+def _format_value(f, value) -> str:
+    if f.default is None:
+        return ",".join(repr(float(v)) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(key: str, raw: str, parse):
+    """``parse(raw)``, with a ValueError reported as a bad value for ``key``."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -638,72 +684,48 @@ def parse_gen_config(text: str) -> GenConfig:
     kv = parse_kv_text(text)
     if "domains" not in kv:
         raise ConfigError("missing required key 'domains'")
-    m = int(kv.pop("domains"))
+    m = parse_value("domains", kv.pop("domains"), int)
     kwargs = {}
-    domain_kv: dict[int, dict[str, str]] = {i: {} for i in range(1, m + 1)}
+    domain_kv: dict[int, dict] = {}
     unknown = []
     for key, value in kv.items():
-        if key in _GEN_SCALARS:
-            attr, conv = _GEN_SCALARS[key]
-            kwargs[attr] = conv(value)
-        elif key.startswith("domain."):
-            parts = key.split(".", 2)
-            if len(parts) != 3 or not parts[1].isdigit() \
-                    or parts[2] not in _PROFILE_KEYS:
-                unknown.append(key)
-                continue
-            idx = int(parts[1])
+        prefix, _, rest = key.partition(".")
+        index, _, name = rest.partition(".")
+        if key in _GEN_FIELDS:
+            f = _GEN_FIELDS[key]
+            kwargs[f.name] = parse_value(key, value, _parser(f))
+        elif (prefix == "domain" and index.isdecimal()
+              and name in _PROFILE_FIELDS):
+            idx = int(index)
             if not 1 <= idx <= m:
                 raise ConfigError(f"domain index {idx} outside 1..{m} in {key!r}")
-            domain_kv[idx][parts[2]] = value
+            domain_kv.setdefault(idx, {})[name] = parse_value(
+                key, value, _parser(_PROFILE_FIELDS[name]))
         else:
             unknown.append(key)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     profiles = []
     for i in range(1, m + 1):
-        d = domain_kv[i]
-        for required in ("traffic_share", "base_ctr"):
-            if required not in d:
-                raise ConfigError(f"domain.{i}.{required} missing")
-        shift = None
-        if "feature_shift" in d and d["feature_shift"]:
-            shift = np.array([float(t) for t in d["feature_shift"].split(",")])
-        profiles.append(DomainProfile(
-            traffic_share=float(d["traffic_share"]),
-            base_ctr=float(d["base_ctr"]),
-            specificity=float(d.get("specificity", 0.6)),
-            feature_shift=shift,
-        ))
+        d = domain_kv.get(i, {})
+        for name, f in _PROFILE_FIELDS.items():
+            if f.default is MISSING and name not in d:
+                raise ConfigError(f"domain.{i}.{name} missing")
+        profiles.append(DomainProfile(**d))
     config = GenConfig(profiles=profiles, **kwargs)
     config.validate()
     return config
 
 
 def format_gen_config(config: GenConfig) -> str:
-    buf = io.StringIO()
-    buf.write(f"domains={config.num_domains}\n")
-    buf.write(f"examples={config.n_examples}\n")
-    buf.write(f"seed={config.seed}\n")
-    buf.write(f"sample_seed={config.sample_seed}\n")
-    buf.write(f"latent_dim={config.latent_dim}\n")
-    buf.write(f"vocab_items={config.vocab_items}\n")
-    buf.write(f"vocab_profiles={config.vocab_profiles}\n")
-    buf.write(f"vocab_contexts={config.vocab_contexts}\n")
-    buf.write(f"behavior_mean_len={config.behavior_mean_len!r}\n")
-    buf.write(f"behavior_max_len={config.behavior_max_len}\n")
-    buf.write(f"shared_weight_scale={config.shared_weight_scale!r}\n")
-    buf.write(f"domain_weight_scale={config.domain_weight_scale!r}\n")
-    buf.write(f"weight_mean_shift={config.weight_mean_shift!r}\n")
-    buf.write(f"domain_rank={config.domain_rank}\n")
+    lines = [f"domains={config.num_domains}"]
+    lines += [f"{key}={_format_value(f, getattr(config, f.name))}"
+              for key, f in _GEN_FIELDS.items()]
     for i, prof in enumerate(config.profiles, start=1):
-        buf.write(f"domain.{i}.traffic_share={prof.traffic_share!r}\n")
-        buf.write(f"domain.{i}.base_ctr={prof.base_ctr!r}\n")
-        buf.write(f"domain.{i}.specificity={prof.specificity!r}\n")
-        if prof.feature_shift is not None:
-            shift = ",".join(repr(float(v)) for v in prof.feature_shift)
-            buf.write(f"domain.{i}.feature_shift={shift}\n")
-    return buf.getvalue()
+        lines += [f"domain.{i}.{name}={_format_value(f, value)}"
+                  for name, f in _PROFILE_FIELDS.items()
+                  if (value := getattr(prof, name)) is not None]
+    return "\n".join(lines) + "\n"
 
 
 def load_gen_config(path: str) -> GenConfig:

@@ -8,8 +8,9 @@ from typing import Iterator, Sequence, TextIO
 
 from .config import ExperimentConfig, with_overrides
 from .datagen import Dataset, Example, as_dataset, validate_ids
-from .errors import ConfigError, NumericError
-from .metrics import MetricReport, PredictionColumns, build_report
+from .errors import ConfigError, DataError, NumericError
+from .metrics import (MetricReport, PredictionColumns, auc_or_none,
+                      build_report)
 from .model import Batch, build_model
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, stream_batches
@@ -17,6 +18,8 @@ from .serve import score_with_model
 from .tensor import make_rng
 
 LOG_EVERY = 100
+# A batch loss above this stops the run: an uninformed model scores ln 2.
+LOSS_CEILING = 1e3
 
 
 @dataclass
@@ -80,8 +83,9 @@ def train_model(config: ExperimentConfig,
     ``examples`` is streamed through the buffer epoch by epoch, or is a
     ``BatchPlan`` of it whose batches are replayed.  Batches smaller than 2
     (possible only while the buffer drains) are skipped: batch-statistics
-    normalizers cannot consume them.  A non-finite loss stops the run with
-    a ``NumericError`` naming the step and the domain.
+    normalizers cannot consume them.  A non-finite loss, or one above
+    ``LOSS_CEILING``, stops the run with a ``NumericError`` naming the step
+    and the domain.
     """
     config.validate()
     if isinstance(examples, BatchPlan):
@@ -108,7 +112,7 @@ def train_model(config: ExperimentConfig,
             yhat = model.forward(batch, mode="train")
             loss, dlogits = bce_loss(yhat, batch.y,
                                      logits=model.last_forward.logits)
-            if not math.isfinite(loss):
+            if not math.isfinite(loss) or loss > LOSS_CEILING:
                 raise NumericError(f"loss {loss!r} at step {step + 1} "
                                    f"(domain {batch.domain}): training "
                                    f"diverged")
@@ -168,17 +172,18 @@ def run_ablation(config: ExperimentConfig,
                  log: TextIO | None = None) -> list[AblationRow]:
     """Overall AUC for the five architecture/normalizer cells, aux on and
     off; all ten train on one ``BatchPlan`` of ``train_examples``."""
-    plan = BatchPlan.build(config, train_examples)
     eval_examples = as_dataset(eval_examples)
+    if not len(eval_examples):
+        raise DataError("no evaluation examples available for the ablation")
+    plan = BatchPlan.build(config, train_examples)
     rows = []
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):
             cell = with_overrides(config, variant=variant,
                                   normalizer=normalizer, aux=aux)
-            result = train_model(cell, plan)
-            report = evaluate_model(result.model, eval_examples)
-            rows.append(AblationRow(variant, normalizer, aux,
-                                    report.overall_auc))
+            model = train_model(cell, plan).model
+            rows.append(AblationRow(variant, normalizer, aux, auc_or_none(
+                score_with_model(model, eval_examples), eval_examples.y)))
             if log is not None:
                 log.write(rows[-1].format() + "\n")
     return rows

@@ -100,6 +100,18 @@ def test_divergence_exits_4_and_writes_nothing(workspace, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def test_exploding_loss_exits_4_and_writes_nothing(workspace, tmp_path,
+                                                  capsys):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(data), str(out),
+                 "--set", "lr=1e6"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("check failure: loss ")
+    assert " at step " in err and "(domain" in err and "loss nan" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_train_eval_reproducible(workspace, tmp_path):
     root, _, exp_config, data, ckpt = workspace
     ckpt2 = tmp_path / "again.ckpt"
@@ -201,6 +213,34 @@ def test_unknown_config_key_exits_2(workspace, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed=0\nwat=1\n")
     assert main(["train", str(bad), str(data), str(tmp_path / "x.ckpt")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("examples", "abc"),
+    ("domains", "x"),
+    ("domain.1.traffic_share", "x"),
+    ("latent_dim", "0"),
+    ("vocab_items", "0"),
+    ("domain_rank", "40"),
+    ("behavior_mean_len", "-1"),
+    ("behavior_max_len", "-1"),
+    ("examples", "-5"),
+    ("domain.1.traffic_share", "1.5"),
+    ("domain.1.traffic_share", "-0.5"),
+])
+def test_bad_gen_config_value_exits_2(workspace, tmp_path, capsys, key,
+                                      value):
+    _, gen_config, _, _, _ = workspace
+    lines = [line for line in gen_config.read_text().splitlines()
+             if not line.startswith(key + "=")]
+    bad = tmp_path / "gen.cfg"
+    bad.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    out = tmp_path / "data.tsv"
+    assert main(["gen-data", str(bad), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_data_exits_3(workspace, tmp_path):

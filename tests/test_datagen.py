@@ -223,6 +223,21 @@ class TestColumnarReader:
         assert len(read_dataset(str(path))) == 201
         assert len(calls) == 1
 
+    def test_canonical_run_keeps_no_backtracking_state(self, tmp_path):
+        """Matching a run of canonical lines allocates next to nothing, so
+        the peak stays near the size of the columns."""
+        import tracemalloc
+
+        path = tmp_path / "data.tsv"
+        generate(small_config(n_examples=50_000), str(path))
+        tracemalloc.start()
+        try:
+            read_dataset(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
+
     def test_id_beyond_int64_is_a_parse_error(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text(GOOD_LINE + "1\t0\tbehavior:\tprofile:1\titem:1\t"

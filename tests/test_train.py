@@ -133,6 +133,12 @@ class TestAblation:
         with pytest.raises(ConfigError, match="batch plan"):
             train_model(tiny_config(batch_size=64), plan)
 
+    def test_empty_eval_rejected(self, tiny_data):
+        from starctr.errors import DataError
+        train, _ = tiny_data
+        with pytest.raises(DataError, match="no evaluation examples"):
+            run_ablation(tiny_config(), train[:1000], [])
+
     def test_row_format(self, tiny_data):
         train, test = tiny_data
         rows = run_ablation(tiny_config(), train[:2000], test[:800])
