@@ -6,22 +6,9 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .datagen import parse_kv_text, parse_value
+from .datagen import field_parser, format_field, parse_kv_text, parse_value
 from .errors import ConfigError
 from .model import ModelConfig, NORMALIZERS, VARIANTS
-
-
-def _parse_bool(value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(value)
-
-
-def _parse_widths(value: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in value.split(",") if t.strip())
 
 
 @dataclass
@@ -75,23 +62,22 @@ class ExperimentConfig:
 # The ModelConfig fields whose config key is spelled differently.
 _MODEL_KEYS = {"aux_enabled": "aux", "num_domains": "domains",
                "layer_widths": "layers"}
-_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-_PARSE_TYPE = {bool: _parse_bool, tuple: _parse_widths}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def parse_experiment_config(text: str,
                             overrides: dict[str, str] | None = None
                             ) -> ExperimentConfig:
     """The config of ``key=value`` text, with ``overrides`` applied; each
-    key is an ExperimentConfig field and parses to its default's type."""
+    key is an ExperimentConfig field and parses by ``field_parser``."""
     kv = parse_kv_text(text)
     if overrides:
         kv.update(overrides)
-    unknown = sorted(k for k in kv if k not in _TYPES)
+    unknown = sorted(k for k in kv if k not in _FIELDS)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     config = ExperimentConfig(**{
-        key: parse_value(key, raw, _PARSE_TYPE.get(_TYPES[key], _TYPES[key]))
+        key: parse_value(key, raw, field_parser(_FIELDS[key]))
         for key, raw in kv.items()})
     config.validate()
     return config
@@ -105,17 +91,8 @@ def load_experiment_config(path: str,
 
 
 def format_experiment_config(config: ExperimentConfig) -> str:
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(w) for w in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={format_field(getattr(config, f.name))}\n"
+                   for f in fields(config))
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -138,16 +139,20 @@ def as_dataset(examples: "Dataset | Iterable[Example]") -> Dataset:
 
 
 def _bounded(low, high=math.inf, **kwargs):
-    """A dataclass field whose value ``validate`` keeps in [low, high]."""
+    """A dataclass field whose value ``validate`` keeps finite and in
+    [low, high]."""
     return field(metadata={"range": (low, high)}, **kwargs)
 
 
 @dataclass
 class DomainProfile:
     traffic_share: float = _bounded(0.0, 1.0)
+    # No declared range: validate raises CalibrationError outside (0, 1).
     base_ctr: float
-    specificity: float = 0.6
-    feature_shift: np.ndarray | None = None
+    specificity: float = _bounded(-math.inf, default=0.6)
+    # A "vector" field's config value is comma-separated floats.
+    feature_shift: np.ndarray | None = field(default=None,
+                                             metadata={"vector": True})
 
 
 @dataclass
@@ -168,7 +173,7 @@ class GenConfig:
     # Constant added to every shared-weight coordinate: puts part of the label
     # signal on the overall feature intensity (the row mean), mimicking an
     # "engagement level" effect.
-    weight_mean_shift: float = 0.15
+    weight_mean_shift: float = _bounded(-math.inf, default=0.15)
     # Rank of the per-domain deviation weights.  0 draws each domain's
     # deviation independently; r > 0 draws them from a shared r-dimensional
     # subspace (domains deviate in related directions, as related business
@@ -196,8 +201,7 @@ class GenConfig:
                               f"{4 * self.latent_dim}, got {self.domain_rank}")
         for i, p in enumerate(self.profiles, start=1):
             for name, f in _PROFILE_FIELDS.items():
-                if f.default is not None:
-                    _check_value(f"domain.{i}.{name}", getattr(p, name), f)
+                _check_value(f"domain.{i}.{name}", getattr(p, name), f)
         shares = np.array([p.traffic_share for p in self.profiles])
         if abs(shares.sum() - 1.0) > 1e-9:
             raise ConfigError(f"traffic shares sum to {shares.sum()}, not 1")
@@ -527,8 +531,11 @@ def parse_example(line: str, lineno: int = 0) -> Example:
 _CANONICAL_LINE = (rb"[1-9]\d{0,17}\t[01]\tbehavior:(?:\d{1,18}(?:,\d{1,18})*)?"
                    rb"\tprofile:\d{1,18}\titem:\d{1,18}\tctx:\d{1,18}\n")
 # Possessive: a run never gives lines back, so ``re`` keeps no backtracking
-# state per line matched.
-_CANONICAL_RUN = re.compile(rb"(?:" + _CANONICAL_LINE + rb")*+")
+# state per line matched.  ``re`` has possessive quantifiers from Python 3.11
+# on; before that the greedy run matches the same lines but keeps that state.
+_CANONICAL_RUN = re.compile(
+    rb"(?:" + _CANONICAL_LINE
+    + (rb")*+" if sys.version_info >= (3, 11) else rb")*"))
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 _READ_BYTES = 1 << 20
 _INT64 = range(-2 ** 63, 2 ** 63)
@@ -622,11 +629,11 @@ def read_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Generator config file: flat key=value.  The keys are "domains" (the number
-# of profiles), the GenConfig field names ("examples" for n_examples) and
-# domain.<i>.<field> for each DomainProfile field; each value parses to the
-# type of its field's default (a float for a required field, comma-separated
-# floats for feature_shift).
+# Config files: flat key=value, one key per dataclass field.  Each value
+# parses to the type of its field's default (see field_parser).  In a
+# generator config the keys are "domains" (the number of profiles), the
+# GenConfig field names ("examples" for n_examples) and domain.<i>.<field>
+# for each DomainProfile field.
 # ---------------------------------------------------------------------------
 
 _GEN_FIELDS = {("examples" if f.name == "n_examples" else f.name): f
@@ -635,27 +642,58 @@ _PROFILE_FIELDS = {f.name: f for f in fields(DomainProfile)}
 
 
 def _check_value(key: str, value, f):
-    low, high = f.metadata.get("range", (-math.inf, math.inf))
+    """Raise ConfigError unless ``value`` is finite and within the range
+    field ``f`` declares; a field that declares none is not checked."""
+    if "range" not in f.metadata:
+        return
+    low, high = f.metadata["range"]
     if not ((isinstance(value, int) or math.isfinite(value))
             and low <= value <= high):
         raise ConfigError(f"{key} must be finite and within [{low}, {high}], "
                           f"got {value!r}")
 
 
-def _parse_shift(value: str) -> np.ndarray | None:
+def _parse_bool(value: str) -> bool:
+    v = value.strip().lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _parse_ints(value: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in value.split(",") if t.strip())
+
+
+def _parse_floats(value: str) -> np.ndarray | None:
     return np.array([float(t) for t in value.split(",")]) if value else None
 
 
-def _parser(f):
-    if f.default is None:
-        return _parse_shift
-    return float if f.default is MISSING else type(f.default)
+_PARSE_TYPE = {bool: _parse_bool, tuple: _parse_ints}
 
 
-def _format_value(f, value) -> str:
-    if f.default is None:
-        return ",".join(repr(float(v)) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+def field_parser(f):
+    """The parser of a config value for dataclass field ``f``: comma-separated
+    floats for a "vector" field, a float for a field with no default, else
+    the type of the default (a bool as true/false, a tuple as ints)."""
+    if f.metadata.get("vector"):
+        return _parse_floats
+    if f.default is MISSING:
+        return float
+    kind = type(f.default)
+    return _PARSE_TYPE.get(kind, kind)
+
+
+def format_field(value) -> str:
+    """A config value as the text ``field_parser`` reads back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (tuple, np.ndarray)):
+        return ",".join(map(format_field, np.asarray(value).tolist()))
+    return str(value)
 
 
 def parse_value(key: str, raw: str, parse):
@@ -693,14 +731,14 @@ def parse_gen_config(text: str) -> GenConfig:
         index, _, name = rest.partition(".")
         if key in _GEN_FIELDS:
             f = _GEN_FIELDS[key]
-            kwargs[f.name] = parse_value(key, value, _parser(f))
+            kwargs[f.name] = parse_value(key, value, field_parser(f))
         elif (prefix == "domain" and index.isdecimal()
               and name in _PROFILE_FIELDS):
             idx = int(index)
             if not 1 <= idx <= m:
                 raise ConfigError(f"domain index {idx} outside 1..{m} in {key!r}")
             domain_kv.setdefault(idx, {})[name] = parse_value(
-                key, value, _parser(_PROFILE_FIELDS[name]))
+                key, value, field_parser(_PROFILE_FIELDS[name]))
         else:
             unknown.append(key)
     if unknown:
@@ -719,11 +757,11 @@ def parse_gen_config(text: str) -> GenConfig:
 
 def format_gen_config(config: GenConfig) -> str:
     lines = [f"domains={config.num_domains}"]
-    lines += [f"{key}={_format_value(f, getattr(config, f.name))}"
+    lines += [f"{key}={format_field(getattr(config, f.name))}"
               for key, f in _GEN_FIELDS.items()]
     for i, prof in enumerate(config.profiles, start=1):
-        lines += [f"domain.{i}.{name}={_format_value(f, value)}"
-                  for name, f in _PROFILE_FIELDS.items()
+        lines += [f"domain.{i}.{name}={format_field(value)}"
+                  for name in _PROFILE_FIELDS
                   if (value := getattr(prof, name)) is not None]
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,10 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 
+from starctr import datagen
 from starctr.datagen import (
     DomainProfile,
     Example,
@@ -155,6 +159,14 @@ class TestGenConfigFile:
         with pytest.raises(ConfigError):
             parse_gen_config(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1.5"])
+    def test_base_ctr_outside_unit_interval_is_a_calibration_error(self,
+                                                                    value):
+        text = ("domains=1\ndomain.1.traffic_share=1.0\n"
+                f"domain.1.base_ctr={value}\n")
+        with pytest.raises(CalibrationError, match="base_ctr"):
+            parse_gen_config(text)
+
 
 def reference_read(path):
     """The per-line reader the columnar one replaced."""
@@ -223,6 +235,8 @@ class TestColumnarReader:
         assert len(read_dataset(str(path))) == 201
         assert len(calls) == 1
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="re has possessive quantifiers from 3.11 on")
     def test_canonical_run_keeps_no_backtracking_state(self, tmp_path):
         """Matching a run of canonical lines allocates next to nothing, so
         the peak stays near the size of the columns."""
@@ -237,6 +251,17 @@ class TestColumnarReader:
         finally:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size
+
+    def test_greedy_run_matches_the_same_lines(self):
+        """The run pattern used before Python 3.11 ends where the
+        possessive one does."""
+        greedy = re.compile(rb"(?:" + datagen._CANONICAL_LINE + rb")*")
+        good = GOOD_LINE.encode()
+        buf = (good * 3 + b"1\t1\tbehavior:\tprofile:1\titem:1\tctx:1\r\n"
+               + good * 2 + b"0\t1\tbehavior:\tprofile:1\titem:1\tctx:1\n")
+        for pos in range(len(buf)):
+            assert (greedy.match(buf, pos).end()
+                    == datagen._CANONICAL_RUN.match(buf, pos).end())
 
     def test_id_beyond_int64_is_a_parse_error(self, tmp_path):
         path = tmp_path / "data.tsv"
