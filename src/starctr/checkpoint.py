@@ -49,13 +49,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .datagen import write_atomic
 from .errors import CheckpointError, ConfigError, VersionError
 from .model import ModelConfig, build_model
 
@@ -210,19 +210,6 @@ def unpack(raw: bytes, kind: str, assemble: Callable):
     if spans:
         raise CheckpointError(f"unknown tensors: {', '.join(sorted(spans))}")
     return out
-
-
-def write_atomic(path: str, raw: bytes):
-    """Write ``raw`` to ``path`` through ``path + ".tmp"`` and a rename."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def _model_arrays(model) -> list[tuple[str, object, str]]:

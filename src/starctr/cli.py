@@ -18,9 +18,9 @@ import json
 import sys
 
 from . import __version__
-from .checkpoint import load_model, save_model, write_atomic
+from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, config_hash, load_experiment_config
-from .datagen import generate, load_gen_config, read_dataset
+from .datagen import generate, load_gen_config, read_dataset, write_atomic
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -72,9 +72,8 @@ def _write_manifest(primary_output: str, command: str, seed,
     }
     if config is not None:
         manifest["config_hash"] = config_hash(config)
-    with open(primary_output + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(primary_output + ".manifest.json", text.encode("utf-8"))
 
 
 def cmd_gen_data(args) -> int:
@@ -112,14 +111,12 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, examples)
     kv_path = args.report_out
     json_path = args.report_out + ".json"
-    with open(kv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(report.to_kv_text())
-    with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(report.to_json())
+    write_atomic(kv_path, report.to_kv_text().encode("ascii"))
+    write_atomic(json_path, report.to_json().encode("ascii"))
     outputs = [kv_path, json_path]
     if args.svg:
-        with open(args.svg, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(pcoc_scatter_svg(report.per_domain_pcoc))
+        write_atomic(args.svg,
+                     pcoc_scatter_svg(report.per_domain_pcoc).encode("ascii"))
         outputs.append(args.svg)
     _write_manifest(kv_path, "eval", model.config.seed,
                     {"checkpoint": args.checkpoint, "data": args.data},
@@ -142,8 +139,7 @@ def cmd_ablation(args) -> int:
     lines = [row.format() for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        write_atomic(args.out, text.encode("ascii"))
         inputs = {"config": args.config, "data": args.data}
         if args.eval_data:
             inputs["eval_data"] = args.eval_data

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -486,9 +488,29 @@ def _format_lines(data: Dataset) -> bytes:
     return out[1:].tobytes()
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Write ``<path>.tmp`` and rename it to ``path``; if the block raises,
+    remove it and leave ``path`` as it was.  Every output goes through here."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_atomic(path: str, raw: bytes):
+    with atomic_open(path) as fh:
+        fh.write(raw)
+
+
 def write_dataset(examples: "Dataset | Iterable[Example]", path: str):
     data = as_dataset(examples)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         for start in range(0, len(data), _WRITE_ROWS):
             fh.write(_format_lines(data[start:start + _WRITE_ROWS]))
 

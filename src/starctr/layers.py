@@ -4,9 +4,9 @@ Layers follow one protocol: ``forward`` caches whatever the matching
 ``backward`` needs, ``backward`` takes dL/d(output), fills parameter
 gradients, and returns dL/d(input).  Gradients accumulate across calls until
 ``zero_grad``.  A ``Param`` carries a ``touched`` flag and an embedding table
-a per-row ``touched`` mask: set by the first backward that writes the
-gradient, cleared by ``zero_grad``, so the optimizer can tell "zero gradient"
-from "not on the compute path".  An untouched gradient is all zeros.
+the sorted ``grad_rows`` it wrote: set by backward, cleared by
+``zero_grad``, so the optimizer can tell "zero gradient" from "not on the
+compute path".  An untouched gradient is all zeros.
 
 A model keeps every trainable array in one ``Arena``: a flat float64
 ``values`` vector and a flat ``grads`` vector, of which each ``Param.value``
@@ -22,8 +22,6 @@ M for pn, 1 for bn.  Both normalizers and ``LayerNorm`` take the same calls:
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -78,11 +76,11 @@ class Arena:
 
     Each ``Param.value``/``grad`` and ``EmbeddingTable.weights``/``grad``
     becomes a view of its span and keeps its contents; gradients start at
-    zero.  Each table's ``touched`` becomes a view of one row mask over all
-    tables.  The optimizer keeps its moments in vectors of the same layout.
-    The owners refer to the arena and the arena holds only arrays, so no
-    reference cycle keeps a dropped model's arrays alive until the cycle
-    collector runs.
+    zero, so no ``Param`` is touched and no table has ``grad_rows``.  The
+    optimizer keeps its moments in vectors of the same layout.  The owners
+    refer to the arena and the arena holds only arrays, so no reference
+    cycle keeps a dropped model's arrays alive until the cycle collector
+    runs.
     """
 
     def __init__(self, params: list["Param"],
@@ -105,38 +103,8 @@ class Arena:
             start = span.stop
         for p in params:
             p.touched = False
-        # Consecutive tables of one width form a block of rows: one
-        # flatnonzero over its part of the row mask finds its touched rows.
-        touched = np.zeros(sum(t.vocab_size for t in tables), dtype=bool)
-        self._blocks = []       # (row mask, gradient rows, offset, columns)
-        row = 0
-        for dim, group in itertools.groupby(tables, lambda t: t.dim):
-            group = list(group)
-            rows = sum(t.vocab_size for t in group)
-            first = group[0].start
-            self._blocks.append((
-                touched[row:row + rows],
-                self.grads[first:first + rows * dim].reshape(rows, dim),
-                first, np.arange(dim)))
-            for t in group:
-                t.touched = touched[row:row + t.vocab_size]
-                row += t.vocab_size
-
-    def row_index(self) -> np.ndarray:
-        """Offsets of every value in a touched table row, ascending."""
-        parts = [np.zeros(0, dtype=np.int64)]
-        for mask, _, first, cols in self._blocks:
-            rows = np.flatnonzero(mask)
-            parts.append(np.add.outer(rows * cols.size + first, cols).ravel())
-        return np.concatenate(parts)
-
-    def clear_rows(self):
-        """Zero the gradient of every touched table row and clear its mark:
-        ``zero_grad`` for all tables at once."""
-        for mask, grad_rows, _, _ in self._blocks:
-            rows = np.flatnonzero(mask)
-            grad_rows[rows] = 0.0
-            mask[rows] = False
+        for t in tables:
+            t.grad_rows = _NO_ROWS
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -196,19 +164,25 @@ def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
     return out
 
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
 class EmbeddingTable:
     """Dense embedding matrix with sparse gradient accumulation.
 
     Lookups are batched: ``pool(flat_ids, offsets)`` mean-pools the rows for
     each example's slice of ``flat_ids`` (an empty slice pools to a zero
-    vector).  Backward accumulates gradients only into looked-up rows.
+    vector).  Backward accumulates gradients only into looked-up rows, and
+    ``grad_rows`` holds those rows, sorted and unique (int64), until
+    ``zero_grad`` zeros them and empties it.
 
     Both directions are one ``bincount`` segment sum: ``mean_pool`` forward,
-    a sum by id backward.  Sums run in occurrence order from 0.0, so with
-    one backward per ``zero_grad`` the output and the gradient are bitwise
-    equal to the unbuffered scatter-add (``ufunc.at`` on ``np.add``).  Two
-    backward calls without ``zero_grad`` accumulate as ``g + (a + b)``, not
-    ``(g + a) + b``.
+    a sum by id over the looked-up rows backward.  Sums run in occurrence
+    order from 0.0, so with one backward per ``zero_grad`` the output and
+    the gradient are bitwise equal to the unbuffered scatter-add
+    (``ufunc.at`` on ``np.add``).  Two backward calls without ``zero_grad``
+    accumulate as ``g + (a + b)``, not ``(g + a) + b``.
     """
 
     def __init__(self, vocab_size: int, dim: int, rng=None, init_scale: float = 0.1,
@@ -220,7 +194,7 @@ class EmbeddingTable:
             rng = make_rng(0)
         self.weights = rng.normal(0.0, init_scale, size=(vocab_size, dim))
         self.grad = np.zeros((vocab_size, dim))
-        self.touched = np.zeros(vocab_size, dtype=bool)
+        self.grad_rows = _NO_ROWS
         self.arena = None
         self.start = 0
         self._cache = None
@@ -259,25 +233,29 @@ class EmbeddingTable:
             if counts is not None:
                 scaled = np.repeat(upstream / np.maximum(counts, 1)[:, None],
                                    counts, axis=0)
-            self.grad += _segment_sum(flat_ids, scaled, self.vocab_size)
-            self.touched[flat_ids] = True
+            # Number the distinct ids in order: a byte mask, then a lookup.
+            seen = np.zeros(self.vocab_size, dtype=bool)
+            seen[flat_ids] = True
+            rows = np.flatnonzero(seen)
+            slot = np.empty(self.vocab_size, dtype=np.int64)
+            slot[rows] = np.arange(rows.size)
+            self.grad[rows] += _segment_sum(slot[flat_ids], scaled, rows.size)
+            self._mark(rows)
         self._cache = None
 
     def add_row_grad(self, row: int, g: np.ndarray):
         """Accumulate a gradient into a single row (used by the aux network)."""
         self.grad[row] += g
-        self.touched[row] = True
+        self._mark(np.array([row], dtype=np.int64))
 
-    @property
-    def grad_rows(self) -> np.ndarray:
-        """The touched rows, ascending."""
-        return np.flatnonzero(self.touched)
+    def _mark(self, rows: np.ndarray):
+        """Merge ``rows`` (sorted, unique) into ``grad_rows``."""
+        self.grad_rows = (np.union1d(self.grad_rows, rows)
+                          if self.grad_rows.size else rows)
 
     def zero_grad(self):
-        rows = self.grad_rows
-        if rows.size:
-            self.grad[rows] = 0.0
-            self.touched[rows] = False
+        self.grad[self.grad_rows] = 0.0
+        self.grad_rows = _NO_ROWS
 
 
 class FcLayer:

@@ -28,6 +28,7 @@ statistics are kept one per partition: M for pn, 1 for bn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,6 +101,14 @@ class ModelConfig:
                 f"sizes must be >= 1: {small or self.layer_widths}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, ok, rule in (
+                ("embed_init_scale", self.embed_init_scale >= 0, ">= 0"),
+                ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
+                ("epsilon", self.epsilon > 0, "> 0")):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ConfigError(
+                    f"{name} must be finite and {rule}, got {value!r}")
 
 
 class Batch(Dataset):
@@ -428,7 +437,8 @@ class _CtrNet:
     def zero_grad(self):
         for p in self._params:
             p.zero_grad()
-        self.arena.clear_rows()
+        for t in self.embedding_tables():
+            t.zero_grad()
 
     def param_count(self) -> int:
         dense = sum(p.value.size for p in self.params())

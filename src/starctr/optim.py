@@ -43,7 +43,8 @@ class Adam:
     step updates the touched values only: each run of adjacent touched
     dense ``Param`` spans in place (a model's arena is laid out by owner,
     so a step has at most two: shared, then the batch's domain), and the
-    touched rows of every embedding table gathered by one index.
+    ``grad_rows`` of every embedding table gathered by one index, which
+    holds each value once.
     Untouched parameters and rows keep their values and moments bitwise (no
     decay), which is what keeps untouched domains isolated and makes
     embedding updates lazy, the usual trade made by sparse trainers.  Per
@@ -120,19 +121,22 @@ class Adam:
 
     def step(self, params: list[Param], tables: list[EmbeddingTable] = ()):
         """One optimization step over dense params and embedding tables,
-        all views of one arena; ``tables`` must be every table of it."""
+        all views of one arena; ``tables`` must hold every table of it
+        once."""
         if self.arena is None:
             self._bind(params or tables)
         arena = self.arena
         runs = self._dense_runs(params)
-        if len(tables) != arena.num_tables or any(
-                t.arena is not arena for t in tables):
+        if len(tables) != arena.num_tables or len(
+                {id(t) for t in tables if t.arena is arena}) != len(tables):
             raise ContractViolation("Adam steps every embedding table of its "
-                                    "arena, and only those")
+                                    "arena once, and only those")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        idx = arena.row_index()
+        idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.add.outer(t.grad_rows * t.dim + t.start,
+                         np.arange(t.dim)).ravel() for t in tables])
         work = self._scratch(max([idx.size] + [hi - lo for lo, hi in runs]))
         for lo, hi in runs:
             arena.values[lo:hi] -= self._update(
@@ -143,4 +147,4 @@ class Adam:
             upd = self._update(g, m, v, c1, c2)
             self.m[idx] = m
             self.v[idx] = v
-            np.subtract.at(arena.values, idx, upd)
+            arena.values[idx] -= upd

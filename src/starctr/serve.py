@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import pack, unpack, write_atomic
-from .datagen import Dataset, Example, as_dataset, read_dataset, validate_ids
+from .checkpoint import pack, unpack
+from .datagen import (Dataset, Example, as_dataset, atomic_open, read_dataset,
+                      validate_ids, write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid
 from .model import Batch, ModelConfig, field_vocabs
@@ -216,7 +217,7 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
                   for row, lineno in zip(first, _line_numbers(data_path, first))]
         data = data.take(np.flatnonzero(served))
     yhat = _score_grouped(folded.score_batch, data, batch_size)
-    with open(out_path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(out_path, "w", encoding="ascii", newline="\n") as fh:
         for user, p, prob, y in zip(data.profile.tolist(), data.p.tolist(),
                                     yhat, data.y.tolist()):
             fh.write(_PRED_FMT.format(user=user, p=p, yhat=prob, y=y))

@@ -37,7 +37,7 @@ def reference_backward(table, upstream):
         scaled = upstream / np.maximum(counts, 1)[:, None]
         owner = np.repeat(np.arange(counts.size), counts)
         np.add.at(table.grad, flat_ids, scaled[owner])
-        table.touched[flat_ids] = True
+        table.grad_rows = np.union1d(table.grad_rows, flat_ids)
     table._cache = None
 
 

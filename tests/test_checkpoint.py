@@ -11,7 +11,7 @@ from container_bytes import (
     set_config,
     split,
 )
-from starctr import checkpoint
+from starctr import datagen
 from starctr.checkpoint import deserialize, load_model, save_model, serialize
 from starctr.errors import CheckpointError, VersionError
 from starctr.gradcheck import random_examples, tiny_model_config
@@ -287,7 +287,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save):
     path = tmp_path / "out.bin"
     save(trained_model(steps=2), str(path))
     before = path.read_bytes()
-    monkeypatch.setattr(checkpoint, "open",
+    monkeypatch.setattr(datagen, "open",
                         lambda file, mode: _HalfWrite(open(file, mode)),
                         raising=False)
     with pytest.raises(OSError, match="no space"):

@@ -89,6 +89,23 @@ def test_bad_lr_exits_2(workspace, tmp_path, capsys, lr):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,rule", [
+    ("embed_init_scale", "-1", "finite and >= 0"),
+    ("embed_init_scale", "inf", "finite and >= 0"),
+    ("momentum", "nan", "finite and in [0, 1]"),
+    ("momentum", "2", "finite and in [0, 1]"),
+    ("epsilon", "0", "finite and > 0"),
+])
+def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value,
+                                 rule):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(data), str(out),
+                 "--set", f"{key}={value}"]) == 2
+    assert f"{key} must be {rule}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_divergence_exits_4_and_writes_nothing(workspace, tmp_path, capsys):
     _, _, exp_config, data, _ = workspace
     out = tmp_path / "m.ckpt"

@@ -133,6 +133,44 @@ class TestDatasetFormat:
             parse_example("1\t0\tbehavior:1\tuser:1\titem:1\tctx:1", 3)
 
 
+class TestAtomicWrites:
+    """A write that raises partway leaves the previous file byte for byte
+    and no ``<path>.tmp``."""
+
+    def test_atomic_open_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError):
+            with datagen.atomic_open(str(path)) as fh:
+                fh.write(b"half of the new ")
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        datagen.write_atomic(str(path), b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_write_dataset_failing_partway(self, tmp_path, monkeypatch):
+        examples = generate_examples(small_config(n_examples=2_000)).examples
+        path = tmp_path / "d.tsv"
+        write_dataset(examples, str(path))
+        before = path.read_bytes()
+        format_lines, calls = datagen._format_lines, []
+
+        def failing(data):
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format_lines(data)
+
+        monkeypatch.setattr(datagen, "_WRITE_ROWS", 100)
+        monkeypatch.setattr(datagen, "_format_lines", failing)
+        with pytest.raises(OSError):
+            write_dataset(examples[:500], str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv"]
+
+
 class TestGenConfigFile:
     def test_round_trip(self):
         config = small_config()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestEmbeddingKernel:
             table.backward(upstream)
             reference_backward(ref, upstream.copy())
             assert table.grad.tobytes() == ref.grad.tobytes()
-            assert np.array_equal(table.touched, ref.touched)
+            assert np.array_equal(table.grad_rows, ref.grad_rows)
             table.zero_grad()
             ref.zero_grad()
 
@@ -136,7 +138,7 @@ class TestEmbeddingKernel:
         none.backward(upstream)
         unit.backward(upstream)
         assert none.grad.tobytes() == unit.grad.tobytes()
-        assert np.array_equal(none.touched, unit.touched)
+        assert np.array_equal(none.grad_rows, unit.grad_rows)
 
     def test_second_backward_adds_its_sum_to_the_gradient(self):
         table = EmbeddingTable(5, 2, rng=make_rng(0), name="f")
@@ -149,6 +151,44 @@ class TestEmbeddingKernel:
         table.pool(flat, offsets)
         table.backward(upstream)
         assert np.array_equal(table.grad, first + first)
+
+
+class TestGradRows:
+    """``grad_rows``: the sorted rows written since ``zero_grad``."""
+
+    def test_backwards_and_row_grad_merge_into_sorted_union(self):
+        table = EmbeddingTable(12, 3, rng=make_rng(0), name="f")
+        assert table.grad_rows.tolist() == []
+        table.pool(np.array([7, 2, 7, 9]), np.array([0, 1, 4]))
+        table.backward(np.ones((2, 3)))
+        table.pool(np.array([5, 2, 0]), None)
+        table.backward(np.ones((3, 3)))
+        table.add_row_grad(11, np.ones(3))
+        assert table.grad_rows.dtype == np.int64
+        assert table.grad_rows.tolist() == [0, 2, 5, 7, 9, 11]
+        written = np.flatnonzero(table.grad.any(axis=1))
+        assert written.tolist() == [0, 2, 5, 7, 9, 11]
+        table.zero_grad()
+        assert not table.grad.any()
+        assert table.grad_rows.tolist() == []
+
+    def test_backward_memory_scales_with_touched_rows(self):
+        """One backward over 4,096 ids of a 400,000-row table allocates far
+        less than the table: no (vocab, dim) temporary."""
+        table = EmbeddingTable(400_000, 8, rng=make_rng(0), name="f")
+        rng = make_rng(1)
+        flat = rng.integers(0, 400_000, size=4_096)
+        offsets = np.arange(0, 4_097, 4)
+        upstream = rng.normal(size=(1_024, 8))
+        table.pool(flat, offsets)
+        tracemalloc.start()
+        try:
+            table.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.weights.nbytes / 4
+        assert np.array_equal(table.grad_rows, np.unique(flat))
 
 
 class TestSigmoid:

@@ -122,6 +122,14 @@ class TestAdam:
         with pytest.raises(ContractViolation, match="every embedding table"):
             Adam().step(model.params(), model.embedding_tables()[:2])
 
+    def test_a_table_listed_twice_rejected(self):
+        """A list of the arena's length that repeats one table and drops
+        another would step the repeated rows once and skip the dropped."""
+        model = build_model(tiny_model_config())
+        tables = model.embedding_tables()
+        with pytest.raises(ContractViolation, match="every embedding table"):
+            Adam().step(model.params(), [tables[0]] + tables[:1] + tables[2:])
+
 
 class TestSparseAdam:
     def test_lazy_equals_dense_for_touched_rows(self):
@@ -135,7 +143,7 @@ class TestSparseAdam:
             g = make_rng(step, stream=50).normal(size=(6, 3))
             # every row gets a nonzero gradient each step
             table.grad[:] = g
-            table.touched[:] = True
+            table.grad_rows = np.arange(6)
             opt_sparse.step([], [table])
             set_grad(dense, g)
             opt_dense.step([dense])

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from starctr import serve
 from starctr.checkpoint import serialize
 from starctr.datagen import Example, as_dataset, write_dataset
 from starctr.errors import DataError, FoldError
@@ -263,6 +264,30 @@ class TestScoreFile:
         # 17 significant digits recorded
         first_line = out.read_text().splitlines()[0]
         assert len(first_line.split("\t")[2].replace(".", "").lstrip("0")) >= 15
+
+    def test_failing_partway_keeps_previous_output(self, tmp_path,
+                                                  monkeypatch):
+        model = small_trained_model()
+        data = tmp_path / "d.tsv"
+        write_dataset(random_eval_examples(model.config, 10), str(data))
+        out = tmp_path / "p.tsv"
+        out.write_bytes(b"previous\n")
+        fmt = serve._PRED_FMT
+
+        class FailingFormat:
+            calls = 0
+
+            def format(self, **row):
+                self.calls += 1
+                if self.calls == 3:
+                    raise OSError("disk full")
+                return fmt.format(**row)
+
+        monkeypatch.setattr(serve, "_PRED_FMT", FailingFormat())
+        with pytest.raises(OSError):
+            score_file(fold(model), str(data), str(out))
+        assert out.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.tsv", "p.tsv"]
 
     def test_unknown_domain_counted(self, tmp_path):
         model = small_trained_model(num_domains=2)
