@@ -9,7 +9,8 @@ import numpy as np
 
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import Batch, build_model, star_layer_params
-from starctr.optim import Adam, bce_loss
+from starctr.optim import Adam
+from starctr.train import train_step
 
 
 def main():
@@ -36,15 +37,10 @@ def main():
           f"max diff {np.abs(out1 - out2).max():.1e}")
 
     print("\nten optimizer steps on domain-1 batches:")
-    opt = Adam(lr=0.01)
+    opt = Adam(model.arena, lr=0.01)
     for step in range(10):
-        batch = Batch.from_examples(random_examples(16, config, 1,
-                                                    seed=50 + step))
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, Batch.from_examples(
+            random_examples(16, config, 1, seed=50 + step)))
     drift1 = np.abs(model.fcn.domain[0][0].W.value - 1.0).max()
     drift2 = np.abs(model.fcn.domain[1][0].W.value - 1.0).max()
     print(f"  domain-1 mask drift from ones: {drift1:.4f}")

@@ -13,8 +13,9 @@ import numpy as np
 
 from starctr.gradcheck import random_examples
 from starctr.model import Batch, ModelConfig, build_model
-from starctr.optim import Adam, bce_loss
+from starctr.optim import Adam
 from starctr.serve import fold, score_with_model
+from starctr.train import train_step
 
 
 def main():
@@ -23,16 +24,12 @@ def main():
                          vocab_items=1000, vocab_profiles=300,
                          vocab_contexts=20, layer_widths=(64, 32, 1), seed=1)
     model = build_model(config)
-    opt = Adam()
+    opt = Adam(model.arena)
     for step in range(60):
         domain = 1 + step % 5
         batch = Batch.from_examples(random_examples(64, config, domain,
                                                     seed=step))
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, batch)
 
     folded = fold(model)
     examples = []

@@ -54,7 +54,7 @@ from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, iter_batches, stream_batches
 from .serve import FoldedModel, fold, load_folded, save_folded, score_file
 from .tensor import grad_check, make_rng
-from .train import evaluate_model, run_ablation, train_model
+from .train import evaluate_model, run_ablation, train_model, train_step
 
 __all__ = [
     "Adam", "AuxNet", "Batch", "Dataset",
@@ -69,5 +69,5 @@ __all__ = [
     "parse_experiment_config", "pcoc", "read_dataset",
     "run_ablation", "run_gradchecks", "save_folded", "save_model",
     "score_file", "sigmoid", "star_layer_params", "stream_batches",
-    "train_model", "weighted_auc", "write_dataset",
+    "train_model", "train_step", "weighted_auc", "write_dataset",
 ]

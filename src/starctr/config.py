@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 from .datagen import field_parser, format_field, parse_kv_text, parse_value
 from .errors import ConfigError
-from .model import ModelConfig, NORMALIZERS, VARIANTS
+from .model import ModelConfig
 
 
 @dataclass
@@ -33,14 +33,10 @@ class ExperimentConfig:
     vocab_items: int = 4000
     vocab_profiles: int = 1200
     vocab_contexts: int = 50
-    train_data: str = ""
-    eval_data: str = ""
 
     def validate(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.normalizer not in NORMALIZERS:
-            raise ConfigError(f"unknown normalizer {self.normalizer!r}")
+        """Check the training settings here and the model's in
+        ``ModelConfig.validate``."""
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
         if self.epochs < 1:

@@ -823,3 +823,13 @@ def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
                           if not 0 <= v < vocab)
             raise DataError(f"example {i + 1}: {field_name} id outside "
                             f"vocab: {bad_id} not in [0, {vocab})")
+
+
+def validate_domains(data: Dataset, num_domains: int):
+    """Raise DataError naming the first example (1-based) whose domain is
+    outside ``1..num_domains``."""
+    bad = (data.p < 1) | (data.p > num_domains)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
+                        f"(model serves 1..{num_domains})")

@@ -174,10 +174,8 @@ def check_model(config: ModelConfig, batch_size: int = 4,
     theta0 = values.copy()
 
     def loss_value():
-        yhat = model.forward(batch, mode="train", update_stats=False)
-        loss, dlogits = bce_loss(yhat, batch.y,
-                                 logits=model.last_forward.logits)
-        return loss, dlogits
+        return bce_loss(model.forward(batch, mode="train", update_stats=False),
+                        batch.y)
 
     def f(theta):
         values[...] = theta

@@ -42,27 +42,19 @@ def prediction_columns(predictions: PredictionColumns | Iterable[Prediction]
 def auc(scores, labels) -> float:
     """Rank-based (Mann-Whitney) AUC; tied scores contribute midranks.
 
-    Raises UndefinedAucError when the group has a single class.
+    Raises UndefinedAucError when the group has a single class.  The value
+    is ``_group_aucs`` of one group.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     n = scores.size
     npos = int(labels.sum())
-    nneg = n - npos
-    if npos == 0 or nneg == 0:
+    if npos == 0 or npos == n:
         raise UndefinedAucError(
             f"single-class group ({npos} positives of {n})"
         )
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    change = np.nonzero(np.diff(s))[0]
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [n]))
-    mid = (starts + ends + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(mid, ends - starts)
-    pos_rank_sum = ranks[labels == 1].sum()
-    return (pos_rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg)
+    _, _, values = _group_aucs((np.zeros(n, dtype=np.int8),), scores, labels)
+    return values[0]
 
 
 def auc_or_none(scores, labels) -> float | None:
@@ -87,7 +79,8 @@ def weighted_auc(predictions: PredictionColumns | Iterable[Prediction]
 
 def _group_aucs(keys: tuple[np.ndarray, ...], yhat: np.ndarray, y: np.ndarray
                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """AUC of every group of rows with equal keys, as ``auc`` computes it.
+    """AUC of every group of rows with equal keys: the one rank kernel
+    behind ``auc``, the per-domain and the per-user AUCs.
 
     Returns each group's keys, size and AUC (NaN for a single-class group),
     groups in ascending key order, the first key most significant.  Ranks
@@ -222,6 +215,7 @@ def build_report(predictions: PredictionColumns | Iterable[Prediction]
         raise DataError(f"prediction {bad!r} outside (0, 1)")
     overall = auc_or_none(yhat, y)
     wauc, used, excluded = weighted_auc_detail(cols)
+    (domain_of,), domain_sizes, domain_aucs = _group_aucs((domains,), yhat, y)
     # Per-user AUC within each domain: (domain, user) grouping.
     (group_domain, _), group_sizes, group_aucs = _group_aucs(
         (domains, cols.user), yhat, y)
@@ -229,10 +223,11 @@ def build_report(predictions: PredictionColumns | Iterable[Prediction]
     per_wauc: dict[int, float | None] = {}
     per_pcoc: dict[int, float | None] = {}
     per_count: dict[int, int] = {}
-    for p in np.unique(domains).tolist():
+    for p, size, p_auc in zip(domain_of.tolist(), domain_sizes.tolist(),
+                              domain_aucs):
         mask = domains == p
-        per_count[p] = int(mask.sum())
-        per_auc[p] = auc_or_none(yhat[mask], y[mask])
+        per_count[p] = size
+        per_auc[p] = None if np.isnan(p_auc) else p_auc
         in_domain = group_domain == p
         value, used_p, _ = _weighted_mean(group_sizes[in_domain],
                                           group_aucs[in_domain])

@@ -17,8 +17,10 @@ only from their own domain's batches.
 All variants share the same embedding front-end (one table per field, mean
 pooling, concatenation), a configurable normalizer (bn / ln / pn), and an
 optional auxiliary network that embeds the domain indicator, concatenates it
-with the raw pooled features, and adds its scalar output to the main logit
-before the sigmoid.
+with the raw pooled features, and adds its scalar output to the main logit.
+A model's ``forward`` returns these logits; the loss and the scorers apply
+the sigmoid.  The aux net runs exactly when the model has one
+(``config.aux_enabled``).
 
 The normalizer is ln (``LayerNorm``) or a ``PartitionedNorm``: pn keeps
 moving statistics and a domain affine per domain, and bn is the same class
@@ -44,7 +46,6 @@ from .layers import (
     Param,
     PartitionedNorm,
     relu,
-    sigmoid,
     _acc,
 )
 from .tensor import make_rng
@@ -335,18 +336,10 @@ class AuxNet:
         return self.fc1.params() + self.fc2.params()
 
 
-@dataclass
-class ForwardState:
-    s_main: np.ndarray
-    s_aux: np.ndarray | None
-    logits: np.ndarray
-    mode: str
-    domain: int
-
-
 class _CtrNet:
     """The model of every variant: embeddings -> normalizer -> trunk (+ aux)
-    -> sigmoid.
+    -> logits.  The loss (``optim.bce_loss``) and the scorers apply the
+    sigmoid.
 
     A model instance has a single writer during training (forward caches are
     instance state); after training, inference-mode calls are read-only.
@@ -366,7 +359,6 @@ class _CtrNet:
                            config.num_domains,
                            rng=make_rng(config.seed, stream=20),
                            variant=config.variant)
-        self.aux_enabled = config.aux_enabled
         if config.aux_enabled:
             feature_dim = config.input_dim if config.aux_use_features else 0
             self.aux = AuxNet(config.num_domains, config.aux_embed_dim,
@@ -384,10 +376,16 @@ class _CtrNet:
         owned = set(map(id, domains))
         shared = [q for q in self._params if id(q) not in owned]
         self.arena = Arena(shared + domains, self.embedding_tables())
-        self.last_forward: ForwardState | None = None
+        self._mode: str | None = None   # the mode of the pending forward
 
     def forward(self, batch: Batch, mode: str = "train",
                 update_stats: bool | None = None) -> np.ndarray:
+        """The logits of ``batch``: trunk plus aux net, before the sigmoid.
+
+        ``mode="train"`` normalizes by batch statistics and, unless
+        ``update_stats`` is False, moves the moving statistics; ``"infer"``
+        uses the moving statistics.  Only a train-mode forward may be
+        followed by ``backward``."""
         if mode not in ("train", "infer"):
             raise ConfigError(f"unknown mode {mode!r}")
         if update_stats is None:
@@ -397,32 +395,25 @@ class _CtrNet:
             zn = self.norm.forward_train(z, batch.domain, update_stats)
         else:
             zn = self.norm.forward_infer(z, batch.domain)
-        s_main = self.fcn.forward(zn, batch.domain)
-        if self.aux is not None and self.aux_enabled:
-            s_aux = self.aux.forward(z, batch.domain)
-            logits = s_main + s_aux
-        else:
-            s_aux = None
-            logits = s_main
-        self.last_forward = ForwardState(s_main, s_aux, logits, mode,
-                                         batch.domain)
-        return sigmoid(logits)
+        logits = self.fcn.forward(zn, batch.domain)
+        if self.aux is not None:
+            logits = logits + self.aux.forward(z, batch.domain)
+        self._mode = mode
+        return logits
 
     def backward(self, dlogits: np.ndarray):
-        state = self.last_forward
-        if state is None:
+        """Accumulate the gradients of the last forward's logits."""
+        if self._mode is None:
             raise ContractViolation("model backward without forward")
-        if state.mode != "train":
+        if self._mode != "train":
             raise ContractViolation("backward requires a train-mode forward")
-        dz_aux = None
-        if state.s_aux is not None:
-            dz_aux = self.aux.backward(dlogits)
+        self._mode = None
+        dz_aux = None if self.aux is None else self.aux.backward(dlogits)
         dzn = self.fcn.backward(dlogits)
         dz = self.norm.backward(dzn)
         if dz_aux is not None and dz_aux.shape[1]:
             dz = dz + dz_aux
         embed_backward(dz, self.tables, self.config.embed_dim)
-        self.last_forward = None
 
     def params(self) -> list[Param]:
         """Every dense parameter: normalizer, trunk, then aux net."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import pack, unpack
 from .datagen import (Dataset, Example, as_dataset, atomic_open, read_dataset,
-                      validate_ids, write_atomic)
+                      validate_domains, validate_ids, write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid
 from .model import Batch, ModelConfig, field_vocabs
@@ -108,8 +108,9 @@ class FoldedModel:
 
     def score_examples(self, examples: Dataset | Sequence[Example],
                        batch_size: int = 4096) -> np.ndarray:
-        """Scores in input order; an id outside the vocabularies is a
-        DataError naming the example."""
+        """Scores in input order; an id outside the vocabularies or a
+        domain outside ``1..num_domains`` is a DataError naming the
+        example."""
         data = as_dataset(examples)
         _check_ids(data, self.config)
         return _score_grouped(self.score_batch, data, batch_size)
@@ -139,7 +140,7 @@ def fold(model) -> FoldedModel:
     embeddings = {name: model.tables[name].weights.copy()
                   for name in model.tables}
     aux = None
-    if model.aux is not None and model.aux_enabled:
+    if model.aux is not None:
         a = model.aux
         aux = (a.embed.weights.copy(), a.fc1.W.value.copy(),
                a.fc1.b.value.copy(), a.fc2.W.value.copy(),
@@ -152,7 +153,7 @@ def score_with_model(model, examples: Dataset | Sequence[Example],
     """Unfolded inference-mode scoring; the reference for fold equivalence."""
 
     def score_batch(batch: Batch) -> np.ndarray:
-        return _clamp_probs(model.forward(batch, mode="infer"))
+        return _clamp_probs(sigmoid(model.forward(batch, mode="infer")))
 
     data = as_dataset(examples)
     _check_ids(data, model.config)
@@ -162,6 +163,7 @@ def score_with_model(model, examples: Dataset | Sequence[Example],
 def _check_ids(data: Dataset, config: ModelConfig):
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
+    validate_domains(data, config.num_domains)
 
 
 def _score_grouped(score_batch, data: Dataset, batch_size: int) -> np.ndarray:
@@ -207,7 +209,9 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
     vocabularies is a DataError, raised before the output is opened.
     """
     data = read_dataset(data_path)
-    _check_ids(data, folded.config)
+    config = folded.config
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
     served = data.p <= folded.num_domains
     skipped = np.flatnonzero(~served)
     errors = []

@@ -1,4 +1,11 @@
-"""Streaming training loop, evaluation, and the ablation grid."""
+"""Streaming training loop, evaluation, and the ablation grid.
+
+``train_step`` is the one training step of the package: zero the
+gradients, take the logits of one single-domain batch, their loss and its
+gradient, run the backward pass and one Adam update of the model's arena.
+``train_model`` streams the batches through the shuffle buffer (or replays
+a ``BatchPlan``) and calls it once per batch.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
 from .config import ExperimentConfig, with_overrides
-from .datagen import Dataset, Example, as_dataset, validate_ids
+from .datagen import (Dataset, Example, as_dataset, validate_domains,
+                      validate_ids)
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (MetricReport, PredictionColumns, auc_or_none,
                       build_report)
@@ -48,6 +56,7 @@ def _validated(config: ExperimentConfig,
     data = as_dataset(examples)
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
+    validate_domains(data, config.domains)
     return data
 
 
@@ -75,6 +84,24 @@ class BatchPlan:
                          for epoch in range(config.epochs)))
 
 
+def train_step(model, opt: Adam, batch: Batch) -> float:
+    """One optimizer step on one single-domain batch; returns its loss.
+
+    ``zero_grad`` -> ``forward`` (logits) -> ``bce_loss`` -> ``backward``
+    -> ``opt.step``.  A non-finite loss, or one above ``LOSS_CEILING``, is a
+    ``NumericError`` naming the step (``opt.t + 1``) and the domain, raised
+    before any gradient accumulates.
+    """
+    model.zero_grad()
+    loss, dlogits = bce_loss(model.forward(batch, mode="train"), batch.y)
+    if not math.isfinite(loss) or loss > LOSS_CEILING:
+        raise NumericError(f"loss {loss!r} at step {opt.t + 1} "
+                           f"(domain {batch.domain}): training diverged")
+    model.backward(dlogits)
+    opt.step(model.params(), model.embedding_tables())
+    return loss
+
+
 def train_model(config: ExperimentConfig,
                 examples: Dataset | Sequence[Example] | BatchPlan,
                 log: TextIO | None = None) -> TrainResult:
@@ -99,8 +126,7 @@ def train_model(config: ExperimentConfig,
         epochs = (_epoch_batches(config, data, epoch)
                   for epoch in range(config.epochs))
     model = build_model(config.model_config())
-    opt = Adam(lr=config.lr)
-    step = 0
+    opt = Adam(model.arena, lr=config.lr)
     epoch_loss = 0.0
     for epoch, batches in enumerate(epochs):
         epoch_loss = 0.0
@@ -108,32 +134,22 @@ def train_model(config: ExperimentConfig,
         for batch in batches:
             if batch.size < 2:
                 continue
-            model.zero_grad()
-            yhat = model.forward(batch, mode="train")
-            loss, dlogits = bce_loss(yhat, batch.y,
-                                     logits=model.last_forward.logits)
-            if not math.isfinite(loss) or loss > LOSS_CEILING:
-                raise NumericError(f"loss {loss!r} at step {step + 1} "
-                                   f"(domain {batch.domain}): training "
-                                   f"diverged")
-            model.backward(dlogits)
-            opt.step(model.params(), model.embedding_tables())
-            step += 1
+            loss = train_step(model, opt, batch)
             epoch_loss += loss * batch.size
             epoch_examples += batch.size
-            if log is not None and step % LOG_EVERY == 0:
-                log.write(f"{step}\t{loss!r}\n")
+            if log is not None and opt.t % LOG_EVERY == 0:
+                log.write(f"{opt.t}\t{loss!r}\n")
         epoch_loss = epoch_loss / max(epoch_examples, 1)
         if log is not None:
             log.write(f"# epoch {epoch + 1} mean_loss={epoch_loss!r} "
                       f"examples={epoch_examples}\n")
-    return TrainResult(model, step, epoch_loss)
+    return TrainResult(model, opt.t, epoch_loss)
 
 
 def predictions_for(model, examples: Dataset | Sequence[Example],
                     batch_size: int = 4096) -> PredictionColumns:
-    """Score ``examples`` unfolded; ids outside the model's vocabularies are
-    a DataError naming the example."""
+    """Score ``examples`` unfolded; an id outside the model's vocabularies,
+    or a domain it does not serve, is a DataError naming the example."""
     data = as_dataset(examples)
     yhat = score_with_model(model, data, batch_size)
     return PredictionColumns(user=data.profile, p=data.p, yhat=yhat, y=data.y)

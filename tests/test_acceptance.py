@@ -16,7 +16,7 @@ from starctr.datagen import default_gen_config, generate_examples
 from starctr.gradcheck import random_examples, run_all
 from starctr.metrics import auc, pcoc, weighted_auc, Prediction
 from starctr.model import Batch, ModelConfig, build_model
-from starctr.optim import Adam, bce_loss
+from starctr.optim import Adam
 from starctr.pipeline import (
     ShuffleBuffer,
     iter_batches,
@@ -26,7 +26,7 @@ from starctr.pipeline import (
 )
 from starctr.serve import fold, score_with_model
 from starctr.tensor import make_rng
-from starctr.train import BatchPlan, evaluate_model, train_model
+from starctr.train import BatchPlan, evaluate_model, train_model, train_step
 
 from test_metrics import eq9_oracle, pairwise_auc
 
@@ -100,16 +100,12 @@ def _served_star_model(num_domains=5, steps_per_domain=6):
         layer_widths=(16, 8, 1), aux_embed_dim=6, aux_hidden=8, seed=12,
     )
     model = build_model(config)
-    opt = Adam()
+    opt = Adam(model.arena)
     for step in range(steps_per_domain * num_domains):
         domain = 1 + step % num_domains
         batch = Batch.from_examples(
             random_examples(32, config, domain, seed=300 + step))
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, batch)
     return model
 
 
@@ -134,12 +130,7 @@ def test_criterion_03_domain_isolation():
     before = deserialize(serialize(model))
     batch = Batch.from_examples(
         random_examples(32, model.config, domain=1, seed=900))
-    opt = Adam()
-    model.zero_grad()
-    yhat = model.forward(batch, mode="train")
-    _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-    model.backward(dlogits)
-    opt.step(model.params(), model.embedding_tables())
+    train_step(model, Adam(model.arena), batch)
     after = deserialize(serialize(model))
 
     unchanged = []

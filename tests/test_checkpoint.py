@@ -16,23 +16,20 @@ from starctr.checkpoint import deserialize, load_model, save_model, serialize
 from starctr.errors import CheckpointError, VersionError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import Batch, build_model
-from starctr.optim import Adam, bce_loss
+from starctr.optim import Adam
 from starctr.serve import fold, save_folded, score_with_model
+from starctr.train import train_step
 
 
 def trained_model(variant="star", normalizer="pn", aux=True, steps=3):
     config = tiny_model_config(variant, normalizer, aux)
     model = build_model(config)
-    opt = Adam()
+    opt = Adam(model.arena)
     for step in range(steps):
         domain = 1 + step % config.num_domains
         batch = Batch.from_examples(
             random_examples(6, config, domain, seed=40 + step))
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, batch)
     return model
 
 

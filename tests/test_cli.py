@@ -174,6 +174,38 @@ def test_score_unknown_domain_exits_3(workspace, tmp_path):
     assert main(["score", str(folded), str(bad_data), str(preds)]) == 3
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("train", ["--set", "normalizer=pn"]),
+    ("train", ["--set", "normalizer=bn"]),
+    ("train", ["--set", "normalizer=ln"]),
+    ("eval", []),
+    ("ablation", []),
+], ids=["train_pn", "train_bn", "train_ln", "eval", "ablation"])
+def test_unserved_domain_is_a_data_error(workspace, tmp_path, capsys, command,
+                                         extra):
+    """Rows of a domain past the config's three, in the training part of
+    the ablation split: every command exits 3 and writes nothing."""
+    _, _, exp_config, data, ckpt = workspace
+    lines = data.read_text().splitlines(keepends=True)[:600]
+    lines[200:240] = ["4" + line[line.index("\t"):] for line in lines[200:240]]
+    bad_data = tmp_path / "bad.tsv"
+    bad_data.write_text("".join(lines))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"train": ["train", str(exp_config), str(bad_data),
+                      str(out / "m.ckpt")],
+            "eval": ["eval", str(ckpt), str(bad_data), str(out / "r.txt")],
+            "ablation": ["ablation", str(exp_config), str(bad_data),
+                         "--out", str(out / "grid.txt")]}[command]
+    capsys.readouterr()
+    assert main(argv + extra) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: example 201: unknown domain 4 "
+                          "(model serves 1..3)")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_score_checks_ids_once(workspace, tmp_path, capsys, monkeypatch):
     from starctr import serve
 

@@ -5,7 +5,7 @@ import pytest
 
 from starctr.errors import ConfigError, ContractViolation, ShapeError
 from starctr.gradcheck import check_model, random_examples, tiny_model_config
-from starctr.layers import relu
+from starctr.layers import relu, sigmoid
 from starctr.model import (
     Batch,
     build_model,
@@ -14,6 +14,7 @@ from starctr.model import (
 )
 from starctr.optim import Adam, bce_loss
 from starctr.tensor import make_rng
+from starctr.train import train_step
 
 
 def tiny_batch(config, n=6, domain=1, seed=5):
@@ -68,20 +69,22 @@ class TestStarForward:
         for layer in model.fcn.shared:
             layer.W.value[:] = 0.0
             layer.b.value[:] = 0.0
-        yhat = model.forward(tiny_batch(config), mode="train")
-        assert np.array_equal(yhat, np.full(6, 0.5))
+        logits = model.forward(tiny_batch(config), mode="train")
+        assert np.array_equal(sigmoid(logits), np.full(6, 0.5))
 
     def test_aux_additivity_pre_sigmoid(self):
+        # The trunk and the aux net draw from streams of their own, so the
+        # model without the aux net has the same tables, norm and trunk.
         config = tiny_model_config("star", "pn", aux=True)
         model = build_model(config)
+        trunk_only = build_model(replace(config, aux_enabled=False))
+        assert trunk_only.aux is None
         batch = tiny_batch(config)
-        model.forward(batch, mode="train", update_stats=False)
-        on = model.last_forward
-        model.aux_enabled = False
-        model.forward(batch, mode="train", update_stats=False)
-        off = model.last_forward
-        assert np.array_equal(on.logits, off.logits + on.s_aux)
-        assert np.array_equal(on.s_main, off.s_main)
+        logits = model.forward(batch, mode="train", update_stats=False)
+        trunk = trunk_only.forward(batch, mode="train", update_stats=False)
+        aux = model.aux.forward(embed_and_pool(batch, model.tables),
+                                batch.domain)
+        assert np.array_equal(logits, trunk + aux)
 
     def test_initialization_identity_across_domains(self):
         # Fresh domain stacks are ones/zeros, so with synced PN state the
@@ -101,15 +104,14 @@ class TestStarForward:
         config = tiny_model_config("star", "bn", aux=False)
         model = build_model(config)
         batch = tiny_batch(config)
-        yhat = model.forward(batch, mode="train", update_stats=False)
+        logits = model.forward(batch, mode="train", update_stats=False)
         # Oracle: manual forward through the shared parameters only.
         z = embed_and_pool(batch, model.tables)
         x = model.norm.forward_train(z, batch.domain, update_stats=False)
         for li, layer in enumerate(model.fcn.shared):
             pre = x @ layer.W.value + layer.b.value
             x = relu(pre) if layer.activation == "relu" else pre
-        from starctr.layers import sigmoid
-        assert np.allclose(yhat, sigmoid(x[:, 0]), atol=1e-12)
+        assert np.allclose(logits, x[:, 0], atol=1e-12)
 
     def test_mixed_domain_batch_rejected(self):
         config = tiny_model_config()
@@ -135,8 +137,7 @@ class TestStarBackward:
         model = build_model(config)
         batch = tiny_batch(config, domain=1)
         model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
+        _, dlogits = bce_loss(model.forward(batch, mode="train"), batch.y)
         model.backward(dlogits)
         for param in model.domain_params(2):
             assert not param.touched
@@ -148,28 +149,37 @@ class TestStarBackward:
         config = tiny_model_config("star", "pn", aux=False)
         model = build_model(config)
         batch = tiny_batch(config, n=4)
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        assert np.allclose(dlogits, (yhat - batch.y) / 4, atol=1e-16)
+        logits = model.forward(batch, mode="train")
+        _, dlogits = bce_loss(logits, batch.y)
+        assert np.allclose(dlogits, (sigmoid(logits) - batch.y) / 4,
+                           atol=1e-16)
 
     def test_backward_without_forward(self):
         model = build_model(tiny_model_config())
         with pytest.raises(ContractViolation):
             model.backward(np.zeros(4))
 
+    def test_backward_after_infer_forward_rejected(self):
+        config = tiny_model_config("star", "pn", aux=True)
+        model = build_model(config)
+        batch = tiny_batch(config)
+        model.forward(batch, mode="train")
+        model.zero_grad()
+        model.forward(batch, mode="infer")
+        with pytest.raises(ContractViolation, match="train-mode forward"):
+            model.backward(np.ones(batch.size))
+        assert not model.arena.grads.any()
+        assert not any(p.touched for p in model.params())
+        assert all(t.grad_rows.size == 0 for t in model.embedding_tables())
+
     def test_domain_isolation_under_adam(self):
         config = tiny_model_config("star", "pn", aux=True)
         model = build_model(config)
-        opt = Adam()
+        opt = Adam(model.arena)
         snapshot = [(p.name, p.value.copy()) for p in model.domain_params(2)]
         stats_before = (model.norm.moving_mean[1].copy(),
                         model.norm.moving_var[1].copy())
-        batch = tiny_batch(config, domain=1)
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, tiny_batch(config, domain=1))
         for (name, before), param in zip(snapshot, model.domain_params(2)):
             assert np.array_equal(param.value, before), name
         assert np.array_equal(model.norm.moving_mean[1], stats_before[0])

@@ -9,28 +9,31 @@ from starctr.layers import Arena, EmbeddingTable, Param, sigmoid
 from starctr.model import Batch, build_model
 from starctr.optim import Adam, bce_loss
 from starctr.tensor import make_rng
+from starctr.train import train_step
 
 from reference_kernels import ReferenceAdam
 
 
 class TestBceLoss:
     def test_uniform_prediction_is_ln2(self):
-        yhat = np.full(8, 0.5)
         y = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=float)
-        loss, _ = bce_loss(yhat, y)
+        loss, _ = bce_loss(np.zeros(8), y)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_prediction_loss_vanishes(self):
         y = np.array([0.0, 1.0])
-        for eps in (1e-4, 1e-8, 1e-12):
-            yhat = np.abs(y - eps)
-            loss, _ = bce_loss(yhat, y)
-            assert loss < 10 * eps
+        for margin in (10.0, 20.0, 30.0):
+            loss, _ = bce_loss(np.where(y == 1.0, margin, -margin), y)
+            assert loss < 10 * np.exp(-margin)
+
+    def test_extreme_logits_stay_finite(self):
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        loss, dlogit = bce_loss(np.array([-800.0, 800.0, 800.0, -800.0]), y)
+        assert loss == pytest.approx(400.0, rel=1e-12)
+        assert np.array_equal(dlogit, np.array([0.0, 0.0, 0.25, -0.25]))
 
     def test_gradient_is_sigmoid_ce_identity(self):
-        logits = np.array([0.0])
-        y = np.array([1.0])
-        loss, dlogit = bce_loss(sigmoid(logits), y, logits=logits)
+        loss, dlogit = bce_loss(np.array([0.0]), np.array([1.0]))
         assert dlogit[0] == pytest.approx(-0.5, abs=1e-15)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -38,21 +41,20 @@ class TestBceLoss:
         rng = make_rng(21)
         logits = rng.normal(size=16)
         y = (rng.uniform(size=16) < 0.4).astype(float)
-        yhat = sigmoid(logits)
-        _, dlogit = bce_loss(yhat, y, logits=logits)
-        assert np.allclose(dlogit, (yhat - y) / 16, atol=1e-16)
+        _, dlogit = bce_loss(logits, y)
+        assert np.allclose(dlogit, (sigmoid(logits) - y) / 16, atol=1e-16)
 
-    def test_logit_and_probability_paths_agree(self):
+    def test_loss_matches_probability_form(self):
         rng = make_rng(22)
         logits = rng.normal(size=32)
         y = (rng.uniform(size=32) < 0.5).astype(float)
-        loss_l, _ = bce_loss(sigmoid(logits), y, logits=logits)
-        loss_p, _ = bce_loss(sigmoid(logits), y)
-        assert loss_l == pytest.approx(loss_p, rel=1e-12)
+        yhat = sigmoid(logits)
+        expected = -(y * np.log(yhat) + (1.0 - y) * np.log1p(-yhat)).mean()
+        assert bce_loss(logits, y)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bad_label_raises(self):
         with pytest.raises(DataError):
-            bce_loss(np.array([0.5]), np.array([2.0]))
+            bce_loss(np.array([0.0]), np.array([2.0]))
 
 
 def arena_param(name, value):
@@ -67,40 +69,50 @@ def set_grad(p, g):
     p.touched = True
 
 
+def adam_of(p, **kwargs):
+    return Adam(p.arena, **kwargs)
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = arena_param("w", [1.0, -2.0, 3.0])
         set_grad(p, np.zeros(3))
         before = p.value.copy()
-        Adam().step([p])
+        adam_of(p).step([p])
         assert np.array_equal(p.value, before)
 
     def test_untouched_param_skipped_bitwise(self):
         p = arena_param("w", [0.1, 0.2])
         before = p.value.copy()
-        opt = Adam()
+        opt = adam_of(p)
         opt.step([p])
         assert np.array_equal(p.value, before)
         assert not opt.m.any() and not opt.v.any()
 
+    def test_moments_span_the_arena(self):
+        model = build_model(tiny_model_config())
+        opt = Adam(model.arena)
+        assert opt.m.shape == opt.v.shape == (model.arena.size,)
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+
     def test_first_step_moves_by_lr(self):
         p = arena_param("w", [0.0])
         set_grad(p, [1.0])
-        Adam(lr=0.001).step([p])
+        adam_of(p, lr=0.001).step([p])
         assert p.value[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_scalar_quadratic_convergence(self):
         # Its own oracle: run the optimization and check it lands near 3.
         p = arena_param("theta", [0.0])
-        opt = Adam(lr=0.05)
+        opt = adam_of(p, lr=0.05)
         for _ in range(200):
             set_grad(p, 2.0 * (p.value - 3.0))
             opt.step([p])
         assert abs(p.value[0] - 3.0) < 0.05
 
     def test_step_counter_increments(self):
-        opt = Adam()
         p = arena_param("w", [1.0])
+        opt = adam_of(p)
         for expected in (1, 2, 3):
             set_grad(p, [0.5])
             opt.step([p])
@@ -109,18 +121,19 @@ class TestAdam:
     def test_param_outside_an_arena_rejected(self):
         p = Param("w", np.array([1.0]))
         set_grad(p, [0.5])
-        with pytest.raises(ContractViolation, match="w: not in a parameter"):
-            Adam().step([p])
+        with pytest.raises(ContractViolation, match="w: not in the"):
+            adam_of(arena_param("a", [1.0])).step([p])
 
     def test_params_of_two_arenas_rejected(self):
         a, b = arena_param("a", [1.0]), arena_param("b", [2.0])
         with pytest.raises(ContractViolation, match="b: not in the"):
-            Adam().step([a, b])
+            adam_of(a).step([a, b])
 
     def test_tables_must_be_the_arenas(self):
         model = build_model(tiny_model_config())
         with pytest.raises(ContractViolation, match="every embedding table"):
-            Adam().step(model.params(), model.embedding_tables()[:2])
+            Adam(model.arena).step(model.params(),
+                                   model.embedding_tables()[:2])
 
     def test_a_table_listed_twice_rejected(self):
         """A list of the arena's length that repeats one table and drops
@@ -128,7 +141,8 @@ class TestAdam:
         model = build_model(tiny_model_config())
         tables = model.embedding_tables()
         with pytest.raises(ContractViolation, match="every embedding table"):
-            Adam().step(model.params(), [tables[0]] + tables[:1] + tables[2:])
+            Adam(model.arena).step(model.params(),
+                                   [tables[0]] + tables[:1] + tables[2:])
 
 
 class TestSparseAdam:
@@ -136,9 +150,8 @@ class TestSparseAdam:
         rng = make_rng(23)
         table = EmbeddingTable(6, 3, rng=rng, name="e")
         dense = arena_param("d", table.weights.copy())
-        Arena([], [table])
-        opt_sparse = Adam()
-        opt_dense = Adam()
+        opt_sparse = Adam(Arena([], [table]))
+        opt_dense = adam_of(dense)
         for step in range(5):
             g = make_rng(step, stream=50).normal(size=(6, 3))
             # every row gets a nonzero gradient each step
@@ -153,13 +166,12 @@ class TestSparseAdam:
     def test_untouched_rows_frozen(self):
         rng = make_rng(24)
         table = EmbeddingTable(8, 2, rng=rng, name="e")
-        Arena([], [table])
+        opt = Adam(Arena([], [table]))
         before = table.weights.copy()
         flat = np.array([2, 5], dtype=np.int64)
         offsets = np.array([0, 1, 2], dtype=np.int64)
         table.pool(flat, offsets)
         table.backward(np.ones((2, 2)))
-        opt = Adam()
         opt.step([], [table])
         changed = np.any(table.weights != before, axis=1)
         assert set(np.nonzero(changed)[0]) == {2, 5}
@@ -183,8 +195,8 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
     config = replace(tiny_model_config(variant, norm, aux), num_domains=3,
                      aux_use_features=features)
     model, ref_model = build_model(config), build_model(config)
-    opt, ref = Adam(lr=0.01), ReferenceAdam(lr=0.01)
     arena = model.arena
+    opt, ref = Adam(arena, lr=0.01), ReferenceAdam(lr=0.01)
     initial = arena.values.copy()
     for step in range(20):
         domain = 1 + step % 2
@@ -192,9 +204,7 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
             random_examples(16, config, domain, seed=400 + step))
         for net in (model, ref_model):
             net.zero_grad()
-            yhat = net.forward(batch, mode="train")
-            _, dlogits = bce_loss(yhat, batch.y,
-                                  logits=net.last_forward.logits)
+            _, dlogits = bce_loss(net.forward(batch, mode="train"), batch.y)
             net.backward(dlogits)
         frozen = np.ones(arena.size, dtype=bool)
         for p in model.params():
@@ -206,9 +216,7 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
         others = [p for q in range(1, 4) if q != domain
                   for p in model.domain_params(q)]
         assert not any(p.touched for p in others)
-        before = [arena.values.copy()] + [
-            np.zeros(arena.size) if x is None else x.copy()
-            for x in (opt.m, opt.v)]
+        before = [arena.values.copy(), opt.m.copy(), opt.v.copy()]
         opt.step(model.params(), model.embedding_tables())
         ref.step(ref_model.params(), ref_model.embedding_tables())
         assert arena.values.tobytes() == ref_model.arena.values.tobytes()
@@ -237,18 +245,8 @@ def test_loss_decreases_over_100_fullbatch_steps(variant, norm, aux):
     config = tiny_model_config(variant, norm, aux)
     model = build_model(config)
     batch = Batch.from_examples(random_examples(64, config, domain=1, seed=9))
-    opt = Adam(lr=0.001)
-
-    def one_step():
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        loss, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
-        return loss
-
-    first = one_step()
-    last = first
+    opt = Adam(model.arena, lr=0.001)
+    first = last = train_step(model, opt, batch)
     for _ in range(99):
-        last = one_step()
+        last = train_step(model, opt, batch)
     assert last < first

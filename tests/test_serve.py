@@ -37,21 +37,18 @@ def small_trained_model(normalizer="pn", aux=True, num_domains=5,
                         variant="star", aux_use_features=False):
     """A briefly trained model with every domain's stats populated."""
     from starctr.model import Batch
-    from starctr.optim import Adam, bce_loss
+    from starctr.optim import Adam
+    from starctr.train import train_step
 
     config = serving_config(normalizer, aux, num_domains, variant,
                             aux_use_features)
     model = build_model(config)
-    opt = Adam()
+    opt = Adam(model.arena)
     for step in range(4 * num_domains):
         domain = 1 + step % num_domains
         batch = Batch.from_examples(
             random_examples(16, config, domain, seed=100 + step))
-        model.zero_grad()
-        yhat = model.forward(batch, mode="train")
-        _, dlogits = bce_loss(yhat, batch.y, logits=model.last_forward.logits)
-        model.backward(dlogits)
-        opt.step(model.params(), model.embedding_tables())
+        train_step(model, opt, batch)
     return model
 
 
@@ -213,15 +210,18 @@ def test_score_with_model_out_of_vocab_is_data_error():
         score_with_model(model, [Example((1,), 0, 99, 0, 0, 1)])
 
 
-@pytest.mark.parametrize("example", [Example((-3,), -1, -5, -2, 0, 1),
-                                     Example((1,), 0, 4000, 0, 0, 1)],
-                         ids=["negative", "past_vocab"])
-def test_scorers_check_ids(example):
+@pytest.mark.parametrize("example,error", [
+    (Example((-3,), -1, -5, -2, 0, 1), "item id outside"),
+    (Example((1,), 0, 4000, 0, 0, 1), "item id outside"),
+    (Example((1,), 0, 4, 0, 0, 0), r"unknown domain 0 \(model serves 1..5\)"),
+    (Example((1,), 0, 4, 0, 0, 6), r"unknown domain 6 \(model serves 1..5\)"),
+], ids=["negative", "past_vocab", "domain_0", "domain_6"])
+def test_scorers_check_ids(example, error):
     # Negative ids would wrap to the last embedding rows and score.
     model = small_trained_model()
     for score in (fold(model).score_examples,
                   lambda data: score_with_model(model, data)):
-        with pytest.raises(DataError, match="example 1: item id outside"):
+        with pytest.raises(DataError, match=f"example 1: {error}"):
             score([example])
 
 
@@ -330,20 +330,19 @@ class TestScoreFile:
 
 class TestThroughput:
     def test_folded_not_slower_than_unfolded(self):
-        # Folded scoring skips the per-batch weight fusion; compare best-of-3
-        # wall times on the same examples.
+        # Folded scoring skips the per-batch weight fusion; compare best-of-7
+        # wall times on the same examples, the two runs alternating so a
+        # slow spell of the machine hits both sides.
         model = small_trained_model()
         examples = random_eval_examples(model.config, 1500)
         folded = fold(model)
-
-        def best_of(fn, repeats=3):
-            times = []
-            for _ in range(repeats):
+        runs = (lambda: folded.score_examples(examples, 256),
+                lambda: score_with_model(model, examples, 256))
+        best = [float("inf")] * len(runs)
+        for _ in range(7):
+            for i, run in enumerate(runs):
                 t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t_folded = best_of(lambda: folded.score_examples(examples, 256))
-        t_unfolded = best_of(lambda: score_with_model(model, examples, 256))
+                run()
+                best[i] = min(best[i], time.perf_counter() - t0)
+        t_folded, t_unfolded = best
         assert t_folded <= t_unfolded * 1.10

@@ -10,8 +10,12 @@ from starctr.config import (
     with_overrides,
 )
 from starctr.datagen import default_gen_config, generate_examples
-from starctr.errors import ConfigError
-from starctr.train import BatchPlan, evaluate_model, run_ablation, train_model
+from starctr.errors import ConfigError, DataError, NumericError
+from starctr.gradcheck import random_examples, tiny_model_config
+from starctr.model import build_model
+from starctr.optim import Adam, bce_loss
+from starctr.train import (BatchPlan, evaluate_model, run_ablation,
+                           train_model, train_step)
 
 from reference_kernels import use_reference_kernels
 
@@ -102,6 +106,44 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train_model(bad, train)
 
+    def test_domain_validation(self, tiny_data):
+        train, _ = tiny_data
+        first = int((train.p > 2).argmax()) + 1
+        for build in (train_model, BatchPlan.build):
+            with pytest.raises(DataError, match=f"example {first}: unknown "
+                                                f"domain 3 \\(model serves"):
+                build(tiny_config(domains=2), train)
+
+
+class TestTrainStep:
+    def test_returns_the_loss_and_steps_adam(self):
+        config = tiny_model_config()
+        model = build_model(config)
+        opt = Adam(model.arena, lr=0.01)
+        batch = random_examples(8, config, domain=2)
+        before = model.arena.values.copy()
+        expected, _ = bce_loss(
+            model.forward(batch, mode="train", update_stats=False), batch.y)
+        assert train_step(model, opt, batch) == expected
+        assert opt.t == 1
+        assert (model.arena.values != before).any()
+
+    def test_divergence_names_the_step_before_any_gradient(self):
+        config = tiny_model_config(aux=False)
+        model = build_model(config)
+        opt = Adam(model.arena)
+        batch = random_examples(8, config, domain=1)
+        train_step(model, opt, batch)
+        model.fcn.shared[-1].b.value[:] = 1e6
+        before = model.arena.values.copy()
+        with pytest.raises(NumericError, match=r"^loss .* at step 2 "
+                                               r"\(domain 1\): training "
+                                               r"diverged$"):
+            train_step(model, opt, batch)
+        assert opt.t == 1
+        assert not model.arena.grads.any()
+        assert model.arena.values.tobytes() == before.tobytes()
+
 
 class TestAblation:
     def test_grid_has_ten_rows(self, tiny_data):
@@ -169,8 +211,15 @@ class TestExperimentConfig:
             parse_experiment_config("epochs=three\n")
 
     def test_invalid_variant(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown model variant 'ensemble'"):
             parse_experiment_config("variant=ensemble\n")
+        with pytest.raises(ConfigError, match="unknown normalizer 'gn'"):
+            parse_experiment_config("normalizer=gn\n")
+
+    def test_data_paths_are_not_config_keys(self):
+        with pytest.raises(ConfigError, match="unknown config keys: "
+                                              "eval_data, train_data"):
+            parse_experiment_config("train_data=a.tsv\neval_data=b.tsv\n")
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(tiny_config())
