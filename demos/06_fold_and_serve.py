@@ -1,9 +1,11 @@
 """Weight folding: serving cost independent of the factorized structure.
 
 Before serving, each domain's fused layer weights (W_p * W, b_p + b) are
-pre-computed and the frozen per-domain normalization collapses into a single
-affine scale/shift.  Scores match the unfolded model to float precision and
-come out a little faster because the fusion work leaves the hot path.
+pre-computed, the frozen per-domain normalization folds into the first
+layer and the feature-free aux net's output into the last bias, so each
+domain is one plain ReLU network.  Scores match the unfolded model to float
+precision and come out a little faster because the fusion work leaves the
+hot path.
 The demo also times the request path: one-domain requests of 100 rows.
 """
 

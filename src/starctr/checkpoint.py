@@ -31,16 +31,19 @@ statistics ``<norm>.moving_mean``, ``<norm>.moving_var`` and
 for pn, 1 for bn, so bn stores shapes (1, dim) and (1,).
 
 Tensor names, ``kind=folded``: ``embed.<field>`` per embedding table;
-per domain p = 1..M and layer i, ``d<p>.<i>.W`` and ``d<p>.<i>.b`` (the
-fused weights), and for bn and pn the frozen affine ``d<p>.scale`` and
-``d<p>.shift``; for ln ``ln.gamma`` and ``ln.beta``; with the aux net
-``aux.embed``, ``aux.fc1.W``, ``aux.fc1.b``, ``aux.fc2.W``, ``aux.fc2.b``.
+per domain p = 1..M and trunk layer i, ``d<p>.<i>.W`` and ``d<p>.<i>.b``,
+domain p's ReLU network with the frozen normalization affine (bn, pn) or
+ln's gamma and beta folded into layer 0 and a feature-free aux net's
+output into the last bias; with an aux net over the features, its two
+layers ``d<p>.aux.<i>.W`` and ``d<p>.aux.<i>.b`` (i = 0, 1).
 
 Reading checks everything above and raises ``CheckpointError`` (a
 ``VersionError`` for another version) on the first mismatch; the config
 must also pass ``ModelConfig.validate`` and every tensor must have the name
-and shape the config implies.  Files are written to ``<path>.tmp`` and
-moved into place, so a failed write leaves the previous file as it was.
+and shape the config implies, and a checkpoint's payload is checked to
+hold the floats its config implies before any model is built.  Files are
+written to ``<path>.tmp`` and moved into place, so a failed write leaves
+the previous file as it was.
 ``deserialize(serialize(model))`` reproduces every array bitwise.
 """
 
@@ -159,11 +162,14 @@ def _spans(entries, payload_size: int) -> dict[str, tuple[tuple, int]]:
     return spans
 
 
-def unpack(raw: bytes, kind: str, assemble: Callable):
+def unpack(raw: bytes, kind: str, assemble: Callable,
+           floats: Callable[[ModelConfig], int] | None = None):
     """Check container bytes and return ``assemble(config, take)``.
 
     ``take(name, shape)`` hands out the tensor ``name`` (a new float64
-    array) once; a tensor ``assemble`` does not take is an error.
+    array) once; a tensor ``assemble`` does not take is an error.  So is a
+    payload of fewer than ``floats(config)`` floats, before ``assemble``
+    runs: an edited header cannot make it allocate past the file's size.
     """
     if raw[:4] != MAGIC:
         raise CheckpointError("bad magic: not a starctr model file")
@@ -195,6 +201,11 @@ def unpack(raw: bytes, kind: str, assemble: Callable):
     spans = _spans(header["tensors"], len(payload))
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise CheckpointError("payload sha256 does not match the header")
+    if floats is not None and 8 * floats(config) > len(payload):
+        raise CheckpointError(
+            f"the config implies {floats(config)} floats but the payload "
+            f"holds {len(payload) // 8}: missing tensors or a config that "
+            "does not match them")
 
     def take(name: str, shape) -> np.ndarray:
         if name not in spans:
@@ -222,6 +233,14 @@ def _model_arrays(model) -> list[tuple[str, object, str]]:
     return out
 
 
+def _model_floats(config: ModelConfig) -> int:
+    """Floats in a checkpoint: the trainable arrays, then each bn/pn
+    partition's moving mean, moving variance and populated flag."""
+    partitions = {"ln": 0, "bn": 1, "pn": config.num_domains}
+    return (config.param_count()
+            + partitions[config.normalizer] * (2 * config.input_dim + 1))
+
+
 def serialize(model) -> bytes:
     return pack("model", model.config,
                 {name: getattr(owner, attr)
@@ -240,7 +259,7 @@ def _assemble_model(config: ModelConfig, take):
 
 
 def deserialize(raw: bytes):
-    return unpack(raw, "model", _assemble_model)
+    return unpack(raw, "model", _assemble_model, _model_floats)
 
 
 def save_model(model, path: str):

@@ -18,7 +18,9 @@ run the same arithmetic, and pn with unit domain scale and zero domain bias
 is bitwise equal to bn.  Moving statistics are kept one row per partition:
 M for pn, 1 for bn.  Both normalizers and ``LayerNorm`` take the same calls:
 ``forward_train(z, p, update_stats)``, ``forward_infer(z, p)``,
-``backward``, ``params`` and ``domain_params(p)``.
+``backward``, ``params`` and ``domain_params(p)``.  All three standardize
+through one ``standardize`` (columns for bn and pn, rows for ln) and
+backprop through one ``_affine_backward``.
 """
 
 from __future__ import annotations
@@ -294,29 +296,32 @@ class FcLayer:
         return [self.W, self.b]
 
 
-def _norm_train_core(z, gamma_eff, beta_eff, epsilon):
-    """Standardize by mini-batch column moments, then affine."""
-    mu = z.mean(axis=0)
+def standardize(z: np.ndarray, epsilon: float, axis: int):
+    """``(z - mean) * inv`` with ``inv = 1 / sqrt(var + epsilon)``, the
+    moments taken along ``axis``: 0 standardizes each column by the batch
+    (bn, pn), 1 each row by its features (ln).
+
+    Returns ``(xhat, mean, var, inv)``; the moments keep ``axis``."""
+    mu = z.mean(axis=axis, keepdims=True)
     diff = z - mu
-    var = np.mean(diff * diff, axis=0)
+    var = np.mean(diff * diff, axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = diff * inv
-    out = gamma_eff * xhat + beta_eff
-    return out, mu, var, inv, xhat
+    return diff * inv, mu, var, inv
 
 
-def _norm_train_backward(upstream, gamma_eff, inv, xhat):
-    """Backprop through batch standardization + affine.
+def _affine_backward(upstream, gamma, inv, xhat, axis: int):
+    """Backprop through ``gamma * xhat + beta`` of ``xhat, _, _, inv =
+    standardize(z, epsilon, axis)``.
 
-    Returns (dz, dgamma_eff, dbeta_eff)."""
-    n = upstream.shape[0]
-    dbeta = upstream.sum(axis=0)
-    dgamma = (upstream * xhat).sum(axis=0)
-    dxhat = upstream * gamma_eff
+    Returns ``(dz, dgamma, dbeta)``, the affine's gradients summed over
+    rows."""
+    n = upstream.shape[axis]
+    dxhat = upstream * gamma
     dz = (inv / n) * (
-        n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+        n * dxhat - dxhat.sum(axis=axis, keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=axis, keepdims=True)
     )
-    return dz, dgamma, dbeta
+    return dz, (upstream * xhat).sum(axis=0), upstream.sum(axis=0)
 
 
 class PartitionedNorm:
@@ -376,8 +381,8 @@ class PartitionedNorm:
             raise DegenerateInputError(
                 f"{self.name}: batch of {z.shape[0]} cannot be normalized"
             )
-        out, mu, var, inv, xhat = _norm_train_core(z, gamma_eff, beta_eff,
-                                                   self.epsilon)
+        xhat, mu, var, inv = standardize(z, self.epsilon, axis=0)
+        mu, var = mu[0], var[0]
         if update_stats:
             if not self.populated[i]:
                 self.moving_mean[i] = mu
@@ -388,7 +393,7 @@ class PartitionedNorm:
                 self.moving_mean[i] = (1.0 - m) * self.moving_mean[i] + m * mu
                 self.moving_var[i] = (1.0 - m) * self.moving_var[i] + m * var
         self._cache = (i, gamma_eff, inv, xhat)
-        return out
+        return gamma_eff * xhat + beta_eff
 
     def forward_infer(self, z: np.ndarray, p: int) -> np.ndarray:
         i, gamma_eff, beta_eff = self.affine(p)
@@ -403,8 +408,8 @@ class PartitionedNorm:
         if self._cache is None:
             raise ContractViolation(f"{self.name}: backward without forward")
         i, gamma_eff, inv, xhat = self._cache
-        dz, dgamma_eff, dbeta_eff = _norm_train_backward(upstream, gamma_eff,
-                                                         inv, xhat)
+        dz, dgamma_eff, dbeta_eff = _affine_backward(upstream, gamma_eff, inv,
+                                                     xhat, axis=0)
         if self.per_domain:
             _acc(self.domain_gamma[i], dgamma_eff * self.gamma.value)
             _acc(self.domain_beta[i], dbeta_eff)
@@ -442,11 +447,7 @@ class LayerNorm:
             raise DegenerateInputError(
                 f"{self.name}: feature width {z.shape[1]} cannot be normalized"
             )
-        mu = z.mean(axis=1, keepdims=True)
-        diff = z - mu
-        var = np.mean(diff * diff, axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = diff * inv
+        xhat, _, _, inv = standardize(z, self.epsilon, axis=1)
         self._cache = (inv, xhat)
         return self.gamma.value * xhat + self.beta.value
 
@@ -463,15 +464,10 @@ class LayerNorm:
         if self._cache is None:
             raise ContractViolation(f"{self.name}: backward without forward")
         inv, xhat = self._cache
-        d = upstream.shape[1]
-        _acc(self.gamma, (upstream * xhat).sum(axis=0))
-        _acc(self.beta, upstream.sum(axis=0))
-        dxhat = upstream * self.gamma.value
-        dz = (inv / d) * (
-            d * dxhat
-            - dxhat.sum(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
-        )
+        dz, dgamma, dbeta = _affine_backward(upstream, self.gamma.value, inv,
+                                             xhat, axis=1)
+        _acc(self.gamma, dgamma)
+        _acc(self.beta, dbeta)
         self._cache = None
         return dz
 

@@ -83,6 +83,20 @@ class ModelConfig:
     def input_dim(self) -> int:
         return 4 * self.embed_dim
 
+    def param_count(self) -> int:
+        """Floats in a model's trainable arrays: the embedding tables, the
+        normalizer's affine, the trunk's stacks and the aux net."""
+        dims = (self.input_dim,) + self.layer_widths
+        has_shared, has_domain = TRUNK_FACTORS[self.variant]
+        stacks = has_shared + has_domain * self.num_domains
+        affines = 1 + self.num_domains if self.normalizer == "pn" else 1
+        aux_in = self.aux_embed_dim + self.input_dim * self.aux_use_features
+        aux = (self.num_domains * self.aux_embed_dim
+               + (aux_in + 2) * self.aux_hidden + 1)
+        return (sum(field_vocabs(self).values()) * self.embed_dim
+                + stacks * sum(a * b + b for a, b in zip(dims, dims[1:]))
+                + 2 * self.input_dim * affines + aux * self.aux_enabled)
+
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
@@ -430,11 +444,6 @@ class _CtrNet:
             p.zero_grad()
         for t in self.embedding_tables():
             t.zero_grad()
-
-    def param_count(self) -> int:
-        dense = sum(p.value.size for p in self.params())
-        sparse = sum(t.weights.size for t in self.embedding_tables())
-        return dense + sparse
 
     def domain_params(self, p: int) -> list[Param]:
         """Parameters that belong exclusively to domain p."""

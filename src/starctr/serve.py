@@ -1,20 +1,23 @@
 """Per-domain weight folding and batch scoring.
 
-At serving time the trunk's factorization is collapsed, whatever the
-variant: each domain gets its pre-computed fused layer weights, and (for
-bn/pn) the frozen normalization becomes a plain per-feature affine
-``z * scale_p + shift_p``.  Folded inference therefore never touches the
-shared-vs-domain split and its per-example cost does not depend on the
-number of domains.
+``fold`` turns a model of any variant into one plain ReLU network per
+domain: the trunk's factors fuse into each domain's layers, and what
+depends only on the domain folds into them.  The frozen bn/pn affine
+``z * scale_p + shift_p``, or ln's ``gamma`` and ``beta``, folds into the
+first layer as ``(scale[:, None] * W0, shift @ W0 + b0)``, so only ln's row
+standardization (``layers.standardize``) runs at serving.  A feature-free
+aux net's output, one constant per domain, folds into the last bias; an
+aux net over the features stays a two-layer network over the raw pooled
+features, its domain embedding folded into its first bias.  Folded
+inference never touches the shared-vs-domain split, its per-example cost
+does not depend on the number of domains, and it agrees with
+``score_with_model`` to 1e-12: folding regroups floating-point sums.
 
 A request is scored in one pass.  A request whose rows all share one
 domain is scored without a copy; other inputs are grouped by a stable
-sort.  An aux net that does not read the features depends only on the
-domain, so it folds to one logit per domain, computed once when the
-FoldedModel is built.  BLAS kernels can round the same example's score
-differently in the last bit at different batch shapes, which is why a
-request's scores are compared with the predictions file at 1e-12 rather
-than bit for bit.
+sort.  BLAS kernels can round the same example's score differently in the
+last bit at different batch shapes, which is why a request's scores are
+compared with the predictions file at 1e-12 rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .checkpoint import pack, unpack
 from .datagen import (Dataset, Example, as_dataset, atomic_open, read_dataset,
                       validate_domains, validate_ids, write_atomic)
 from .errors import DataError, FoldError
-from .layers import mean_pool, relu, sigmoid
+from .layers import mean_pool, relu, sigmoid, standardize
 from .model import Batch, ModelConfig, field_vocabs
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
@@ -40,11 +43,22 @@ def _clamp_probs(yhat: np.ndarray) -> np.ndarray:
     return np.clip(yhat, 1e-15, 1.0 - 1e-15, out=yhat)
 
 
+def _mlp(x: np.ndarray, layers) -> np.ndarray:
+    """The logits of a ReLU network: ``x @ W + b`` per layer, a ReLU
+    between layers.  Works in place on a fresh buffer; ``x`` is kept."""
+    last = len(layers) - 1
+    for li, (w, b) in enumerate(layers):
+        x = x @ w
+        x += b
+        if li != last:
+            np.maximum(x, 0.0, out=x)
+    return x[:, 0]
+
+
 @dataclass
 class FoldedDomain:
-    layers: list[tuple[np.ndarray, np.ndarray]]   # fused (W*, b*) per layer
-    norm_scale: np.ndarray | None                 # None when normalizer is ln
-    norm_shift: np.ndarray | None
+    layers: list[tuple[np.ndarray, np.ndarray]]       # (W, b) per trunk layer
+    aux_layers: list[tuple[np.ndarray, np.ndarray]]   # aux net over features
 
 
 class FoldedModel:
@@ -54,20 +68,10 @@ class FoldedModel:
     concurrent callers."""
 
     def __init__(self, config, embeddings: dict[str, np.ndarray],
-                 domains: list[FoldedDomain], ln_params, aux):
+                 domains: list[FoldedDomain]):
         self.config = config
         self.embeddings = embeddings
         self.domains = domains
-        self.ln_params = ln_params          # (gamma, beta, epsilon) or None
-        self.aux = aux                      # (embed, W1, b1, W2, b2) or None
-        self.aux_uses_features = config.aux_use_features
-        # Without features the aux net sees only the domain embedding: its
-        # output is one logit per domain, computed here once.  Derived from
-        # ``aux``; the file stores only the aux tensors.
-        self.aux_logit = None
-        if aux is not None and not self.aux_uses_features:
-            embed, w1, b1, w2, b2 = aux
-            self.aux_logit = (relu(embed @ w1 + b1) @ w2 + b2)[:, 0]
 
     @property
     def num_domains(self) -> int:
@@ -82,28 +86,12 @@ class FoldedModel:
             mean_pool(self.embeddings[name], ids,
                       None if offsets is None else np.diff(offsets))
             for name, ids, offsets in batch.fields()], axis=1)
-        if folded.norm_scale is not None:
-            x = z * folded.norm_scale
-            x += folded.norm_shift
-        else:
-            gamma, beta, eps = self.ln_params
-            mu = z.mean(axis=1, keepdims=True)
-            var = np.mean((z - mu) ** 2, axis=1, keepdims=True)
-            x = gamma * ((z - mu) / np.sqrt(var + eps)) + beta
-        last = len(folded.layers) - 1
-        for li, (w, b) in enumerate(folded.layers):
-            x = x @ w
-            x += b
-            if li != last:
-                np.maximum(x, 0.0, out=x)
-        logits = x[:, 0]
-        if self.aux_logit is not None:
-            logits += self.aux_logit[p - 1]
-        elif self.aux is not None:
-            embed, w1, b1, w2, b2 = self.aux
-            e = np.tile(embed[p - 1], (batch.size, 1))
-            h = relu(np.concatenate([e, z], axis=1) @ w1 + b1)
-            logits += (h @ w2 + b2)[:, 0]
+        x = z
+        if self.config.normalizer == "ln":
+            x = standardize(z, self.config.epsilon, axis=1)[0]
+        logits = _mlp(x, folded.layers)
+        if folded.aux_layers:
+            logits += _mlp(z, folded.aux_layers)
         return _clamp_probs(sigmoid(logits))
 
     def score_examples(self, examples: Dataset | Sequence[Example],
@@ -117,35 +105,37 @@ class FoldedModel:
 
 
 def fold(model) -> FoldedModel:
-    """Pre-compute fused per-domain weights and frozen normalization affines
-    for a model of any variant."""
+    """One ReLU network per domain for a model of any variant (see the
+    module docstring); every array is new."""
     config = model.config
-    norm = model.norm
-    ln = config.normalizer == "ln"
-    ln_params = None
+    norm, aux = model.norm, model.aux
     domains = []
     for p in range(1, config.num_domains + 1):
         layers = model.fcn.fused_params(p)
-        scale = shift = None
-        if not ln:
+        if config.normalizer == "ln":
+            scale, shift = norm.gamma.value, norm.beta.value
+        else:
             i, gamma_eff, beta_eff = norm.affine(p)
             if not norm.populated[i]:
                 raise FoldError(f"domain {p}: statistics never populated")
             scale = gamma_eff / np.sqrt(norm.moving_var[i] + norm.epsilon)
             shift = beta_eff - scale * norm.moving_mean[i]
-        domains.append(FoldedDomain(layers, scale, shift))
-    if ln:
-        ln_params = (norm.gamma.value.copy(), norm.beta.value.copy(),
-                     norm.epsilon)
+        w0, b0 = layers[0]
+        layers[0] = (scale[:, None] * w0, shift @ w0 + b0)
+        aux_layers = []
+        if aux is not None:
+            w1, e = aux.fc1.W.value, aux.aux_embed_dim
+            h = aux.embed.weights[p - 1] @ w1[:e] + aux.fc1.b.value
+            w2, b2 = aux.fc2.W.value, aux.fc2.b.value
+            if config.aux_use_features:
+                aux_layers = [(w1[e:].copy(), h), (w2.copy(), b2.copy())]
+            else:
+                w, b = layers[-1]
+                layers[-1] = (w, b + (relu(h) @ w2 + b2))
+        domains.append(FoldedDomain(layers, aux_layers))
     embeddings = {name: model.tables[name].weights.copy()
                   for name in model.tables}
-    aux = None
-    if model.aux is not None:
-        a = model.aux
-        aux = (a.embed.weights.copy(), a.fc1.W.value.copy(),
-               a.fc1.b.value.copy(), a.fc2.W.value.copy(),
-               a.fc2.b.value.copy())
-    return FoldedModel(config, embeddings, domains, ln_params, aux)
+    return FoldedModel(config, embeddings, domains)
 
 
 def score_with_model(model, examples: Dataset | Sequence[Example],
@@ -240,53 +230,32 @@ def _line_numbers(path: str, rows: list[int]) -> list[int]:
 
 # The folded model file is the container of ``checkpoint.py`` with
 # ``kind="folded"``; its module docstring names every tensor.
-_AUX_NAMES = ("aux.embed", "aux.fc1.W", "aux.fc1.b", "aux.fc2.W", "aux.fc2.b")
-
-
 def save_folded(folded: FoldedModel, path: str):
     tensors = {f"embed.{name}": w for name, w in folded.embeddings.items()}
     for p, dom in enumerate(folded.domains, start=1):
-        for li, (w, b) in enumerate(dom.layers):
-            tensors[f"d{p}.{li}.W"] = w
-            tensors[f"d{p}.{li}.b"] = b
-        if dom.norm_scale is not None:
-            tensors[f"d{p}.scale"] = dom.norm_scale
-            tensors[f"d{p}.shift"] = dom.norm_shift
-    if folded.ln_params is not None:
-        tensors["ln.gamma"], tensors["ln.beta"] = folded.ln_params[:2]
-    if folded.aux is not None:
-        tensors.update(zip(_AUX_NAMES, folded.aux))
+        for prefix, layers in ((f"d{p}", dom.layers),
+                               (f"d{p}.aux", dom.aux_layers)):
+            for li, (w, b) in enumerate(layers):
+                tensors[f"{prefix}.{li}.W"] = w
+                tensors[f"{prefix}.{li}.b"] = b
     write_atomic(path, pack("folded", folded.config, tensors))
 
 
 def _assemble_folded(config: ModelConfig, take) -> FoldedModel:
     embeddings = {name: take(f"embed.{name}", (vocab, config.embed_dim))
                   for name, vocab in field_vocabs(config).items()}
-    in_dim = config.input_dim
-    dims = (in_dim,) + config.layer_widths
-    affine = config.normalizer != "ln"
-    domains = [
-        FoldedDomain(
-            [(take(f"d{p}.{li}.W", dims[li:li + 2]),
-              take(f"d{p}.{li}.b", dims[li + 1:li + 2]))
-             for li in range(len(config.layer_widths))],
-            take(f"d{p}.scale", (in_dim,)) if affine else None,
-            take(f"d{p}.shift", (in_dim,)) if affine else None,
-        )
-        for p in range(1, config.num_domains + 1)
-    ]
-    ln_params = None
-    if not affine:
-        ln_params = (take("ln.gamma", (in_dim,)), take("ln.beta", (in_dim,)),
-                     config.epsilon)
-    aux = None
-    if config.aux_enabled:
-        m, e, h = config.num_domains, config.aux_embed_dim, config.aux_hidden
-        aux_in = e + (in_dim if config.aux_use_features else 0)
-        shapes = ((m, e), (aux_in, h), (h,), (h, 1), (1,))
-        aux = tuple(take(name, shape)
-                    for name, shape in zip(_AUX_NAMES, shapes))
-    return FoldedModel(config, embeddings, domains, ln_params, aux)
+
+    def layers(prefix: str, dims: tuple[int, ...]):
+        return [(take(f"{prefix}.{li}.W", dims[li:li + 2]),
+                 take(f"{prefix}.{li}.b", dims[li + 1:li + 2]))
+                for li in range(len(dims) - 1)]
+
+    trunk = (config.input_dim,) + config.layer_widths
+    aux = ((config.input_dim, config.aux_hidden, 1)
+           if config.aux_enabled and config.aux_use_features else ())
+    domains = [FoldedDomain(layers(f"d{p}", trunk), layers(f"d{p}.aux", aux))
+               for p in range(1, config.num_domains + 1)]
+    return FoldedModel(config, embeddings, domains)
 
 
 def load_folded(path: str) -> FoldedModel:

@@ -174,12 +174,14 @@ class AblationRow:
     variant: str
     normalizer: str
     aux: bool
-    overall_auc: float
+    overall_auc: float | None
 
     def format(self) -> str:
+        """The AUC prints as a Python float's repr whatever numpy's."""
         aux = "on" if self.aux else "off"
+        auc = None if self.overall_auc is None else float(self.overall_auc)
         return (f"{self.variant}\t{self.normalizer}\taux={aux}\t"
-                f"overall_auc={self.overall_auc!r}")
+                f"overall_auc={auc!r}")
 
 
 def run_ablation(config: ExperimentConfig,
@@ -187,11 +189,13 @@ def run_ablation(config: ExperimentConfig,
                  eval_examples: Dataset | Sequence[Example],
                  log: TextIO | None = None) -> list[AblationRow]:
     """Overall AUC for the five architecture/normalizer cells, aux on and
-    off; all ten train on one ``BatchPlan`` of ``train_examples``."""
+    off; all ten train on one ``BatchPlan`` of ``train_examples``.  Both
+    datasets are checked before the first cell trains."""
     eval_examples = as_dataset(eval_examples)
     if not len(eval_examples):
         raise DataError("no evaluation examples available for the ablation")
     plan = BatchPlan.build(config, train_examples)
+    _validated(config, eval_examples)
     rows = []
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):

@@ -2,7 +2,8 @@
 ``np.add.at`` embedding kernels (for the pool, its backward and the folded
 scorer's mean pool), the per-parameter Adam (for the one-pass arena Adam),
 and the folded request path that regrouped every request by a sort and a
-gather (for the one-pass scorer), with its masked sigmoid."""
+gather (for the one-pass scorer), with its masked sigmoid and fresh arrays
+in place of the scorer's in-place layers."""
 
 import numpy as np
 
@@ -67,8 +68,8 @@ def reference_sigmoid(x):
 
 
 def reference_score_batch(folded, batch):
-    """``FoldedModel.score_batch`` with the aux net run per row, the pooled
-    fields concatenated, and fresh arrays at every step."""
+    """``FoldedModel.score_batch`` with the pooled fields concatenated, the
+    ln standardization written out, and fresh arrays at every step."""
     p = batch.domain
     if not 1 <= p <= folded.num_domains:
         raise DataError(f"unknown domain {p} (model serves 1..{folded.num_domains})")
@@ -79,25 +80,22 @@ def reference_score_batch(folded, batch):
     z = np.concatenate([behavior] + [
         folded.embeddings[name].take(getattr(batch, name), axis=0)
         for name in ("profile", "item", "context")], axis=1)
-    if dom.norm_scale is not None:
-        x = z * dom.norm_scale + dom.norm_shift
-    else:
-        gamma, beta, eps = folded.ln_params
+
+    def mlp(x, layers):
+        for li, (w, b) in enumerate(layers):
+            x = x @ w + b
+            if li != len(layers) - 1:
+                x = np.maximum(x, 0.0)
+        return x[:, 0]
+
+    x = z
+    if folded.config.normalizer == "ln":
         mu = z.mean(axis=1, keepdims=True)
         var = np.mean((z - mu) ** 2, axis=1, keepdims=True)
-        x = gamma * ((z - mu) / np.sqrt(var + eps)) + beta
-    last = len(dom.layers) - 1
-    for li, (w, b) in enumerate(dom.layers):
-        x = x @ w + b
-        if li != last:
-            x = np.maximum(x, 0.0)
-    logits = x[:, 0]
-    if folded.aux is not None:
-        embed, w1, b1, w2, b2 = folded.aux
-        e = np.tile(embed[p - 1], (batch.size, 1))
-        x_aux = np.concatenate([e, z], axis=1) if folded.aux_uses_features else e
-        h = np.maximum(x_aux @ w1 + b1, 0.0)
-        logits = logits + (h @ w2 + b2)[:, 0]
+        x = (z - mu) * (1.0 / np.sqrt(var + folded.config.epsilon))
+    logits = mlp(x, dom.layers)
+    if dom.aux_layers:
+        logits = logits + mlp(z, dom.aux_layers)
     return np.clip(reference_sigmoid(logits), 1e-15, 1.0 - 1e-15)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -204,6 +205,11 @@ def _header_length(size):
     return lambda raw: raw[:8] + size.to_bytes(8, "little") + raw[16:]
 
 
+def _rename_first(header):
+    tensors = header["tensors"]
+    tensors["renamed"] = tensors.pop(next(iter(tensors)))
+
+
 def _tensor_dtype(header):
     header["tensors"]["pn.gamma"]["dtype"] = "<f4"
 
@@ -244,6 +250,7 @@ CORRUPTIONS = {
     "offset_out_of_range": (_header_edit(_push_last_past_end),
                             "past the payload"),
     "tensor_missing": (_payload_edit(_drop_last_tensor), "missing tensor"),
+    "tensor_renamed": (_header_edit(_rename_first), "missing tensor behavior"),
     "tensor_unknown": (_payload_edit(_add_tensor), "unknown tensors: extra"),
     "payload_not_covered": (
         _payload_edit(lambda header, payload: payload + bytes(8)),
@@ -258,6 +265,21 @@ def test_corrupt_container_rejected(case):
     raw = serialize(trained_model(steps=2))
     with pytest.raises(CheckpointError, match=message):
         deserialize(corrupt(raw))
+
+
+def test_edited_header_rejected_before_allocating():
+    # The header asks for a 10**6-row item vocabulary: building that model
+    # takes 256 MB, the file holds a few kilobytes.
+    raw = edit_header(serialize(trained_model(steps=2)),
+                      set_config("vocab_items", 10**6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="the config implies"):
+            deserialize(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class _HalfWrite:

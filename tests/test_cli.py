@@ -420,6 +420,28 @@ def test_ablation_ten_rows(workspace, tmp_path, capsys):
     assert len(rows) == 10
 
 
+def test_ablation_checks_eval_data_before_training(workspace, tmp_path,
+                                                   capsys, monkeypatch):
+    from starctr import train
+    from starctr.datagen import read_dataset, write_dataset
+
+    _, _, exp_config, data, _ = workspace
+    rows = read_dataset(str(data))
+    eval_data = tmp_path / "eval.tsv"
+    write_dataset(list(rows[:50]) + [rows[0]._replace(p=6)], str(eval_data))
+    calls = []
+    real = train.train_model
+    monkeypatch.setattr(train, "train_model",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    out_file = tmp_path / "ablation.tsv"
+    assert main(["ablation", str(exp_config), str(data), "--eval-data",
+                 str(eval_data), "--out", str(out_file)]) == 3
+    assert capsys.readouterr().err == ("data error: example 51: unknown "
+                                       "domain 6 (model serves 1..3)\n")
+    assert calls == []
+    assert not out_file.exists()
+
+
 def test_ablation_with_explicit_eval_data(workspace, tmp_path, capsys):
     _, _, exp_config, data, _ = workspace
     out_file = tmp_path / "ablation_eval.tsv"

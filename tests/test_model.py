@@ -192,7 +192,7 @@ class TestBaselines:
         config.num_domains = 1
         base = build_model(config)
         sb = build_model(replace(config, variant="shared_bottom"))
-        assert base.param_count() == sb.param_count()
+        assert base.config.param_count() == sb.config.param_count()
 
     def test_shared_bottom_param_count(self):
         config = tiny_model_config("shared_bottom", "bn", aux=False)
@@ -205,7 +205,15 @@ class TestBaselines:
                        for p in layer.params())
         norm = sum(p.value.size for p in sb.norm.params())
         expected = embed + config.num_domains * fcn_base + norm
-        assert sb.param_count() == expected
+        assert config.param_count() == expected
+
+    @pytest.mark.parametrize("normalizer", ["bn", "ln", "pn"])
+    @pytest.mark.parametrize("variant", ["base", "shared_bottom", "star"])
+    def test_param_count_is_the_arena_size(self, variant, normalizer):
+        for aux, features in ((False, False), (True, False), (True, True)):
+            config = replace(tiny_model_config(variant, normalizer, aux),
+                             aux_use_features=features)
+            assert config.param_count() == build_model(config).arena.size
 
     def test_base_invariant_to_domain_indicator(self):
         config = tiny_model_config("base", "bn", aux=False)

@@ -59,15 +59,41 @@ def random_eval_examples(config, per_domain, seed=0):
     return out
 
 
+AUX_SETTINGS = {"aux_off": (False, False), "aux_on": (True, False),
+                "aux_features": (True, True)}
+CELLS = [(v, n, a) for v in VARIANTS for n in NORMALIZERS for a in AUX_SETTINGS]
+
+
+def frozen_affine(norm, p):
+    """Domain p's frozen bn/pn normalization ``z * scale + shift``."""
+    i, gamma, beta = norm.affine(p)
+    scale = gamma / np.sqrt(norm.moving_var[i] + norm.epsilon)
+    return scale, beta - scale * norm.moving_mean[i]
+
+
+def assert_first_layer_folds_affine(folded_layer, norm, p, w, b):
+    """The folded first layer is ``(W, b)`` with domain p's frozen affine
+    folded in, in new arrays."""
+    scale, shift = frozen_affine(norm, p)
+    fw, fb = folded_layer
+    assert np.array_equal(fw, scale[:, None] * w)
+    assert np.array_equal(fb, shift @ w + b)
+    assert not np.shares_memory(fw, w) and not np.shares_memory(fb, b)
+
+
 class TestFold:
-    @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
+    @pytest.mark.parametrize("normalizer", NORMALIZERS)
     def test_fold_equivalence(self, normalizer):
-        model = small_trained_model(normalizer)
-        folded = fold(model)
-        examples = random_eval_examples(model.config, 200)
-        a = folded.score_examples(examples)
-        b = score_with_model(model, examples)
-        assert np.abs(a - b).max() <= 1e-12
+        # Every variant and aux setting of this normalizer.
+        for variant in VARIANTS:
+            for aux, (enabled, features) in AUX_SETTINGS.items():
+                model = small_trained_model(normalizer, enabled,
+                                            variant=variant,
+                                            aux_use_features=features)
+                examples = random_eval_examples(model.config, 200)
+                a = fold(model).score_examples(examples)
+                b = score_with_model(model, examples)
+                assert np.abs(a - b).max() <= 1e-12, (variant, aux)
 
     @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
     @pytest.mark.parametrize("variant", ["base", "shared_bottom"])
@@ -92,14 +118,19 @@ class TestFold:
         assert new[1].tobytes() == folded.score_examples(no_behavior).tobytes()
 
     def test_identity_domain_folds_to_shared_weights(self):
-        model = small_trained_model("bn")
+        # Without an aux net only the first layer differs from the shared
+        # stack: it holds the frozen normalization.
+        model = small_trained_model("bn", aux=False)
         for layer in model.fcn.domain[0]:
             layer.W.value[:] = 1.0
             layer.b.value[:] = 0.0
-        folded = fold(model)
-        for (w, b), shared in zip(folded.domains[0].layers, model.fcn.shared):
-            assert np.array_equal(w, shared.W.value)
-            assert np.array_equal(b, shared.b.value)
+        folded = fold(model).domains[0].layers
+        shared = model.fcn.shared
+        assert_first_layer_folds_affine(folded[0], model.norm, 1,
+                                        shared[0].W.value, shared[0].b.value)
+        for (w, b), layer in zip(folded[1:], shared[1:]):
+            assert np.array_equal(w, layer.W.value)
+            assert np.array_equal(b, layer.b.value)
 
     def test_fold_deterministic_outputs(self):
         model = small_trained_model()
@@ -119,10 +150,12 @@ class TestFold:
 
     @pytest.mark.parametrize("variant", ["base", "shared_bottom"])
     def test_fold_copies_single_factor_weights(self, variant):
-        model = small_trained_model("bn", variant=variant)
-        folded = fold(model)
+        model = small_trained_model("bn", aux=False, variant=variant)
+        folded = fold(model).domains[1].layers
         stack = model.fcn.shared if variant == "base" else model.fcn.domain[1]
-        for (w, b), layer in zip(folded.domains[1].layers, stack):
+        assert_first_layer_folds_affine(folded[0], model.norm, 2,
+                                        stack[0].W.value, stack[0].b.value)
+        for (w, b), layer in zip(folded[1:], stack[1:]):
             assert np.array_equal(w, layer.W.value)
             assert not np.shares_memory(w, layer.W.value)
             assert np.array_equal(b, layer.b.value)
@@ -138,17 +171,12 @@ class TestFold:
         assert hashlib.sha256(serialize(model)).hexdigest() == digest_before
 
 
-AUX_SETTINGS = {"aux_off": (False, False), "aux_on": (True, False),
-                "aux_features": (True, True)}
-CELLS = [(v, n, a) for v in VARIANTS for n in NORMALIZERS for a in AUX_SETTINGS]
-
-
 @pytest.mark.parametrize("variant,normalizer,aux", CELLS,
                          ids=["-".join(cell) for cell in CELLS])
 def test_one_pass_scorer_matches_regrouping_reference(variant, normalizer,
                                                       aux):
-    # The reference sorts and gathers every request and runs the aux net per
-    # row.  Only the folded feature-free aux logit may move, by rounding.
+    # The reference sorts and gathers every request and builds fresh arrays
+    # at every step; the scores keep their bits.
     enabled, features = AUX_SETTINGS[aux]
     folded = fold(small_trained_model(normalizer, enabled, variant=variant,
                                       aux_use_features=features))
@@ -164,43 +192,95 @@ def test_one_pass_scorer_matches_regrouping_reference(variant, normalizer,
         "n=1": (list(one[:1]), 4096),
         "n=0": ([], 4096),
     }
-    tolerance = 1e-15 if aux == "aux_on" else 0.0
     for name, (examples, batch_size) in cases.items():
         got = folded.score_examples(examples, batch_size)
         want = reference_score_examples(folded, examples, batch_size)
         assert got.dtype == np.float64 and got.shape == (len(examples),), name
         assert not np.shares_memory(got, folded.score_examples(examples,
                                                                  batch_size))
-        if tolerance:
-            assert np.abs(got - want).max(initial=0.0) <= tolerance, name
-        else:
-            assert got.tobytes() == want.tobytes(), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_feature_free_aux_net_folds_to_one_logit_per_domain(variant,
                                                              tmp_path):
+    # Without features the aux net's output is one constant per domain,
+    # added to the last bias of that domain's trunk.
     model = small_trained_model(variant=variant)
     folded = fold(model)
-    assert folded.aux_logit.shape == (model.config.num_domains,)
     for p in range(1, model.config.num_domains + 1):
-        per_row = model.aux.forward(np.zeros((64, 0)), p)
-        assert np.abs(per_row - folded.aux_logit[p - 1]).max() <= 1e-15
-    # The logit is derived on load, never written: a re-save of a loaded
-    # file gives the same bytes.
+        w, b = model.fcn.fused_params(p)[-1]
+        const = model.aux.forward(np.zeros((1, 0)), p)
+        dom = folded.domains[p - 1]
+        assert np.array_equal(dom.layers[-1][0], w)
+        assert np.abs(dom.layers[-1][1] - (b + const)).max() <= 1e-15
+        assert dom.aux_layers == []
     path, again = tmp_path / "m.fold", tmp_path / "again.fold"
     save_folded(folded, str(path))
-    loaded = load_folded(str(path))
-    save_folded(loaded, str(again))
+    save_folded(load_folded(str(path)), str(again))
     assert again.read_bytes() == path.read_bytes()
-    assert loaded.aux_logit.tobytes() == folded.aux_logit.tobytes()
 
 
 @pytest.mark.parametrize("aux,features", [(False, False), (True, True)],
                          ids=["aux_off", "aux_features"])
 def test_aux_net_with_features_or_off_has_no_folded_logit(aux, features):
-    folded = fold(small_trained_model(aux=aux, aux_use_features=features))
-    assert folded.aux_logit is None
+    # The last trunk layer is the fused one; an aux net over the features
+    # is two layers of its own.
+    model = small_trained_model(aux=aux, aux_use_features=features)
+    config = model.config
+    for p, dom in enumerate(fold(model).domains, start=1):
+        for got, want in zip(dom.layers[-1], model.fcn.fused_params(p)[-1]):
+            assert np.array_equal(got, want)
+        shapes = [(w.shape, b.shape) for w, b in dom.aux_layers]
+        assert shapes == ([((config.input_dim, config.aux_hidden),
+                            (config.aux_hidden,)),
+                           ((config.aux_hidden, 1), (1,))] if features else [])
+
+
+def previous_layout_tensors(model):
+    """A model's folded tensors as the earlier folded layout stored them:
+    the fused trunk, then per domain the frozen bn/pn affine or ln's gamma
+    and beta, then the raw aux net."""
+    config = model.config
+    tensors = {f"embed.{name}": t.weights for name, t in model.tables.items()}
+    for p in range(1, config.num_domains + 1):
+        for li, (w, b) in enumerate(model.fcn.fused_params(p)):
+            tensors[f"d{p}.{li}.W"], tensors[f"d{p}.{li}.b"] = w, b
+        if config.normalizer != "ln":
+            tensors[f"d{p}.scale"], tensors[f"d{p}.shift"] = frozen_affine(
+                model.norm, p)
+    if config.normalizer == "ln":
+        tensors["ln.gamma"] = model.norm.gamma.value
+        tensors["ln.beta"] = model.norm.beta.value
+    if model.aux is not None:
+        a = model.aux
+        tensors.update({"aux.embed": a.embed.weights,
+                        "aux.fc1.W": a.fc1.W.value, "aux.fc1.b": a.fc1.b.value,
+                        "aux.fc2.W": a.fc2.W.value, "aux.fc2.b": a.fc2.b.value})
+    return tensors
+
+
+@pytest.mark.parametrize("normalizer,aux,unknown", [
+    ("pn", True, "aux.embed, aux.fc1.W, aux.fc1.b, aux.fc2.W, aux.fc2.b, "
+                 "d1.scale, d1.shift, d2.scale, d2.shift"),
+    ("ln", False, "ln.beta, ln.gamma"),
+], ids=["pn-aux_on", "ln-aux_off"])
+def test_previous_folded_layout_exits_2(tmp_path, capsys, normalizer, aux,
+                                        unknown):
+    from starctr.checkpoint import pack
+    from starctr.cli import main
+
+    model = small_trained_model(normalizer, aux, num_domains=2)
+    old = tmp_path / "old.fold"
+    old.write_bytes(pack("folded", model.config,
+                         previous_layout_tensors(model)))
+    data = tmp_path / "d.tsv"
+    write_dataset(random_eval_examples(model.config, 5), str(data))
+    out = tmp_path / "p.tsv"
+    assert main(["score", str(old), str(data), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"checkpoint error: unknown tensors: {unknown}\n"
+    assert not out.exists()
 
 
 def test_score_with_model_out_of_vocab_is_data_error():

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from starctr.config import (
@@ -14,8 +15,8 @@ from starctr.errors import ConfigError, DataError, NumericError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import build_model
 from starctr.optim import Adam, bce_loss
-from starctr.train import (BatchPlan, evaluate_model, run_ablation,
-                           train_model, train_step)
+from starctr.train import (AblationRow, BatchPlan, evaluate_model,
+                           run_ablation, train_model, train_step)
 
 from reference_kernels import use_reference_kernels
 
@@ -187,6 +188,13 @@ class TestAblation:
         line = rows[0].format()
         assert line.count("\t") == 3
         assert "overall_auc=" in line
+
+    def test_row_format_is_independent_of_numpy(self):
+        # numpy 2 would print np.float64(0.6002247538455157).
+        row = AblationRow("star", "pn", True, np.float64(0.6002247538455157))
+        assert row.format() == "star\tpn\taux=on\toverall_auc=0.6002247538455157"
+        row.overall_auc = None
+        assert row.format().endswith("\taux=on\toverall_auc=None")
 
 
 class TestExperimentConfig:
