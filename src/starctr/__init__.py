@@ -10,6 +10,15 @@ training pipeline, ranking/calibration metrics, and weight-folded serving.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# One BLAS thread, set before numpy loads: a second changes a gemm's
+# rounding, so a seed's checkpoint, and buys no speed at this scale.
+BLAS_THREADS = None if "numpy" in _sys.modules else 1   # None: set too late
+_os.environ.update(dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from . import errors
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, load_experiment_config, parse_experiment_config

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric/check failure.
 Every command writes a ``<output>.manifest.json`` with the sha256 of its
-input files, the seed and the package version next to its primary output;
+input files, the seed, the package, numpy and BLAS versions and
+``blas_threads`` (``starctr.BLAS_THREADS``) next to its primary output;
 ``train`` and ``ablation`` add ``config_hash``, the hash of the effective
 configuration after ``--set``.  The same inputs plus seed always produce
 byte-identical outputs.  A training run that diverges exits 4 and writes
@@ -17,7 +18,9 @@ import io
 import json
 import sys
 
-from . import __version__
+import numpy as np
+
+from . import BLAS_THREADS, __version__
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, config_hash, load_experiment_config
 from .datagen import generate, load_gen_config, read_dataset, write_atomic
@@ -60,6 +63,14 @@ def _sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _blas_name() -> str | None:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):   # numpy < 1.25 has no mode="dicts"
+        return None
+
+
 def _write_manifest(primary_output: str, command: str, seed,
                     inputs: dict[str, str], outputs: list[str],
                     config: ExperimentConfig | None = None):
@@ -69,6 +80,9 @@ def _write_manifest(primary_output: str, command: str, seed,
         "seed": seed,
         "inputs": {name: _sha256_file(path) for name, path in inputs.items()},
         "outputs": sorted(outputs),
+        "numpy": np.__version__,
+        "blas": _blas_name(),
+        "blas_threads": BLAS_THREADS,
     }
     if config is not None:
         manifest["config_hash"] = config_hash(config)

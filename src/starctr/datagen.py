@@ -157,19 +157,23 @@ class DomainProfile:
                                              metadata={"vector": True})
 
 
+# Sizes past memory yet below numpy's limits, which end in a traceback.
+_MAX_SIZE = 10**9
+
+
 @dataclass
 class GenConfig:
     profiles: list[DomainProfile]
-    n_examples: int = _bounded(0, default=200_000)
+    n_examples: int = _bounded(0, _MAX_SIZE, default=200_000)
     seed: int = _bounded(0, default=0)
     # -1: reuse seed; set differently for a holdout
     sample_seed: int = _bounded(-1, default=-1)
     latent_dim: int = _bounded(1, default=8)
-    vocab_items: int = _bounded(1, default=4000)
-    vocab_profiles: int = _bounded(1, default=1200)
-    vocab_contexts: int = _bounded(1, default=50)
-    behavior_mean_len: float = _bounded(0.0, default=4.0)
-    behavior_max_len: int = _bounded(0, default=10)
+    vocab_items: int = _bounded(1, _MAX_SIZE, default=4000)
+    vocab_profiles: int = _bounded(1, _MAX_SIZE, default=1200)
+    vocab_contexts: int = _bounded(1, _MAX_SIZE, default=50)
+    behavior_mean_len: float = _bounded(0.0, _MAX_SIZE, default=4.0)
+    behavior_max_len: int = _bounded(0, _MAX_SIZE, default=10)
     shared_weight_scale: float = _bounded(0.0, default=0.35)
     domain_weight_scale: float = _bounded(0.0, default=0.5)
     # Constant added to every shared-weight coordinate: puts part of the label

@@ -12,7 +12,7 @@ from .tensor import grad_check, make_rng
 
 
 # Layer checks perturb inputs as well as parameters: they pack both into one
-# vector and scatter it back.
+# vector and scatter it back.  Each builds its layer, so gradients start at 0.
 def _pack(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a).ravel() for a in arrays])
 
@@ -38,8 +38,6 @@ def check_fc_layer(h: float = 1e-5) -> float:
         return float((layer.forward(x) * r).sum())
 
     _scatter(theta0, arrays)
-    layer.W.zero_grad()
-    layer.b.zero_grad()
     layer.forward(x)
     dx = layer.backward(r.copy())
     analytic = _pack([dx, layer.W.grad, layer.b.grad])
@@ -92,8 +90,6 @@ def _check_norm(norm, forward, params, h: float) -> float:
         return float((forward(x) * r).sum())
 
     _scatter(theta0, arrays)
-    for p in params:
-        p.zero_grad()
     forward(x)
     dx = norm.backward(r.copy())
     analytic = _pack([dx] + [p.grad for p in params])

@@ -1,16 +1,16 @@
 """Embedding, fully-connected, and normalization layers with manual backprop.
 
 Layers follow one protocol: ``forward`` caches whatever the matching
-``backward`` needs, ``backward`` takes dL/d(output), fills parameter
-gradients, and returns dL/d(input).  Gradients accumulate across calls until
-``zero_grad``.  A ``Param`` carries a ``touched`` flag and an embedding table
-the sorted ``grad_rows`` it wrote: set by backward, cleared by
-``zero_grad``, so the optimizer can tell "zero gradient" from "not on the
-compute path".  An untouched gradient is all zeros.
+``backward`` needs, ``backward`` takes dL/d(output), adds parameter
+gradients into ``grad``, and returns dL/d(input).  Gradients accumulate
+until ``zero_grad``; an embedding table keeps the sorted ``grad_rows`` it
+wrote.
 
 A model keeps every trainable array in one ``Arena``: a flat float64
 ``values`` vector and a flat ``grads`` vector, of which each ``Param.value``
-and ``grad`` and each table's ``weights`` and ``grad`` are views.
+and ``grad`` and each table's ``weights`` and ``grad`` are views, laid out
+by owner so that a step on domain p writes two dense spans,
+``Arena.spans(p)``.
 
 Batch normalization is partitioned normalization with one partition and no
 domain affine (``PartitionedNorm(..., per_domain=False)``), so bn and pn
@@ -25,6 +25,8 @@ backprop through one ``_affine_backward``.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import (
@@ -38,59 +40,36 @@ from .tensor import make_rng
 
 
 class Param:
-    """A named trainable array and its accumulated gradient.
+    """A named trainable array and its accumulated gradient, of the same
+    shape."""
 
-    ``grad`` has the shape of ``value`` and is zero while ``touched`` is
-    False.  ``arena`` is the ``Arena`` holding both, or None, and ``start``
-    their offset in it.
-    """
-
-    __slots__ = ("name", "value", "grad", "touched", "arena", "start")
+    __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-        self.touched = False
-        self.arena = None
-        self.start = 0
-
-    def zero_grad(self):
-        if self.touched:
-            self.grad.fill(0.0)
-            self.touched = False
 
     def __repr__(self):
         return f"Param({self.name}, shape={self.value.shape})"
 
 
-def _acc(param: Param, g: np.ndarray):
-    if param.touched:
-        param.grad += g
-    else:
-        param.grad[...] = g
-        param.touched = True
-
-
 class Arena:
-    """One flat float64 ``values`` vector and one ``grads`` vector holding
-    ``params`` and then ``tables``, each in the order given.
+    """One flat float64 ``values`` and ``grads`` vector holding the
+    ``shared`` params, each list of ``domains`` (domain 1's first), then
+    ``tables``, as views that keep their contents; gradients start at zero.
 
-    Each ``Param.value``/``grad`` and ``EmbeddingTable.weights``/``grad``
-    becomes a view of its span and keeps its contents; gradients start at
-    zero, so no ``Param`` is touched and no table has ``grad_rows``.  The
-    optimizer keeps its moments in vectors of the same layout.  The owners
-    refer to the arena and the arena holds only arrays, so no reference
-    cycle keeps a dropped model's arrays alive until the cycle collector
-    runs.
+    ``shared`` and ``domains[p - 1]`` slice the dense values, which
+    ``dense`` covers; ``table_starts`` are the offsets of ``tables``.
+    Owners do not refer to the arena, so a dropped model leaves no cycle.
     """
 
-    def __init__(self, params: list["Param"],
+    def __init__(self, shared: list["Param"],
+                 domains: list[list["Param"]] = (),
                  tables: list["EmbeddingTable"] = ()):
-        owners = [(p, "value") for p in params]
+        owners = [(p, "value") for group in (shared, *domains) for p in group]
         owners += [(t, "weights") for t in tables]
         self.size = sum(getattr(o, attr).size for o, attr in owners)
-        self.num_tables = len(tables)
         self.values = np.empty(self.size)
         self.grads = np.zeros(self.size)
         start = 0
@@ -100,13 +79,29 @@ class Arena:
             setattr(owner, attr, self.values[span].reshape(old.shape))
             getattr(owner, attr)[...] = old
             owner.grad = self.grads[span].reshape(old.shape)
-            owner.arena = self
-            owner.start = start
             start = span.stop
-        for p in params:
-            p.touched = False
+        ends = list(accumulate((sum(p.value.size for p in group)
+                                for group in (shared, *domains)), initial=0))
+        self.shared, *self.domains = map(slice, ends, ends[1:])
+        self.dense = slice(0, ends[-1])
+        self.tables = tuple(tables)
+        self.table_starts = tuple(accumulate(
+            (t.weights.size for t in tables), initial=ends[-1]))[:-1]
         for t in tables:
             t.grad_rows = _NO_ROWS
+
+    def spans(self, p: int) -> list[slice]:
+        """The dense slices a step on domain p writes: shared, then p's."""
+        if not 1 <= p <= len(self.domains):
+            raise DomainError(f"arena: domain {p} outside "
+                              f"1..{len(self.domains)}")
+        return [self.shared, self.domains[p - 1]]
+
+    def zero_grad(self):
+        """Zero every dense gradient, then each table's ``grad_rows``."""
+        self.grads[self.dense] = 0.0
+        for t in self.tables:
+            t.zero_grad()
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -197,8 +192,6 @@ class EmbeddingTable:
         self.weights = rng.normal(0.0, init_scale, size=(vocab_size, dim))
         self.grad = np.zeros((vocab_size, dim))
         self.grad_rows = _NO_ROWS
-        self.arena = None
-        self.start = 0
         self._cache = None
 
     def _check_ids(self, flat_ids: np.ndarray):
@@ -287,8 +280,8 @@ class FcLayer:
             raise ContractViolation(f"{self.name}: backward without forward")
         x, pre = self._cache
         dpre = upstream * (pre > 0) if self.activation == "relu" else upstream
-        _acc(self.W, x.T @ dpre)
-        _acc(self.b, dpre.sum(axis=0))
+        self.W.grad += x.T @ dpre
+        self.b.grad += dpre.sum(axis=0)
         self._cache = None
         return dpre @ self.W.value.T
 
@@ -411,11 +404,11 @@ class PartitionedNorm:
         dz, dgamma_eff, dbeta_eff = _affine_backward(upstream, gamma_eff, inv,
                                                      xhat, axis=0)
         if self.per_domain:
-            _acc(self.domain_gamma[i], dgamma_eff * self.gamma.value)
-            _acc(self.domain_beta[i], dbeta_eff)
+            self.domain_gamma[i].grad += dgamma_eff * self.gamma.value
+            self.domain_beta[i].grad += dbeta_eff
             dgamma_eff = dgamma_eff * self.domain_gamma[i].value
-        _acc(self.gamma, dgamma_eff)
-        _acc(self.beta, dbeta_eff)
+        self.gamma.grad += dgamma_eff
+        self.beta.grad += dbeta_eff
         self._cache = None
         return dz
 
@@ -466,8 +459,8 @@ class LayerNorm:
         inv, xhat = self._cache
         dz, dgamma, dbeta = _affine_backward(upstream, self.gamma.value, inv,
                                              xhat, axis=1)
-        _acc(self.gamma, dgamma)
-        _acc(self.beta, dbeta)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
         self._cache = None
         return dz
 

@@ -12,7 +12,8 @@ p's effective layer is the product of the factors present:
   start.
 
 Shared parameters receive gradients from every batch, domain parameters
-only from their own domain's batches.
+only from their own domain's batches: the two dense spans
+``model.arena.spans(p)`` of the model's ``Arena``.
 
 All variants share the same embedding front-end (one table per field, mean
 pooling, concatenation), a configurable normalizer (bn / ln / pn), and an
@@ -46,7 +47,6 @@ from .layers import (
     Param,
     PartitionedNorm,
     relu,
-    _acc,
 )
 from .tensor import make_rng
 
@@ -294,8 +294,9 @@ class StarFcn:
             d_b = dpre.sum(axis=0)
             for mine, other in ((sl, dl), (dl, sl)):
                 if mine is not None:
-                    _acc(mine.W, d_w if other is None else d_w * other.W.value)
-                    _acc(mine.b, d_b)
+                    mine.W.grad += (d_w if other is None
+                                    else d_w * other.W.value)
+                    mine.b.grad += d_b
             upstream = dpre @ w.T
         self._cache = None
         return upstream
@@ -384,12 +385,12 @@ class _CtrNet:
         if self.aux is not None:
             self._params += self.aux.params()
         # Owner order: shared parameters, then domain 1's, ..., domain M's,
-        # so a step's touched dense values form at most two runs.
-        domains = [q for p in range(1, config.num_domains + 1)
-                   for q in self.domain_params(p)]
-        owned = set(map(id, domains))
+        # so a step on domain p writes the two spans ``arena.spans(p)``.
+        domains = [self.domain_params(p)
+                   for p in range(1, config.num_domains + 1)]
+        owned = {id(q) for group in domains for q in group}
         shared = [q for q in self._params if id(q) not in owned]
-        self.arena = Arena(shared + domains, self.embedding_tables())
+        self.arena = Arena(shared, domains, self.embedding_tables())
         self._mode: str | None = None   # the mode of the pending forward
 
     def forward(self, batch: Batch, mode: str = "train",
@@ -440,10 +441,7 @@ class _CtrNet:
         return out
 
     def zero_grad(self):
-        for p in self._params:
-            p.zero_grad()
-        for t in self.embedding_tables():
-            t.zero_grad()
+        self.arena.zero_grad()
 
     def domain_params(self, p: int) -> list[Param]:
         """Parameters that belong exclusively to domain p."""

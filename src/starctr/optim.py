@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, DataError
-from .layers import Arena, EmbeddingTable, Param, sigmoid
+from .layers import Arena, EmbeddingTable, sigmoid
 
 
 def _check_labels(y: np.ndarray):
@@ -39,13 +39,12 @@ class Adam:
     """Adam with bias correction and lazy updates, bound to one ``Arena``.
 
     The moments ``m`` and ``v`` are flat vectors in the arena's layout,
-    allocated with the optimizer.  A step updates the touched values only:
-    each run of adjacent touched dense ``Param`` spans as one slice (a
-    model's arena is laid out by owner, so a step has at most two: shared,
-    then the batch's domain), and the ``grad_rows`` of every embedding
-    table through one index, which holds each value once.
-    Untouched parameters and rows keep their values and moments bitwise (no
-    decay), which is what keeps untouched domains isolated and makes
+    allocated with the optimizer.  ``step(spans, tables)`` updates the
+    dense slices ``spans`` (a step on domain p passes ``arena.spans(p)``:
+    shared, then p's), then the ``grad_rows`` of every embedding table
+    through one index, which holds each value once.  Values outside the
+    spans and rows outside ``grad_rows`` keep their values and moments
+    bitwise (no decay), which is what keeps other domains isolated and makes
     embedding updates lazy, the usual trade made by sparse trainers.  Per
     value the update is the textbook one, ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*(g*g)``, ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)``;
@@ -63,24 +62,6 @@ class Adam:
         self.m = np.zeros(arena.size)
         self.v = np.zeros(arena.size)
 
-    def _dense_runs(self, params: list[Param]) -> list[tuple[int, int]]:
-        """The touched spans of ``params``, adjacent ones merged."""
-        spans = []
-        for p in params:
-            if p.arena is not self.arena:
-                raise ContractViolation(f"{p.name}: not in the optimizer's "
-                                        "parameter arena")
-            if p.touched:
-                spans.append((p.start, p.start + p.value.size))
-        spans.sort()
-        runs = []
-        for lo, hi in spans:
-            if runs and runs[-1][1] == lo:
-                runs[-1] = (runs[-1][0], hi)
-            else:
-                runs.append((lo, hi))
-        return runs
-
     def _update(self, idx: slice | np.ndarray, c1: float, c2: float):
         """The update of the arena values at ``idx``, a slice or an index
         that holds each value once."""
@@ -92,23 +73,25 @@ class Adam:
         self.arena.values[idx] -= (self.lr * (m / c1)
                                    / (np.sqrt(v / c2) + self.epsilon))
 
-    def step(self, params: list[Param], tables: list[EmbeddingTable] = ()):
-        """One optimization step over dense params and embedding tables,
-        all views of the optimizer's arena; ``tables`` must hold every
-        table of it once."""
-        runs = self._dense_runs(params)
-        if len(tables) != self.arena.num_tables or len(
-                {id(t) for t in tables if t.arena is self.arena}
-        ) != len(tables):
+    def step(self, spans: list[slice], tables: list[EmbeddingTable] = ()):
+        """One optimization step over ``spans``, ascending disjoint slices
+        of the arena's dense values, and the arena's ``tables`` in order."""
+        ends = [0, *(e for s in spans for e in (s.start, s.stop)),
+                self.arena.dense.stop]
+        if ends != sorted(ends):
+            raise ContractViolation("spans overlap or leave the arena's "
+                                    "dense values")
+        if len(tables) != len(self.arena.tables) or any(
+                t is not mine for t, mine in zip(tables, self.arena.tables)):
             raise ContractViolation("Adam steps every embedding table of its "
-                                    "arena once, and only those")
+                                    "arena once, in the arena's order")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for lo, hi in runs:
-            self._update(slice(lo, hi), c1, c2)
+        for span in spans:
+            self._update(span, c1, c2)
         idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            np.add.outer(t.grad_rows * t.dim + t.start,
-                         np.arange(t.dim)).ravel() for t in tables])
+            np.add.outer(t.grad_rows * t.dim + start, np.arange(t.dim)).ravel()
+            for t, start in zip(tables, self.arena.table_starts)])
         if idx.size:
             self._update(idx, c1, c2)

@@ -88,9 +88,10 @@ def train_step(model, opt: Adam, batch: Batch) -> float:
     """One optimizer step on one single-domain batch; returns its loss.
 
     ``zero_grad`` -> ``forward`` (logits) -> ``bce_loss`` -> ``backward``
-    -> ``opt.step``.  A non-finite loss, or one above ``LOSS_CEILING``, is a
-    ``NumericError`` naming the step (``opt.t + 1``) and the domain, raised
-    before any gradient accumulates.
+    -> ``opt.step`` (``arena.spans`` of the domain, and the tables).  A
+    non-finite loss, or one above ``LOSS_CEILING``, is a ``NumericError``
+    naming the step (``opt.t + 1``) and the domain, raised before any
+    gradient accumulates.
     """
     model.zero_grad()
     loss, dlogits = bce_loss(model.forward(batch, mode="train"), batch.y)
@@ -98,7 +99,7 @@ def train_step(model, opt: Adam, batch: Batch) -> float:
         raise NumericError(f"loss {loss!r} at step {opt.t + 1} "
                            f"(domain {batch.domain}): training diverged")
     model.backward(dlogits)
-    opt.step(model.params(), model.embedding_tables())
+    opt.step(model.arena.spans(batch.domain), model.embedding_tables())
     return loss
 
 

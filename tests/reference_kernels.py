@@ -128,8 +128,15 @@ def use_reference_kernels(monkeypatch):
     monkeypatch.setattr(serve, "mean_pool", reference_mean_pool)
 
 
+def arena_slice(arena, view):
+    """The slice of ``arena.values`` that ``view``, a contiguous view of
+    it, covers."""
+    start = (view.ctypes.data - arena.values.ctypes.data) // view.itemsize
+    return slice(start, start + view.size)
+
+
 class ReferenceAdam:
-    """``Adam.step`` as a loop: one update per touched ``Param`` and one
+    """``Adam.step`` as a loop: one update per given ``Param`` and one
     row-gathered update per embedding table, with moments keyed by name.
     The same per-value arithmetic, in the same order, as the arena Adam."""
 
@@ -153,8 +160,6 @@ class ReferenceAdam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p in params:
-            if not p.touched:
-                continue
             m, v = self._moments(p.name, p.value.shape)
             m *= self.beta1
             m += (1.0 - self.beta1) * p.grad
@@ -177,8 +182,9 @@ class ReferenceAdam:
         """``moments`` (``self.m`` or ``self.v``) in the layout of the
         model's arena; zeros where no moment exists yet."""
         out = np.zeros(model.arena.size)
-        for owner in model.params() + model.embedding_tables():
-            if owner.name in moments:
-                data = moments[owner.name].ravel()
-                out[owner.start:owner.start + data.size] = data
+        owners = [(p.name, p.value) for p in model.params()]
+        owners += [(t.name, t.weights) for t in model.embedding_tables()]
+        for name, values in owners:
+            if name in moments:
+                out[arena_slice(model.arena, values)] = moments[name].ravel()
         return out

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import starctr
 
 from container_bytes import (
     edit_header,
@@ -276,6 +283,11 @@ def test_unknown_config_key_exits_2(workspace, tmp_path):
     ("examples", "-5"),
     ("domain.1.traffic_share", "1.5"),
     ("domain.1.traffic_share", "-0.5"),
+    # Past numpy's limits: a Poisson mean, an array dimension, a C long.
+    ("behavior_mean_len", "1e19"),
+    ("examples", str(10**20)),
+    ("vocab_items", str(10**20)),
+    ("behavior_max_len", str(10**20)),
 ])
 def test_bad_gen_config_value_exits_2(workspace, tmp_path, capsys, key,
                                       value):
@@ -451,3 +463,44 @@ def test_ablation_with_explicit_eval_data(workspace, tmp_path, capsys):
     assert rc == 0
     rows = [l for l in out_file.read_text().splitlines() if l.strip()]
     assert len(rows) == 10
+
+
+@pytest.fixture(scope="module")
+def blas_thread_runs(tmp_path_factory):
+    """``python -m starctr train`` of one default star/pn config on 3,000
+    examples under each BLAS thread request; unpinned, 2 threads change
+    this checkpoint's bytes."""
+    root = tmp_path_factory.mktemp("blas")
+    gen_config = root / "gen.cfg"
+    gen_config.write_text(format_gen_config(
+        default_gen_config(num_domains=5, seed=0, n_examples=3_000)))
+    data = root / "train.tsv"
+    assert main(["gen-data", str(gen_config), str(data)]) == 0
+    exp_config = root / "exp.cfg"
+    exp_config.write_text("seed=0\n")
+    src = str(Path(starctr.__file__).parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        ckpt = root / f"threads{threads}.ckpt"
+        subprocess.run([sys.executable, "-m", "starctr", "train",
+                        str(exp_config), str(data), str(ckpt)],
+                       env=env, check=True, capture_output=True,
+                       timeout=300)
+        runs[threads] = ckpt
+    return runs
+
+
+def test_checkpoint_bytes_ignore_the_blas_thread_request(blas_thread_runs):
+    one, two = (blas_thread_runs[t].read_bytes() for t in ("1", "2"))
+    assert one == two
+
+
+def test_manifest_names_the_blas_thread_setting(blas_thread_runs):
+    manifest = json.loads(
+        blas_thread_runs["2"].with_name("threads2.ckpt.manifest.json")
+        .read_text())
+    assert manifest["blas_threads"] == 1
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas"]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from starctr.errors import ContractViolation, DataError
+from starctr.errors import ContractViolation, DataError, DomainError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.layers import Arena, EmbeddingTable, Param, sigmoid
 from starctr.model import Batch, build_model
@@ -11,7 +11,7 @@ from starctr.optim import Adam, bce_loss
 from starctr.tensor import make_rng
 from starctr.train import train_step
 
-from reference_kernels import ReferenceAdam
+from reference_kernels import ReferenceAdam, arena_slice
 
 
 class TestBceLoss:
@@ -57,37 +57,34 @@ class TestBceLoss:
             bce_loss(np.array([0.0]), np.array([2.0]))
 
 
-def arena_param(name, value):
-    """A Param in an arena of its own, as the optimizer requires."""
-    p = Param(name, np.array(value, dtype=np.float64))
-    Arena([p])
-    return p
+def param_and_adam(value, **kwargs):
+    """A Param ``w`` in an arena of its own, and an Adam over that arena."""
+    p = Param("w", np.array(value, dtype=np.float64))
+    return p, Adam(Arena([p]), **kwargs)
 
 
-def set_grad(p, g):
-    p.grad[...] = g
-    p.touched = True
-
-
-def adam_of(p, **kwargs):
-    return Adam(p.arena, **kwargs)
+def step_shared(opt):
+    opt.step([opt.arena.shared])
 
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        p = arena_param("w", [1.0, -2.0, 3.0])
-        set_grad(p, np.zeros(3))
+        p, opt = param_and_adam([1.0, -2.0, 3.0])
         before = p.value.copy()
-        adam_of(p).step([p])
+        step_shared(opt)
         assert np.array_equal(p.value, before)
 
     def test_untouched_param_skipped_bitwise(self):
-        p = arena_param("w", [0.1, 0.2])
-        before = p.value.copy()
-        opt = adam_of(p)
-        opt.step([p])
-        assert np.array_equal(p.value, before)
-        assert not opt.m.any() and not opt.v.any()
+        """A param outside the stepped spans keeps its value and moments,
+        whatever its gradient."""
+        shared = Param("s", np.array([0.1, 0.2]))
+        domain = Param("d", np.array([0.3, 0.4]))
+        opt = Adam(Arena([shared], [[domain]]))
+        shared.grad[...] = domain.grad[...] = [0.5, -0.5]
+        step_shared(opt)
+        assert (shared.value != [0.1, 0.2]).all()
+        assert np.array_equal(domain.value, [0.3, 0.4])
+        assert not opt.m[2:].any() and not opt.v[2:].any()
 
     def test_moments_span_the_arena(self):
         model = build_model(tiny_model_config())
@@ -96,43 +93,63 @@ class TestAdam:
         assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
     def test_first_step_moves_by_lr(self):
-        p = arena_param("w", [0.0])
-        set_grad(p, [1.0])
-        adam_of(p, lr=0.001).step([p])
+        p, opt = param_and_adam([0.0], lr=0.001)
+        p.grad[...] = [1.0]
+        step_shared(opt)
         assert p.value[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_scalar_quadratic_convergence(self):
         # Its own oracle: run the optimization and check it lands near 3.
-        p = arena_param("theta", [0.0])
-        opt = adam_of(p, lr=0.05)
+        p, opt = param_and_adam([0.0], lr=0.05)
         for _ in range(200):
-            set_grad(p, 2.0 * (p.value - 3.0))
-            opt.step([p])
+            p.grad[...] = 2.0 * (p.value - 3.0)
+            step_shared(opt)
         assert abs(p.value[0] - 3.0) < 0.05
 
     def test_step_counter_increments(self):
-        p = arena_param("w", [1.0])
-        opt = adam_of(p)
+        p, opt = param_and_adam([1.0])
         for expected in (1, 2, 3):
-            set_grad(p, [0.5])
-            opt.step([p])
+            p.grad[...] = [0.5]
+            step_shared(opt)
             assert opt.t == expected
 
-    def test_param_outside_an_arena_rejected(self):
+    def test_span_outside_the_dense_values_rejected(self):
+        """A span past the dense values would step a table's rows densely,
+        or be cut short by numpy without a word."""
+        table = EmbeddingTable(2, 1, name="e")
         p = Param("w", np.array([1.0]))
-        set_grad(p, [0.5])
-        with pytest.raises(ContractViolation, match="w: not in the"):
-            adam_of(arena_param("a", [1.0])).step([p])
+        opt = Adam(Arena([p], [], [table]))
+        with pytest.raises(ContractViolation, match="leave the arena's dense"):
+            opt.step([slice(0, 2)], [table])
+        assert opt.t == 0
 
-    def test_params_of_two_arenas_rejected(self):
-        a, b = arena_param("a", [1.0]), arena_param("b", [2.0])
-        with pytest.raises(ContractViolation, match="b: not in the"):
-            adam_of(a).step([a, b])
+    def test_overlapping_spans_rejected(self):
+        """Overlapping or descending spans would step a value twice."""
+        p, opt = param_and_adam([1.0, 2.0, 3.0])
+        for spans in ([slice(0, 2), slice(1, 3)], [slice(2, 3), slice(0, 1)]):
+            with pytest.raises(ContractViolation, match="spans overlap"):
+                opt.step(spans)
+        assert opt.t == 0
+
+    def test_domain_spans_are_the_domains_params(self):
+        model = build_model(replace(tiny_model_config(), num_domains=3))
+        arena = model.arena
+        for p in range(1, 4):
+            stepped = np.zeros(arena.size, dtype=bool)
+            for span in arena.spans(p):
+                stepped[span] = True
+            expected = np.zeros(arena.size, dtype=bool)
+            for q in step_params(model, p):
+                expected[arena_slice(arena, q.value)] = True
+            assert np.array_equal(stepped, expected)
+        for p in (0, 4):
+            with pytest.raises(DomainError):
+                arena.spans(p)
 
     def test_tables_must_be_the_arenas(self):
         model = build_model(tiny_model_config())
         with pytest.raises(ContractViolation, match="every embedding table"):
-            Adam(model.arena).step(model.params(),
+            Adam(model.arena).step(model.arena.spans(1),
                                    model.embedding_tables()[:2])
 
     def test_a_table_listed_twice_rejected(self):
@@ -141,7 +158,7 @@ class TestAdam:
         model = build_model(tiny_model_config())
         tables = model.embedding_tables()
         with pytest.raises(ContractViolation, match="every embedding table"):
-            Adam(model.arena).step(model.params(),
+            Adam(model.arena).step(model.arena.spans(1),
                                    [tables[0]] + tables[:1] + tables[2:])
 
 
@@ -149,24 +166,23 @@ class TestSparseAdam:
     def test_lazy_equals_dense_for_touched_rows(self):
         rng = make_rng(23)
         table = EmbeddingTable(6, 3, rng=rng, name="e")
-        dense = arena_param("d", table.weights.copy())
-        opt_sparse = Adam(Arena([], [table]))
-        opt_dense = adam_of(dense)
+        dense, opt_dense = param_and_adam(table.weights.copy())
+        opt_sparse = Adam(Arena([], [], [table]))
         for step in range(5):
             g = make_rng(step, stream=50).normal(size=(6, 3))
             # every row gets a nonzero gradient each step
             table.grad[:] = g
             table.grad_rows = np.arange(6)
             opt_sparse.step([], [table])
-            set_grad(dense, g)
-            opt_dense.step([dense])
-            table.zero_grad()
+            dense.grad[...] = g
+            step_shared(opt_dense)
+            opt_sparse.arena.zero_grad()
         assert np.allclose(table.weights, dense.value, atol=1e-15)
 
     def test_untouched_rows_frozen(self):
         rng = make_rng(24)
         table = EmbeddingTable(8, 2, rng=rng, name="e")
-        opt = Adam(Arena([], [table]))
+        opt = Adam(Arena([], [], [table]))
         before = table.weights.copy()
         flat = np.array([2, 5], dtype=np.int64)
         offsets = np.array([0, 1, 2], dtype=np.int64)
@@ -176,8 +192,20 @@ class TestSparseAdam:
         changed = np.any(table.weights != before, axis=1)
         assert set(np.nonzero(changed)[0]) == {2, 5}
         # moments exist only where touched
-        m = opt.m[table.start:table.start + 16].reshape(8, 2)
+        m = opt.m.reshape(8, 2)
         assert np.array_equal(np.nonzero(m.any(axis=1))[0], [2, 5])
+
+
+def other_domains_params(model, domain):
+    return [p for q in range(1, model.config.num_domains + 1) if q != domain
+            for p in model.domain_params(q)]
+
+
+def step_params(model, domain):
+    """The Params a step on ``domain`` trains: every one but the other
+    domains' own."""
+    others = other_domains_params(model, domain)
+    return [p for p in model.params() if not any(p is q for q in others)]
 
 
 CELLS = [(variant, norm, aux, features)
@@ -206,19 +234,18 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
             net.zero_grad()
             _, dlogits = bce_loss(net.forward(batch, mode="train"), batch.y)
             net.backward(dlogits)
+        assert not any(p.grad.any()
+                       for p in other_domains_params(model, domain))
         frozen = np.ones(arena.size, dtype=bool)
-        for p in model.params():
-            if p.touched:
-                frozen[p.start:p.start + p.value.size] = False
+        for p in step_params(model, domain):
+            frozen[arena_slice(arena, p.value)] = False
         for t in model.embedding_tables():
             for row in t.grad_rows:
-                frozen[t.start + row * t.dim:t.start + (row + 1) * t.dim] = False
-        others = [p for q in range(1, 4) if q != domain
-                  for p in model.domain_params(q)]
-        assert not any(p.touched for p in others)
+                frozen[arena_slice(arena, t.weights[row])] = False
         before = [arena.values.copy(), opt.m.copy(), opt.v.copy()]
-        opt.step(model.params(), model.embedding_tables())
-        ref.step(ref_model.params(), ref_model.embedding_tables())
+        opt.step(arena.spans(domain), model.embedding_tables())
+        ref.step(step_params(ref_model, domain),
+                 ref_model.embedding_tables())
         assert arena.values.tobytes() == ref_model.arena.values.tobytes()
         assert opt.m.tobytes() == ref.flat(ref.m, ref_model).tobytes()
         assert opt.v.tobytes() == ref.flat(ref.v, ref_model).tobytes()
@@ -226,7 +253,7 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
             assert old[frozen].tobytes() == new[frozen].tobytes()
     # Domain 3 never trained: its parameters and moments are as built.
     for p in model.domain_params(3):
-        span = slice(p.start, p.start + p.value.size)
+        span = arena_slice(arena, p.value)
         assert arena.values[span].tobytes() == initial[span].tobytes()
         assert not opt.m[span].any() and not opt.v[span].any()
 
