@@ -21,10 +21,12 @@ def main():
     ).examples
 
     cells = [
-        ("star / pn / aux", dict(variant="star", normalizer="pn", aux=True)),
+        ("star / pn / aux",
+         dict(variant="star", normalizer="pn", aux_enabled=True)),
         ("shared bottom / bn / aux",
-         dict(variant="shared_bottom", normalizer="bn", aux=True)),
-        ("base / bn / aux", dict(variant="base", normalizer="bn", aux=True)),
+         dict(variant="shared_bottom", normalizer="bn", aux_enabled=True)),
+        ("base / bn / aux",
+         dict(variant="base", normalizer="bn", aux_enabled=True)),
     ]
     print(f"{'model':28s} {'overall_auc':>12s} {'weighted_auc':>13s} "
           f"{'pcoc_std':>9s}")

@@ -6,8 +6,8 @@ input files, the seed, the package, numpy and BLAS versions and
 ``blas_threads`` (``starctr.BLAS_THREADS``) next to its primary output;
 ``train`` and ``ablation`` add ``config_hash``, the hash of the effective
 configuration after ``--set``.  The same inputs plus seed always produce
-byte-identical outputs.  A training run that diverges exits 4 and writes
-neither the checkpoint nor its log.
+byte-identical outputs.  A training run that diverges exits 4, and one
+that trains no batch exits 3; neither writes the checkpoint or its log.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_gradcheck(args) -> int:
         config = load_experiment_config(args.config, _overrides(args.set))
         name = f"model_{config.variant}_{config.normalizer}"
         results[name] = check_model(tiny_model_config(
-            config.variant, config.normalizer, config.aux))
+            config.variant, config.normalizer, config.aux_enabled))
     worst = 0.0
     for name in sorted(results):
         err = results[name]

@@ -140,52 +140,56 @@ def as_dataset(examples: "Dataset | Iterable[Example]") -> Dataset:
     return Dataset.from_examples(examples)
 
 
-def _bounded(low, high=math.inf, **kwargs):
-    """A dataclass field whose value ``validate`` keeps finite and in
-    [low, high]."""
-    return field(metadata={"range": (low, high)}, **kwargs)
+def bounded(low, high=math.inf, *, open_low=False, key=None, **kwargs):
+    """A dataclass field whose value ``check_fields`` keeps in [low, high],
+    or in (low, high] if ``open_low``, and finite if a float.  ``key`` is
+    the field's config key where it differs from the field name."""
+    metadata = {"range": (low, high, open_low)}
+    if key is not None:
+        metadata["key"] = key
+    return field(metadata=metadata, **kwargs)
 
 
 @dataclass
 class DomainProfile:
-    traffic_share: float = _bounded(0.0, 1.0)
+    traffic_share: float = bounded(0, 1)
     # No declared range: validate raises CalibrationError outside (0, 1).
     base_ctr: float
-    specificity: float = _bounded(-math.inf, default=0.6)
+    specificity: float = bounded(-math.inf, default=0.6)
     # A "vector" field's config value is comma-separated floats.
     feature_shift: np.ndarray | None = field(default=None,
                                              metadata={"vector": True})
 
 
 # Sizes past memory yet below numpy's limits, which end in a traceback.
-_MAX_SIZE = 10**9
+MAX_SIZE = 10**9
 
 
 @dataclass
 class GenConfig:
     profiles: list[DomainProfile]
-    n_examples: int = _bounded(0, _MAX_SIZE, default=200_000)
-    seed: int = _bounded(0, default=0)
+    n_examples: int = bounded(0, MAX_SIZE, default=200_000, key="examples")
+    seed: int = bounded(0, default=0)
     # -1: reuse seed; set differently for a holdout
-    sample_seed: int = _bounded(-1, default=-1)
-    latent_dim: int = _bounded(1, default=8)
-    vocab_items: int = _bounded(1, _MAX_SIZE, default=4000)
-    vocab_profiles: int = _bounded(1, _MAX_SIZE, default=1200)
-    vocab_contexts: int = _bounded(1, _MAX_SIZE, default=50)
-    behavior_mean_len: float = _bounded(0.0, _MAX_SIZE, default=4.0)
-    behavior_max_len: int = _bounded(0, _MAX_SIZE, default=10)
-    shared_weight_scale: float = _bounded(0.0, default=0.35)
-    domain_weight_scale: float = _bounded(0.0, default=0.5)
+    sample_seed: int = bounded(-1, default=-1)
+    latent_dim: int = bounded(1, MAX_SIZE, default=8)
+    vocab_items: int = bounded(1, MAX_SIZE, default=4000)
+    vocab_profiles: int = bounded(1, MAX_SIZE, default=1200)
+    vocab_contexts: int = bounded(1, MAX_SIZE, default=50)
+    behavior_mean_len: float = bounded(0, MAX_SIZE, default=4.0)
+    behavior_max_len: int = bounded(0, MAX_SIZE, default=10)
+    shared_weight_scale: float = bounded(0, default=0.35)
+    domain_weight_scale: float = bounded(0, default=0.5)
     # Constant added to every shared-weight coordinate: puts part of the label
     # signal on the overall feature intensity (the row mean), mimicking an
     # "engagement level" effect.
-    weight_mean_shift: float = _bounded(-math.inf, default=0.15)
+    weight_mean_shift: float = bounded(-math.inf, default=0.15)
     # Rank of the per-domain deviation weights.  0 draws each domain's
     # deviation independently; r > 0 draws them from a shared r-dimensional
     # subspace (domains deviate in related directions, as related business
     # domains do), scaled to keep the same total deviation energy.  At most
     # 4 * latent_dim, the dimension of the space.
-    domain_rank: int = _bounded(0, default=2)
+    domain_rank: int = bounded(0, default=2)
 
     @property
     def num_domains(self) -> int:
@@ -200,14 +204,12 @@ class GenConfig:
         range (CalibrationError for a base_ctr outside (0, 1))."""
         if not self.profiles:
             raise ConfigError("at least one domain profile required")
-        for key, f in _GEN_FIELDS.items():
-            _check_value(key, getattr(self, f.name), f)
+        check_fields(self)
         if self.domain_rank > 4 * self.latent_dim:
             raise ConfigError(f"domain_rank must be <= 4 * latent_dim = "
                               f"{4 * self.latent_dim}, got {self.domain_rank}")
         for i, p in enumerate(self.profiles, start=1):
-            for name, f in _PROFILE_FIELDS.items():
-                _check_value(f"domain.{i}.{name}", getattr(p, name), f)
+            check_fields(p, f"domain.{i}.")
         shares = np.array([p.traffic_share for p in self.profiles])
         if abs(shares.sum() - 1.0) > 1e-9:
             raise ConfigError(f"traffic shares sum to {shares.sum()}, not 1")
@@ -655,28 +657,49 @@ def read_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Config files: flat key=value, one key per dataclass field.  Each value
-# parses to the type of its field's default (see field_parser).  In a
-# generator config the keys are "domains" (the number of profiles), the
-# GenConfig field names ("examples" for n_examples) and domain.<i>.<field>
-# for each DomainProfile field.
+# Config files: flat key=value, one key per dataclass field (config_keys).
+# Each value parses to the type of its field's default (see field_parser).
+# In a generator config the keys are "domains" (the number of profiles), the
+# GenConfig keys and domain.<i>.<key> for each DomainProfile key.
 # ---------------------------------------------------------------------------
 
-_GEN_FIELDS = {("examples" if f.name == "n_examples" else f.name): f
-               for f in fields(GenConfig) if f.name != "profiles"}
-_PROFILE_FIELDS = {f.name: f for f in fields(DomainProfile)}
+
+def config_keys(cls) -> dict:
+    """Each config key of dataclass ``cls`` and its field, in field order:
+    the field's ``key`` metadata, else its name."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls)}
 
 
-def _check_value(key: str, value, f):
-    """Raise ConfigError unless ``value`` is finite and within the range
-    field ``f`` declares; a field that declares none is not checked."""
-    if "range" not in f.metadata:
-        return
-    low, high = f.metadata["range"]
-    if not ((isinstance(value, int) or math.isfinite(value))
-            and low <= value <= high):
-        raise ConfigError(f"{key} must be finite and within [{low}, {high}], "
-                          f"got {value!r}")
+_GEN_FIELDS = {key: f for key, f in config_keys(GenConfig).items()
+               if f.name != "profiles"}
+_PROFILE_FIELDS = config_keys(DomainProfile)
+
+
+def _rule(value, low, high, open_low) -> str:
+    """What ``value`` must be to lie in a field's declared range."""
+    rule = [] if isinstance(value, int) else ["finite"]
+    if high < math.inf:
+        rule.append(f"in {'(' if open_low else '['}{low}, {high}]")
+    elif low > -math.inf:
+        rule.append(f"{'>' if open_low else '>='} {low}")
+    return " and ".join(rule)
+
+
+def check_fields(config, prefix: str = ""):
+    """Raise ConfigError, naming ``prefix`` and the config key, for the
+    first field of ``config`` outside the range it declares (``bounded``);
+    a float must also be finite."""
+    for key, f in config_keys(type(config)).items():
+        if "range" not in f.metadata:
+            continue
+        low, high, open_low = f.metadata["range"]
+        value = getattr(config, f.name)
+        if not ((isinstance(value, int) or math.isfinite(value))
+                and (low < value if open_low else low <= value)
+                and value <= high):
+            raise ConfigError(f"{prefix}{key} must be "
+                              f"{_rule(value, low, high, open_low)}, "
+                              f"got {value!r}")
 
 
 def _parse_bool(value: str) -> bool:

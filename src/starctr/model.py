@@ -31,14 +31,14 @@ statistics are kept one per partition: M for pn, 1 for bn.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .datagen import FIELDS, Dataset, Example, as_dataset
-from .errors import ConfigError, ContractViolation, ShapeError
+from .datagen import (FIELDS, MAX_SIZE, Dataset, Example, as_dataset,
+                      bounded, check_fields)
+from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 from .layers import (
     Arena,
     EmbeddingTable,
@@ -62,22 +62,25 @@ NORMALIZERS = ("bn", "ln", "pn")
 
 @dataclass
 class ModelConfig:
+    """A model's settings.  Field names and order are the checkpoint
+    header's; ``key`` metadata names a config-file key that differs."""
     variant: str = "star"
     normalizer: str = "pn"
-    aux_enabled: bool = True
-    num_domains: int = 5
-    embed_dim: int = 8
-    vocab_items: int = 4000
-    vocab_profiles: int = 1200
-    vocab_contexts: int = 50
-    layer_widths: tuple[int, ...] = (64, 32, 1)
-    aux_embed_dim: int = 16
-    aux_hidden: int = 16
+    aux_enabled: bool = field(default=True, metadata={"key": "aux"})
+    num_domains: int = bounded(1, MAX_SIZE, default=5, key="domains")
+    embed_dim: int = bounded(1, MAX_SIZE, default=8)
+    vocab_items: int = bounded(1, MAX_SIZE, default=4000)
+    vocab_profiles: int = bounded(1, MAX_SIZE, default=1200)
+    vocab_contexts: int = bounded(1, MAX_SIZE, default=50)
+    layer_widths: tuple[int, ...] = field(default=(64, 32, 1),
+                                          metadata={"key": "layers"})
+    aux_embed_dim: int = bounded(1, MAX_SIZE, default=16)
+    aux_hidden: int = bounded(1, MAX_SIZE, default=16)
     aux_use_features: bool = False
-    embed_init_scale: float = 0.1
-    momentum: float = 0.01
-    epsilon: float = 1e-5
-    seed: int = 0
+    embed_init_scale: float = bounded(0, default=0.1)
+    momentum: float = bounded(0, 1, default=0.01)
+    epsilon: float = bounded(0, open_low=True, default=1e-5)
+    seed: int = bounded(0, default=0)
 
     @property
     def input_dim(self) -> int:
@@ -98,32 +101,16 @@ class ModelConfig:
                 + 2 * self.input_dim * affines + aux * self.aux_enabled)
 
     def validate(self):
+        check_fields(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown model variant {self.variant!r}")
         if self.normalizer not in NORMALIZERS:
             raise ConfigError(f"unknown normalizer {self.normalizer!r}")
-        if not self.layer_widths or self.layer_widths[-1] != 1:
-            raise ConfigError(
-                f"layer widths {self.layer_widths} must end in 1 (the logit)"
-            )
-        if self.num_domains < 1:
-            raise ConfigError("num_domains must be >= 1")
-        sizes = ("embed_dim", "vocab_items", "vocab_profiles",
-                 "vocab_contexts", "aux_embed_dim", "aux_hidden")
-        small = [n for n in sizes if getattr(self, n) < 1]
-        if small or min(self.layer_widths) < 1:
-            raise ConfigError(
-                f"sizes must be >= 1: {small or self.layer_widths}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name, ok, rule in (
-                ("embed_init_scale", self.embed_init_scale >= 0, ">= 0"),
-                ("momentum", 0 <= self.momentum <= 1, "in [0, 1]"),
-                ("epsilon", self.epsilon > 0, "> 0")):
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise ConfigError(
-                    f"{name} must be finite and {rule}, got {value!r}")
+        widths = self.layer_widths
+        if not (widths and widths[-1] == 1
+                and all(1 <= w <= MAX_SIZE for w in widths)):
+            raise ConfigError(f"layers must end in 1 (the logit), each width "
+                              f"in [1, {MAX_SIZE}], got {widths}")
 
 
 class Batch(Dataset):
@@ -253,7 +240,7 @@ class StarFcn:
         """Domain p's (shared layer, domain layer) pairs; None marks a
         factor the variant lacks."""
         if not 1 <= p <= self.num_domains:
-            raise ConfigError(f"domain {p} outside 1..{self.num_domains}")
+            raise DomainError(f"domain {p} outside 1..{self.num_domains}")
         none = [None] * len(self.widths)
         return zip(self.shared or none,
                    self.domain[p - 1] if self.domain else none)

@@ -56,7 +56,7 @@ def _validated(config: ExperimentConfig,
     data = as_dataset(examples)
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
-    validate_domains(data, config.domains)
+    validate_domains(data, config.num_domains)
     return data
 
 
@@ -111,9 +111,9 @@ def train_model(config: ExperimentConfig,
     ``examples`` is streamed through the buffer epoch by epoch, or is a
     ``BatchPlan`` of it whose batches are replayed.  Batches smaller than 2
     (possible only while the buffer drains) are skipped: batch-statistics
-    normalizers cannot consume them.  A non-finite loss, or one above
-    ``LOSS_CEILING``, stops the run with a ``NumericError`` naming the step
-    and the domain.
+    normalizers cannot consume them; a run that trains no batch is a
+    ``DataError``.  A non-finite loss, or one above ``LOSS_CEILING``, stops
+    the run with a ``NumericError`` naming the step and the domain.
     """
     config.validate()
     if isinstance(examples, BatchPlan):
@@ -144,6 +144,9 @@ def train_model(config: ExperimentConfig,
         if log is not None:
             log.write(f"# epoch {epoch + 1} mean_loss={epoch_loss!r} "
                       f"examples={epoch_examples}\n")
+    if opt.t == 0:
+        raise DataError("nothing to train on: no batch held 2 or more "
+                        "examples")
     return TrainResult(model, opt.t, epoch_loss)
 
 
@@ -201,7 +204,7 @@ def run_ablation(config: ExperimentConfig,
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):
             cell = with_overrides(config, variant=variant,
-                                  normalizer=normalizer, aux=aux)
+                                  normalizer=normalizer, aux_enabled=aux)
             model = train_model(cell, plan).model
             rows.append(AblationRow(variant, normalizer, aux, auc_or_none(
                 score_with_model(model, eval_examples), eval_examples.y)))

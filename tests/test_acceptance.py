@@ -61,8 +61,8 @@ _SEED_DATA = {}
 def _grid_cell(cell):
     variant, norm, aux, seed = cell
     plan, test = _SEED_DATA[seed]
-    config = ExperimentConfig(variant=variant, normalizer=norm, aux=aux,
-                              seed=seed)
+    config = ExperimentConfig(variant=variant, normalizer=norm,
+                              aux_enabled=aux, seed=seed)
     return evaluate_model(train_model(config, plan).model, test)
 
 
@@ -305,8 +305,9 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
                              vocab_items=300, vocab_profiles=120,
                              vocab_contexts=12)
     train = generate_examples(gen).examples
-    config = ExperimentConfig(domains=3, vocab_items=300, vocab_profiles=120,
-                              vocab_contexts=12, layers=(16, 8, 1),
+    config = ExperimentConfig(num_domains=3, vocab_items=300,
+                              vocab_profiles=120, vocab_contexts=12,
+                              layer_widths=(16, 8, 1),
                               embed_dim=4, aux_embed_dim=4, aux_hidden=6,
                               batch_size=128, seed=0)
     run1 = serialize(train_model(config, train).model)

@@ -239,7 +239,7 @@ CORRUPTIONS = {
     "config_invalid_widths": (
         _header_edit(set_config("layer_widths", [8, 4, 2])), "must end in 1"),
     "config_zero_vocab": (_header_edit(set_config("vocab_items", 0)),
-                          "sizes must be >= 1"),
+                          r"vocab_items must be in \[1, 1000000000\]"),
     "config_negative_seed": (_header_edit(set_config("seed", -1)),
                              "seed must be >= 0"),
     "tensor_dtype": (_header_edit(_tensor_dtype), "bad entry"),

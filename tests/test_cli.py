@@ -113,6 +113,40 @@ def test_bad_model_value_exits_2(workspace, tmp_path, capsys, key, value,
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("key,value", [
+    ("vocab_items", str(10**20)),
+    ("embed_dim", str(10**20)),
+    ("aux_hidden", str(10**20)),
+    ("domains", str(10**20)),
+    ("batch_size", str(10**20)),
+    ("layers", f"{10**20},1"),
+])
+def test_oversized_value_exits_2(workspace, tmp_path, capsys, key, value):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(data), str(out),
+                 "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lines", [0, 1])
+def test_training_nothing_exits_3_and_writes_nothing(workspace, tmp_path,
+                                                     capsys, lines):
+    _, _, exp_config, data, _ = workspace
+    with open(data) as fh:
+        head = "".join(fh.readline() for _ in range(lines))
+    short = tmp_path / "short.tsv"
+    short.write_text(head)
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(exp_config), str(short), str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: nothing to train on")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.tsv"]
+
+
 def test_divergence_exits_4_and_writes_nothing(workspace, tmp_path, capsys):
     _, _, exp_config, data, _ = workspace
     out = tmp_path / "m.ckpt"
@@ -288,12 +322,16 @@ def test_unknown_config_key_exits_2(workspace, tmp_path):
     ("examples", str(10**20)),
     ("vocab_items", str(10**20)),
     ("behavior_max_len", str(10**20)),
+    ("latent_dim", str(10**20)),
 ])
 def test_bad_gen_config_value_exits_2(workspace, tmp_path, capsys, key,
                                       value):
     _, gen_config, _, _, _ = workspace
+    # Each feature_shift holds latent_dim floats: without those lines only
+    # latent_dim's own range can reject its value.
     lines = [line for line in gen_config.read_text().splitlines()
-             if not line.startswith(key + "=")]
+             if not line.startswith(key + "=")
+             and not (key == "latent_dim" and ".feature_shift=" in line)]
     bad = tmp_path / "gen.cfg"
     bad.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
     out = tmp_path / "data.tsv"

@@ -1,8 +1,10 @@
-"""Fuzzed config text: the parsers raise only StarError subclasses."""
+"""Fuzzed config text: the parsers raise only StarError subclasses, and
+every config they accept prints to text that parses back to it."""
 
 from hypothesis import given, settings, strategies as st
 
-from starctr.config import ExperimentConfig, parse_experiment_config
+from starctr.config import (ExperimentConfig, format_experiment_config,
+                            parse_experiment_config)
 from starctr.datagen import (
     default_gen_config,
     format_gen_config,
@@ -16,7 +18,8 @@ FUZZ = settings(max_examples=300, deadline=None)
 GEN_TEXT = format_gen_config(default_gen_config(num_domains=3))
 GEN_KEYS = sorted(parse_kv_text(GEN_TEXT)) + ["domain.4.base_ctr",
                                               "domain.0.specificity"]
-EXPERIMENT_KEYS = sorted(ExperimentConfig.__dataclass_fields__)
+EXPERIMENT_KEYS = sorted(parse_kv_text(
+    format_experiment_config(ExperimentConfig())))
 
 VALUES = st.one_of(
     st.text(max_size=12),
@@ -29,9 +32,9 @@ VALUES = st.one_of(
 
 def raises_only_star_errors(parse, *args):
     try:
-        parse(*args)
+        return parse(*args)
     except StarError:
-        pass
+        return None
 
 
 @FUZZ
@@ -50,7 +53,10 @@ def test_parse_gen_config(overrides, drop_domains):
         kv.pop("domains")
     kv.update(overrides)
     text = "".join(f"{key}={value}\n" for key, value in kv.items())
-    raises_only_star_errors(parse_gen_config, text)
+    config = raises_only_star_errors(parse_gen_config, text)
+    if config is not None:
+        printed = format_gen_config(config)
+        assert format_gen_config(parse_gen_config(printed)) == printed
 
 
 @FUZZ
@@ -58,4 +64,7 @@ def test_parse_gen_config(overrides, drop_domains):
     st.one_of(st.sampled_from(EXPERIMENT_KEYS), st.text(max_size=12)),
     VALUES, max_size=4))
 def test_parse_experiment_config(text, overrides):
-    raises_only_star_errors(parse_experiment_config, text, overrides)
+    config = raises_only_star_errors(parse_experiment_config, text, overrides)
+    if config is not None:
+        assert parse_experiment_config(
+            format_experiment_config(config)) == config

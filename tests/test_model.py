@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from starctr.errors import ConfigError, ContractViolation, ShapeError
+from starctr.errors import (ConfigError, ContractViolation, DomainError,
+                            ShapeError)
 from starctr.gradcheck import check_model, random_examples, tiny_model_config
 from starctr.layers import relu, sigmoid
 from starctr.model import (
@@ -119,6 +120,14 @@ class TestStarForward:
         b = random_examples(2, config, domain=2)
         with pytest.raises(ContractViolation):
             Batch.from_examples(list(a) + list(b))
+
+    def test_unserved_domain_rejected(self):
+        config = tiny_model_config("star", "ln")
+        model = build_model(config)
+        batch = tiny_batch(config, domain=config.num_domains + 1)
+        for mode in ("train", "infer"):
+            with pytest.raises(DomainError, match="domain 3 outside 1..2"):
+                model.forward(batch, mode=mode)
 
     def test_train_requires_two_examples_for_pn(self):
         from starctr.errors import DegenerateInputError

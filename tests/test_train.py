@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from starctr.config import (
     ExperimentConfig,
     config_hash,
     format_experiment_config,
+    load_experiment_config,
     parse_experiment_config,
     with_overrides,
 )
@@ -35,8 +37,8 @@ def tiny_data():
 
 
 def tiny_config(**kw):
-    defaults = dict(domains=3, vocab_items=300, vocab_profiles=120,
-                    vocab_contexts=12, layers=(16, 8, 1), embed_dim=4,
+    defaults = dict(num_domains=3, vocab_items=300, vocab_profiles=120,
+                    vocab_contexts=12, layer_widths=(16, 8, 1), embed_dim=4,
                     aux_embed_dim=4, aux_hidden=6, batch_size=128, epochs=1,
                     seed=0)
     defaults.update(kw)
@@ -82,8 +84,8 @@ class TestTrainLoop:
                                                       normalizer, aux):
         from starctr.checkpoint import serialize
         train, _ = tiny_data
-        config = tiny_config(variant=variant, normalizer=normalizer, aux=aux,
-                             batch_size=64)
+        config = tiny_config(variant=variant, normalizer=normalizer,
+                             aux_enabled=aux, batch_size=64)
         new = serialize(train_model(config, train[:3000]).model)
         use_reference_kernels(monkeypatch)
         assert new == serialize(train_model(config, train[:3000]).model)
@@ -100,6 +102,14 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match=r"step \d+ \(domain \d\)"):
             train_model(tiny_config(lr=1e300), train, log=log)
 
+    def test_a_run_that_trains_nothing_is_a_data_error(self, tiny_data):
+        train, _ = tiny_data
+        config = tiny_config()
+        for rows in (train[:0], train[:1]):
+            for examples in (rows, BatchPlan.build(config, rows)):
+                with pytest.raises(DataError, match="nothing to train on"):
+                    train_model(config, examples)
+
     def test_vocab_validation(self, tiny_data):
         train, _ = tiny_data
         bad = tiny_config(vocab_items=10)
@@ -113,7 +123,7 @@ class TestTrainLoop:
         for build in (train_model, BatchPlan.build):
             with pytest.raises(DataError, match=f"example {first}: unknown "
                                                 f"domain 3 \\(model serves"):
-                build(tiny_config(domains=2), train)
+                build(tiny_config(num_domains=2), train)
 
 
 class TestTrainStep:
@@ -164,7 +174,8 @@ class TestAblation:
         rows = run_ablation(config, train[:3000], test[:1000])
         for row in rows:
             cell = with_overrides(config, variant=row.variant,
-                                  normalizer=row.normalizer, aux=row.aux)
+                                  normalizer=row.normalizer,
+                                  aux_enabled=row.aux)
             alone = evaluate_model(train_model(cell, train[:3000]).model,
                                    test[:1000])
             assert repr(row.overall_auc) == repr(alone.overall_auc)
@@ -200,9 +211,14 @@ class TestAblation:
 class TestExperimentConfig:
     def test_round_trip(self):
         config = tiny_config(variant="shared_bottom", normalizer="ln",
-                             aux=False)
+                             aux_enabled=False)
         parsed = parse_experiment_config(format_experiment_config(config))
         assert parsed == config
+
+    def test_shipped_defaults(self):
+        path = Path(__file__).resolve().parent.parent / "configs"
+        assert (load_experiment_config(str(path / "experiment_default.cfg"))
+                == ExperimentConfig())
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError, match="zap.*zip|zip.*zap"):
