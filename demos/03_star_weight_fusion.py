@@ -31,7 +31,7 @@ def main():
     model.norm.moving_mean[:] = 0.0
     model.norm.moving_var[:] = 1.0
     model.norm.populated[:] = True
-    out1 = model.forward(Batch.from_examples(ex1), mode="infer")
+    out1 = model.forward(ex1, mode="infer")
     out2 = model.forward(Batch.from_examples(ex2), mode="infer")
     print(f"  same inputs through domain 1 vs domain 2: "
           f"max diff {np.abs(out1 - out2).max():.1e}")
@@ -39,8 +39,7 @@ def main():
     print("\nten optimizer steps on domain-1 batches:")
     opt = Adam(model.arena, lr=0.01)
     for step in range(10):
-        train_step(model, opt, Batch.from_examples(
-            random_examples(16, config, 1, seed=50 + step)))
+        train_step(model, opt, random_examples(16, config, 1, seed=50 + step))
     drift1 = np.abs(model.fcn.domain[0][0].W.value - 1.0).max()
     drift2 = np.abs(model.fcn.domain[1][0].W.value - 1.0).max()
     print(f"  domain-1 mask drift from ones: {drift1:.4f}")

@@ -13,8 +13,9 @@ import time
 
 import numpy as np
 
+from starctr.datagen import Dataset
 from starctr.gradcheck import random_examples
-from starctr.model import Batch, ModelConfig, build_model
+from starctr.model import ModelConfig, build_model
 from starctr.optim import Adam
 from starctr.serve import fold, score_with_model
 from starctr.train import train_step
@@ -29,8 +30,7 @@ def main():
     opt = Adam(model.arena)
     for step in range(60):
         domain = 1 + step % 5
-        batch = Batch.from_examples(random_examples(64, config, domain,
-                                                    seed=step))
+        batch = random_examples(64, config, domain, seed=step)
         train_step(model, opt, batch)
 
     folded = fold(model)
@@ -42,7 +42,8 @@ def main():
     a = folded.score_examples(examples, batch_size=256)
     t_folded = time.perf_counter() - t0
     t0 = time.perf_counter()
-    b = score_with_model(model, examples, batch_size=256)
+    b = score_with_model(model, Dataset.from_examples(examples),
+                         batch_size=256)
     t_unfolded = time.perf_counter() - t0
 
     print(f"scored {len(examples)} examples across 5 domains")

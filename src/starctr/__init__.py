@@ -27,7 +27,6 @@ from .datagen import (
     DomainProfile,
     Example,
     GenConfig,
-    as_dataset,
     default_gen_config,
     generate,
     generate_examples,
@@ -44,7 +43,7 @@ from .layers import (
 )
 from .metrics import (
     MetricReport,
-    Prediction,
+    PredictionColumns,
     auc,
     build_report,
     pcoc,
@@ -70,8 +69,8 @@ __all__ = [
     "DomainProfile",
     "EmbeddingTable", "Example", "ExperimentConfig", "FcLayer", "FoldedModel",
     "GenConfig", "LayerNorm", "MetricReport", "ModelConfig",
-    "PartitionedNorm", "Prediction", "ShuffleBuffer", "StarFcn",
-    "as_dataset", "auc", "bce_loss", "build_model", "build_report",
+    "PartitionedNorm", "PredictionColumns", "ShuffleBuffer", "StarFcn",
+    "auc", "bce_loss", "build_model", "build_report",
     "default_gen_config", "embed_and_pool", "errors", "evaluate_model",
     "fold", "generate", "generate_examples", "grad_check", "iter_batches",
     "load_experiment_config", "load_folded", "load_model", "make_rng",

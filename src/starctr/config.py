@@ -13,13 +13,20 @@ from .model import ModelConfig
 
 @dataclass
 class ExperimentConfig(ModelConfig):
-    """A model's settings and the settings that train it; ``validate`` is
-    ``ModelConfig``'s, which checks every declared range."""
+    """A model's settings and the settings that train it."""
     lr: float = bounded(0, open_low=True, default=0.001)
     batch_size: int = bounded(2, MAX_SIZE, default=1024)
     epochs: int = bounded(1, MAX_SIZE, default=1)
     # 0 means 50 * batch_size
     buffer_capacity: int = bounded(0, MAX_SIZE, default=0)
+
+    def validate(self):
+        """``ModelConfig.validate``, then: a batch fits an explicit buffer,
+        checked before any data is read."""
+        super().validate()
+        if self.buffer_capacity and self.batch_size > self.buffer_capacity:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds buffer "
+                              f"capacity {self.buffer_capacity}")
 
     @property
     def effective_buffer_capacity(self) -> int:

@@ -18,11 +18,10 @@ import io
 import math
 import os
 import re
-import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +65,9 @@ class Dataset:
         self.p = p
 
     @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "Dataset":
-        """Transpose rows into columns (one pass per field)."""
-        rows = list(examples)
+    def from_examples(cls, rows: list[Example]) -> "Dataset":
+        """Transpose rows into columns (one pass per field): the one place
+        where ``Example`` rows become a ``Dataset``."""
         if not rows:
             return cls.empty()
         behavior, profile, item, context, y, p = zip(*rows)
@@ -131,13 +130,6 @@ class Dataset:
         return Dataset(self.behavior_flat[flat_rows], offsets,
                        self.profile[rows], self.item[rows],
                        self.context[rows], self.y[rows], self.p[rows])
-
-
-def as_dataset(examples: "Dataset | Iterable[Example]") -> Dataset:
-    """The columns of ``examples``: a Dataset as is, rows transposed."""
-    if isinstance(examples, Dataset):
-        return examples
-    return Dataset.from_examples(examples)
 
 
 def bounded(low, high=math.inf, *, open_low=False, key=None, **kwargs):
@@ -514,8 +506,7 @@ def write_atomic(path: str, raw: bytes):
         fh.write(raw)
 
 
-def write_dataset(examples: "Dataset | Iterable[Example]", path: str):
-    data = as_dataset(examples)
+def write_dataset(data: Dataset, path: str):
     with atomic_open(path) as fh:
         for start in range(0, len(data), _WRITE_ROWS):
             fh.write(_format_lines(data[start:start + _WRITE_ROWS]))
@@ -559,11 +550,8 @@ def parse_example(line: str, lineno: int = 0) -> Example:
 _CANONICAL_LINE = (rb"[1-9]\d{0,17}\t[01]\tbehavior:(?:\d{1,18}(?:,\d{1,18})*)?"
                    rb"\tprofile:\d{1,18}\titem:\d{1,18}\tctx:\d{1,18}\n")
 # Possessive: a run never gives lines back, so ``re`` keeps no backtracking
-# state per line matched.  ``re`` has possessive quantifiers from Python 3.11
-# on; before that the greedy run matches the same lines but keeps that state.
-_CANONICAL_RUN = re.compile(
-    rb"(?:" + _CANONICAL_LINE
-    + (rb")*+" if sys.version_info >= (3, 11) else rb")*"))
+# state per line matched.
+_CANONICAL_RUN = re.compile(rb"(?:" + _CANONICAL_LINE + rb")*+")
 _DIGITS_ONLY = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 _READ_BYTES = 1 << 20
 _INT64 = range(-2 ** 63, 2 ** 63)
@@ -598,8 +586,9 @@ def _parse_other(raw: bytes, lineno: int, rows: list[Example]) -> int:
             continue
         ex = parse_example(line, lineno)
         if not all(v in _INT64 for v in (*ex.behavior, ex.profile, ex.item,
-                                         ex.context)):
-            raise ParseError("id outside the 64-bit integer range", lineno)
+                                         ex.context, ex.p)):
+            raise ParseError("id or domain outside the 64-bit integer range",
+                             lineno)
         rows.append(ex)
     return lineno
 
@@ -820,12 +809,11 @@ def load_gen_config(path: str) -> GenConfig:
         return parse_gen_config(fh.read())
 
 
-def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
-                 vocab_profiles: int, vocab_contexts: int):
+def validate_ids(data: Dataset, vocab_items: int, vocab_profiles: int,
+                 vocab_contexts: int):
     """Raise DataError naming the first example (1-based) whose ids fall
     outside the given vocabularies, and its first such id (a behavior id
     counts as an item id)."""
-    data = as_dataset(examples)
 
     def outside(ids, vocab):
         return (ids < 0) | (ids >= vocab)
@@ -852,11 +840,14 @@ def validate_ids(examples: "Dataset | Iterable[Example]", vocab_items: int,
                             f"vocab: {bad_id} not in [0, {vocab})")
 
 
-def validate_domains(data: Dataset, num_domains: int):
-    """Raise DataError naming the first example (1-based) whose domain is
-    outside ``1..num_domains``."""
-    bad = (data.p < 1) | (data.p > num_domains)
+def check_rows(data: Dataset, config):
+    """Raise DataError naming the first example (1-based) whose ids fall
+    outside the vocabularies of the model config ``config``, or whose
+    domain is outside ``1..config.num_domains``."""
+    validate_ids(data, config.vocab_items, config.vocab_profiles,
+                 config.vocab_contexts)
+    bad = (data.p < 1) | (data.p > config.num_domains)
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
-                        f"(model serves 1..{num_domains})")
+                        f"(model serves 1..{config.num_domains})")

@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DataError, MetricError, UndefinedAucError
-
-
-class Prediction(NamedTuple):
-    user: int
-    p: int
-    yhat: float
-    y: int
 
 
 class PredictionColumns(NamedTuple):
@@ -24,19 +17,6 @@ class PredictionColumns(NamedTuple):
     p: np.ndarray
     yhat: np.ndarray
     y: np.ndarray
-
-
-def prediction_columns(predictions: PredictionColumns | Iterable[Prediction]
-                       ) -> PredictionColumns:
-    """The columns of ``predictions``: columns as is, rows transposed."""
-    if isinstance(predictions, PredictionColumns):
-        return predictions
-    rows = list(predictions)
-    user, p, yhat, y = zip(*rows) if rows else ((), (), (), ())
-    return PredictionColumns(np.array(user, dtype=np.int64),
-                             np.array(p, dtype=np.int64),
-                             np.array(yhat, dtype=np.float64),
-                             np.array(y, dtype=np.int64))
 
 
 def auc(scores, labels) -> float:
@@ -64,8 +44,7 @@ def auc_or_none(scores, labels) -> float | None:
         return None
 
 
-def weighted_auc(predictions: PredictionColumns | Iterable[Prediction]
-                 ) -> float:
+def weighted_auc(predictions: PredictionColumns) -> float:
     """Impression-weighted average of per-user AUCs.
 
     Users whose impressions are single-class have no AUC and are excluded
@@ -128,11 +107,11 @@ def _weighted_mean(sizes: np.ndarray, values: np.ndarray
     return float(num / weights.sum()), used, int(sizes.size) - used
 
 
-def weighted_auc_detail(predictions: PredictionColumns | Iterable[Prediction]
+def weighted_auc_detail(predictions: PredictionColumns
                         ) -> tuple[float, int, int]:
     """(weighted AUC, users counted, users excluded)."""
-    cols = prediction_columns(predictions)
-    _, sizes, values = _group_aucs((cols.user,), cols.yhat, cols.y)
+    _, sizes, values = _group_aucs((predictions.user,), predictions.yhat,
+                                   predictions.y)
     return _weighted_mean(sizes, values)
 
 
@@ -204,21 +183,19 @@ def _fmt(value) -> str:
     return "undefined" if value is None else repr(float(value))
 
 
-def build_report(predictions: PredictionColumns | Iterable[Prediction]
-                 ) -> MetricReport:
-    cols = prediction_columns(predictions)
-    yhat, y, domains = cols.yhat, cols.y, cols.p
+def build_report(predictions: PredictionColumns) -> MetricReport:
+    yhat, y, domains = predictions.yhat, predictions.y, predictions.p
     if not yhat.size:
         raise DataError("no predictions to report on")
     if not ((yhat > 0.0) & (yhat < 1.0)).all():
         bad = yhat[(yhat <= 0.0) | (yhat >= 1.0)][0]
         raise DataError(f"prediction {bad!r} outside (0, 1)")
     overall = auc_or_none(yhat, y)
-    wauc, used, excluded = weighted_auc_detail(cols)
+    wauc, used, excluded = weighted_auc_detail(predictions)
     (domain_of,), domain_sizes, domain_aucs = _group_aucs((domains,), yhat, y)
     # Per-user AUC within each domain: (domain, user) grouping.
     (group_domain, _), group_sizes, group_aucs = _group_aucs(
-        (domains, cols.user), yhat, y)
+        (domains, predictions.user), yhat, y)
     per_auc: dict[int, float | None] = {}
     per_wauc: dict[int, float | None] = {}
     per_pcoc: dict[int, float | None] = {}

@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import (FIELDS, MAX_SIZE, Dataset, Example, as_dataset,
-                      bounded, check_fields)
+from .datagen import FIELDS, MAX_SIZE, Dataset, Example, bounded, check_fields
 from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 from .layers import (
     Arena,
@@ -134,8 +133,10 @@ class Batch(Dataset):
         self.size = len(rows)
 
     @classmethod
-    def from_examples(cls, examples: Dataset | Sequence[Example]) -> "Batch":
-        return cls(as_dataset(examples))
+    def from_examples(cls, rows: Sequence[Example]) -> "Batch":
+        """The batch of ``Example`` rows: a row entry point for callers that
+        hold rows, not columns."""
+        return cls(Dataset.from_examples(rows))
 
     def fields(self):
         """Each field's ``(name, flat ids, offsets)`` in ``FIELDS`` order:

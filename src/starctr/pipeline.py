@@ -10,11 +10,11 @@ threaded by design: one caller drives the iterator.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datagen import Dataset, Example, as_dataset
+from .datagen import Dataset
 from .errors import ConfigError
 from .model import Batch
 
@@ -76,8 +76,8 @@ class ShuffleBuffer:
         return pool[mask]
 
 
-def stream_batches(examples: Dataset | Iterable[Example], buffer: ShuffleBuffer,
-                   batch_size: int) -> Iterator[Batch]:
+def stream_batches(data: Dataset, buffer: ShuffleBuffer, batch_size: int
+                   ) -> Iterator[Batch]:
     """Yield single-domain batches from an arrival stream through the buffer.
 
     While the stream is live, only domains holding at least 2 buffered
@@ -90,7 +90,6 @@ def stream_batches(examples: Dataset | Iterable[Example], buffer: ShuffleBuffer,
         raise ConfigError(
             f"batch_size {batch_size} exceeds buffer capacity {buffer.capacity}"
         )
-    data = as_dataset(examples)
     n = len(data)
     pos = 0
     exhausted = False
@@ -112,19 +111,17 @@ def stream_batches(examples: Dataset | Iterable[Example], buffer: ShuffleBuffer,
             p = buffer.sample_domain(min_count=1)
             if p is None:
                 break
-        yield Batch.from_examples(data.take(buffer.draw(p, batch_size)))
+        yield Batch(data.take(buffer.draw(p, batch_size)))
         refill()
 
 
-def iter_batches(examples: Dataset | Iterable[Example], batch_size: int
-                 ) -> Iterator[Batch]:
+def iter_batches(data: Dataset, batch_size: int) -> Iterator[Batch]:
     """Chronological batching (no buffer): consecutive same-domain runs.
 
     Splits the stream wherever the domain changes, and runs longer than
     ``batch_size``, so every batch stays single-domain; used as the
     no-buffer comparison point for the pipeline.
     """
-    data = as_dataset(examples)
     domain_starts = np.flatnonzero(np.diff(data.p)) + 1
     for run in np.split(np.arange(len(data)), domain_starts):
         for start in range(0, run.size, batch_size):

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import pack, unpack
-from .datagen import (Dataset, Example, as_dataset, atomic_open, read_dataset,
-                      validate_domains, validate_ids, write_atomic)
+from .datagen import (Dataset, Example, atomic_open, check_rows, read_dataset,
+                      validate_ids, write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid, standardize
 from .model import Batch, ModelConfig, field_vocabs
@@ -94,13 +94,13 @@ class FoldedModel:
             logits += _mlp(z, folded.aux_layers)
         return _clamp_probs(sigmoid(logits))
 
-    def score_examples(self, examples: Dataset | Sequence[Example],
+    def score_examples(self, rows: Sequence[Example],
                        batch_size: int = 4096) -> np.ndarray:
-        """Scores in input order; an id outside the vocabularies or a
-        domain outside ``1..num_domains`` is a DataError naming the
-        example."""
-        data = as_dataset(examples)
-        _check_ids(data, self.config)
+        """Scores of a request's ``Example`` rows, in input order; an id
+        outside the vocabularies or a domain outside ``1..num_domains`` is
+        a DataError naming the example."""
+        data = Dataset.from_examples(rows)
+        check_rows(data, self.config)
         return _score_grouped(self.score_batch, data, batch_size)
 
 
@@ -138,22 +138,15 @@ def fold(model) -> FoldedModel:
     return FoldedModel(config, embeddings, domains)
 
 
-def score_with_model(model, examples: Dataset | Sequence[Example],
-                     batch_size: int = 4096) -> np.ndarray:
+def score_with_model(model, data: Dataset, batch_size: int = 4096
+                     ) -> np.ndarray:
     """Unfolded inference-mode scoring; the reference for fold equivalence."""
 
     def score_batch(batch: Batch) -> np.ndarray:
         return _clamp_probs(sigmoid(model.forward(batch, mode="infer")))
 
-    data = as_dataset(examples)
-    _check_ids(data, model.config)
+    check_rows(data, model.config)
     return _score_grouped(score_batch, data, batch_size)
-
-
-def _check_ids(data: Dataset, config: ModelConfig):
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
-    validate_domains(data, config.num_domains)
 
 
 def _score_grouped(score_batch, data: Dataset, batch_size: int) -> np.ndarray:

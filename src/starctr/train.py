@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, TextIO
 
 from .config import ExperimentConfig, with_overrides
-from .datagen import (Dataset, Example, as_dataset, validate_domains,
-                      validate_ids)
+from .datagen import Dataset, check_rows
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (MetricReport, PredictionColumns, auc_or_none,
                       build_report)
@@ -51,15 +50,6 @@ def _epoch_batches(config: ExperimentConfig, data: Dataset,
     return stream_batches(data, buffer, config.batch_size)
 
 
-def _validated(config: ExperimentConfig,
-               examples: Dataset | Sequence[Example]) -> Dataset:
-    data = as_dataset(examples)
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
-    validate_domains(data, config.num_domains)
-    return data
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """Every epoch's training batches of one dataset, built once.
@@ -75,10 +65,9 @@ class BatchPlan:
     epochs: tuple[tuple[Batch, ...], ...]
 
     @classmethod
-    def build(cls, config: ExperimentConfig,
-              examples: Dataset | Sequence[Example]) -> "BatchPlan":
+    def build(cls, config: ExperimentConfig, data: Dataset) -> "BatchPlan":
         config.validate()
-        data = _validated(config, examples)
+        check_rows(data, config)
         return cls(_plan_key(config),
                    tuple(tuple(_epoch_batches(config, data, epoch))
                          for epoch in range(config.epochs)))
@@ -103,12 +92,11 @@ def train_step(model, opt: Adam, batch: Batch) -> float:
     return loss
 
 
-def train_model(config: ExperimentConfig,
-                examples: Dataset | Sequence[Example] | BatchPlan,
+def train_model(config: ExperimentConfig, data: Dataset | BatchPlan,
                 log: TextIO | None = None) -> TrainResult:
     """Train a model over the arrival stream via the shuffle buffer.
 
-    ``examples`` is streamed through the buffer epoch by epoch, or is a
+    ``data`` is streamed through the buffer epoch by epoch, or is a
     ``BatchPlan`` of it whose batches are replayed.  Batches smaller than 2
     (possible only while the buffer drains) are skipped: batch-statistics
     normalizers cannot consume them; a run that trains no batch is a
@@ -116,14 +104,14 @@ def train_model(config: ExperimentConfig,
     the run with a ``NumericError`` naming the step and the domain.
     """
     config.validate()
-    if isinstance(examples, BatchPlan):
-        if examples.key != _plan_key(config):
+    if isinstance(data, BatchPlan):
+        if data.key != _plan_key(config):
             raise ConfigError(f"batch plan built for (seed, batch_size, "
-                              f"buffer, epochs, vocabularies) {examples.key},"
+                              f"buffer, epochs, vocabularies) {data.key},"
                               f" config has {_plan_key(config)}")
-        epochs = examples.epochs
+        epochs = data.epochs
     else:
-        data = _validated(config, examples)
+        check_rows(data, config)
         epochs = (_epoch_batches(config, data, epoch)
                   for epoch in range(config.epochs))
     model = build_model(config.model_config())
@@ -150,18 +138,16 @@ def train_model(config: ExperimentConfig,
     return TrainResult(model, opt.t, epoch_loss)
 
 
-def predictions_for(model, examples: Dataset | Sequence[Example],
-                    batch_size: int = 4096) -> PredictionColumns:
-    """Score ``examples`` unfolded; an id outside the model's vocabularies,
-    or a domain it does not serve, is a DataError naming the example."""
-    data = as_dataset(examples)
+def predictions_for(model, data: Dataset, batch_size: int = 4096
+                    ) -> PredictionColumns:
+    """Score ``data`` unfolded; an id outside the model's vocabularies, or
+    a domain it does not serve, is a DataError naming the example."""
     yhat = score_with_model(model, data, batch_size)
     return PredictionColumns(user=data.profile, p=data.p, yhat=yhat, y=data.y)
 
 
-def evaluate_model(model, examples: Dataset | Sequence[Example]
-                   ) -> MetricReport:
-    return build_report(predictions_for(model, examples))
+def evaluate_model(model, data: Dataset) -> MetricReport:
+    return build_report(predictions_for(model, data))
 
 
 ABLATION_VARIANTS = (
@@ -188,18 +174,16 @@ class AblationRow:
                 f"overall_auc={auc!r}")
 
 
-def run_ablation(config: ExperimentConfig,
-                 train_examples: Dataset | Sequence[Example],
-                 eval_examples: Dataset | Sequence[Example],
-                 log: TextIO | None = None) -> list[AblationRow]:
+def run_ablation(config: ExperimentConfig, train_data: Dataset,
+                 eval_data: Dataset, log: TextIO | None = None
+                 ) -> list[AblationRow]:
     """Overall AUC for the five architecture/normalizer cells, aux on and
-    off; all ten train on one ``BatchPlan`` of ``train_examples``.  Both
+    off; all ten train on one ``BatchPlan`` of ``train_data``.  Both
     datasets are checked before the first cell trains."""
-    eval_examples = as_dataset(eval_examples)
-    if not len(eval_examples):
+    if not len(eval_data):
         raise DataError("no evaluation examples available for the ablation")
-    plan = BatchPlan.build(config, train_examples)
-    _validated(config, eval_examples)
+    plan = BatchPlan.build(config, train_data)
+    check_rows(eval_data, config)
     rows = []
     for variant, normalizer in ABLATION_VARIANTS:
         for aux in (True, False):
@@ -207,7 +191,7 @@ def run_ablation(config: ExperimentConfig,
                                   normalizer=normalizer, aux_enabled=aux)
             model = train_model(cell, plan).model
             rows.append(AblationRow(variant, normalizer, aux, auc_or_none(
-                score_with_model(model, eval_examples), eval_examples.y)))
+                score_with_model(model, eval_data), eval_data.y)))
             if log is not None:
                 log.write(rows[-1].format() + "\n")
     return rows

@@ -7,7 +7,7 @@ in place of the scorer's in-place layers."""
 
 import numpy as np
 
-from starctr.datagen import as_dataset, validate_ids
+from starctr.datagen import Dataset, validate_ids
 from starctr.errors import DataError
 from starctr.model import Batch
 
@@ -102,7 +102,7 @@ def reference_score_batch(folded, batch):
 def reference_score_examples(folded, examples, batch_size=4096):
     """``FoldedModel.score_examples`` that checks ids, then sorts every
     input by domain and gathers each chunk before scoring it."""
-    data = as_dataset(examples)
+    data = Dataset.from_examples(examples)
     config = folded.config
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
@@ -113,7 +113,7 @@ def reference_score_examples(folded, examples, batch_size=4096):
         for start in range(0, rows.size, batch_size):
             chunk = rows[start:start + batch_size]
             out[chunk] = reference_score_batch(
-                folded, Batch.from_examples(data.take(chunk)))
+                folded, Batch(data.take(chunk)))
     return out
 
 

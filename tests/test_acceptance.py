@@ -15,10 +15,10 @@ import pytest
 from starctr import BLAS_THREADS
 from starctr.checkpoint import deserialize, serialize
 from starctr.config import ExperimentConfig
-from starctr.datagen import default_gen_config, generate_examples
+from starctr.datagen import Dataset, default_gen_config, generate_examples
 from starctr.gradcheck import random_examples, run_all
-from starctr.metrics import auc, pcoc, weighted_auc, Prediction
-from starctr.model import Batch, ModelConfig, build_model
+from starctr.metrics import auc, pcoc, weighted_auc
+from starctr.model import ModelConfig, build_model
 from starctr.optim import Adam
 from starctr.pipeline import (
     ShuffleBuffer,
@@ -31,6 +31,7 @@ from starctr.serve import fold, score_with_model
 from starctr.tensor import make_rng
 from starctr.train import BatchPlan, evaluate_model, train_model, train_step
 
+from prediction_rows import Prediction, columns
 from test_metrics import eq9_oracle, pairwise_auc
 
 SEEDS = (0, 1, 2)
@@ -130,8 +131,7 @@ def _served_star_model(num_domains=5, steps_per_domain=6):
     opt = Adam(model.arena)
     for step in range(steps_per_domain * num_domains):
         domain = 1 + step % num_domains
-        batch = Batch.from_examples(
-            random_examples(32, config, domain, seed=300 + step))
+        batch = random_examples(32, config, domain, seed=300 + step)
         train_step(model, opt, batch)
     return model
 
@@ -144,7 +144,8 @@ def test_criterion_02_fold_equivalence():
         examples.extend(random_examples(10_000, model.config, p, seed=40 + p))
     folded = fold(model)
     diff = np.abs(folded.score_examples(examples)
-                  - score_with_model(model, examples)).max()
+                  - score_with_model(model, Dataset.from_examples(examples))
+                  ).max()
     elapsed = time.time() - t0
     ok = diff <= 1e-12 and elapsed < 30.0
     check(2, "fold-equivalence", ok,
@@ -155,8 +156,7 @@ def test_criterion_02_fold_equivalence():
 def test_criterion_03_domain_isolation():
     model = _served_star_model(num_domains=3, steps_per_domain=2)
     before = deserialize(serialize(model))
-    batch = Batch.from_examples(
-        random_examples(32, model.config, domain=1, seed=900))
+    batch = random_examples(32, model.config, domain=1, seed=900)
     train_step(model, Adam(model.arena), batch)
     after = deserialize(serialize(model))
 
@@ -252,7 +252,7 @@ def test_criterion_08_metric_oracles():
                        int(rng.integers(0, 2)))
             for _ in range(100)
         ]
-        if weighted_auc(preds) == eq9_oracle(preds):
+        if weighted_auc(columns(preds)) == eq9_oracle(preds):
             wauc_exact += 1
 
     data = generate_examples(
@@ -285,7 +285,8 @@ def test_criterion_09_pipeline_properties():
     emitted = [ex for b in stream_batches(examples, buffer, 512) for ex in b]
     conserved = Counter(emitted) == Counter(examples)
 
-    sorted_stream = sorted(examples[:40_000], key=lambda ex: ex.p)
+    sorted_stream = Dataset.from_examples(
+        sorted(examples[:40_000], key=lambda ex: ex.p))
     counts = Counter(ex.p for ex in sorted_stream)
     global_mix = {p: c / len(sorted_stream) for p, c in counts.items()}
     buffered = list(stream_batches(sorted_stream,

@@ -14,9 +14,10 @@ from container_bytes import (
 )
 from starctr import datagen
 from starctr.checkpoint import deserialize, load_model, save_model, serialize
+from starctr.datagen import Dataset
 from starctr.errors import CheckpointError, VersionError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import Batch, build_model
+from starctr.model import build_model
 from starctr.optim import Adam
 from starctr.serve import fold, save_folded, score_with_model
 from starctr.train import train_step
@@ -28,8 +29,7 @@ def trained_model(variant="star", normalizer="pn", aux=True, steps=3):
     opt = Adam(model.arena)
     for step in range(steps):
         domain = 1 + step % config.num_domains
-        batch = Batch.from_examples(
-            random_examples(6, config, domain, seed=40 + step))
+        batch = random_examples(6, config, domain, seed=40 + step)
         train_step(model, opt, batch)
     return model
 
@@ -115,7 +115,7 @@ def test_loaded_model_scores_identically(tmp_path):
     save_model(model, str(path))
     loaded = load_model(str(path))
     config = model.config
-    batch = Batch.from_examples(random_examples(8, config, domain=2, seed=77))
+    batch = random_examples(8, config, domain=2, seed=77)
     a = model.forward(batch, mode="infer")
     b = loaded.forward(batch, mode="infer")
     assert np.array_equal(a, b)
@@ -132,7 +132,8 @@ def test_reloaded_baseline_folds_to_saved_scores(tmp_path, variant):
                 + list(random_examples(20, config, domain=2, seed=82)))
     scores = fold(loaded).score_examples(examples)
     assert np.array_equal(scores, fold(model).score_examples(examples))
-    assert np.abs(scores - score_with_model(model, examples)).max() <= 1e-12
+    unfolded = score_with_model(model, Dataset.from_examples(examples))
+    assert np.abs(scores - unfolded).max() <= 1e-12
 
 
 def test_deserialize_then_serialize_reproduces_bytes():

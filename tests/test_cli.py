@@ -132,6 +132,21 @@ def test_oversized_value_exits_2(workspace, tmp_path, capsys, key, value):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_batch_larger_than_buffer_exits_2_before_reading_data(tmp_path,
+                                                              capsys, command):
+    # The data file does not exist: the config is rejected first.
+    config = str(Path(__file__).resolve().parent.parent / "configs"
+                 / "experiment_default.cfg")
+    missing, out = str(tmp_path / "missing.tsv"), str(tmp_path / "out")
+    argv = {"train": ["train", config, missing, out],
+            "ablation": ["ablation", config, missing, "--out", out]}[command]
+    assert main(argv + ["--set", "buffer_capacity=10"]) == 2
+    assert capsys.readouterr().err == ("config error: batch_size 1024 exceeds "
+                                       "buffer capacity 10\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("lines", [0, 1])
 def test_training_nothing_exits_3_and_writes_nothing(workspace, tmp_path,
                                                      capsys, lines):
@@ -473,12 +488,14 @@ def test_ablation_ten_rows(workspace, tmp_path, capsys):
 def test_ablation_checks_eval_data_before_training(workspace, tmp_path,
                                                    capsys, monkeypatch):
     from starctr import train
-    from starctr.datagen import read_dataset, write_dataset
+    from starctr.datagen import Dataset, read_dataset, write_dataset
 
     _, _, exp_config, data, _ = workspace
     rows = read_dataset(str(data))
     eval_data = tmp_path / "eval.tsv"
-    write_dataset(list(rows[:50]) + [rows[0]._replace(p=6)], str(eval_data))
+    write_dataset(Dataset.from_examples(list(rows[:50])
+                                        + [rows[0]._replace(p=6)]),
+                  str(eval_data))
     calls = []
     real = train.train_model
     monkeypatch.setattr(train, "train_model",

@@ -1,5 +1,3 @@
-import re
-import sys
 
 import numpy as np
 import pytest
@@ -273,8 +271,6 @@ class TestColumnarReader:
         assert len(read_dataset(str(path))) == 201
         assert len(calls) == 1
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="re has possessive quantifiers from 3.11 on")
     def test_canonical_run_keeps_no_backtracking_state(self, tmp_path):
         """Matching a run of canonical lines allocates next to nothing, so
         the peak stays near the size of the columns."""
@@ -290,21 +286,17 @@ class TestColumnarReader:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size
 
-    def test_greedy_run_matches_the_same_lines(self):
-        """The run pattern used before Python 3.11 ends where the
-        possessive one does."""
-        greedy = re.compile(rb"(?:" + datagen._CANONICAL_LINE + rb")*")
-        good = GOOD_LINE.encode()
-        buf = (good * 3 + b"1\t1\tbehavior:\tprofile:1\titem:1\tctx:1\r\n"
-               + good * 2 + b"0\t1\tbehavior:\tprofile:1\titem:1\tctx:1\n")
-        for pos in range(len(buf)):
-            assert (greedy.match(buf, pos).end()
-                    == datagen._CANONICAL_RUN.match(buf, pos).end())
-
     def test_id_beyond_int64_is_a_parse_error(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text(GOOD_LINE + "1\t0\tbehavior:\tprofile:1\titem:1\t"
                         "ctx:99999999999999999999\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_dataset(str(path))
+
+    def test_domain_beyond_int64_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text(GOOD_LINE + "99999999999999999999\t0\tbehavior:\t"
+                        "profile:1\titem:1\tctx:1\n")
         with pytest.raises(ParseError, match="line 2"):
             read_dataset(str(path))
 

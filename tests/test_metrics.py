@@ -3,7 +3,6 @@ import pytest
 
 from starctr.errors import DataError, MetricError, UndefinedAucError
 from starctr.metrics import (
-    Prediction,
     auc,
     build_report,
     pcoc,
@@ -12,6 +11,8 @@ from starctr.metrics import (
     weighted_auc_detail,
 )
 from starctr.tensor import make_rng
+
+from prediction_rows import Prediction, columns
 
 
 def pairwise_auc(scores, labels):
@@ -88,7 +89,8 @@ class TestWeightedAuc:
     def test_single_user_equals_plain_auc(self):
         preds = [Prediction(5, 1, s, y) for s, y in
                  [(0.1, 0), (0.7, 1), (0.4, 0), (0.9, 1)]]
-        assert weighted_auc(preds) == auc([0.1, 0.7, 0.4, 0.9], [0, 1, 0, 1])
+        assert weighted_auc(columns(preds)) == auc([0.1, 0.7, 0.4, 0.9],
+                                                   [0, 1, 0, 1])
 
     def test_hand_arithmetic(self):
         # Two users: AUC 1.0 with 10 impressions, AUC 0.5 with 30.
@@ -98,7 +100,7 @@ class TestWeightedAuc:
             preds.append(Prediction(1, 1, 0.1, 0))
         for i in range(30):
             preds.append(Prediction(2, 1, 0.5, 1 if i < 10 else 0))
-        assert weighted_auc(preds) == pytest.approx(0.625, abs=1e-15)
+        assert weighted_auc(columns(preds)) == pytest.approx(0.625, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_direct_two_loop_oracle(self, seed):
@@ -109,7 +111,7 @@ class TestWeightedAuc:
                        int(rng.integers(0, 2)))
             for _ in range(120)
         ]
-        assert weighted_auc(preds) == eq9_oracle(preds)
+        assert weighted_auc(columns(preds)) == eq9_oracle(preds)
 
     def test_bounded_by_user_aucs(self):
         rng = make_rng(33)
@@ -126,7 +128,7 @@ class TestWeightedAuc:
                                     [g.y for g in group]))
             except UndefinedAucError:
                 pass
-        value = weighted_auc(preds)
+        value = weighted_auc(columns(preds))
         assert min(per_user) <= value <= max(per_user)
 
     def test_single_class_users_excluded_and_counted(self):
@@ -134,13 +136,14 @@ class TestWeightedAuc:
             Prediction(1, 1, 0.2, 0), Prediction(1, 1, 0.9, 1),
             Prediction(2, 1, 0.5, 1), Prediction(2, 1, 0.6, 1),  # all clicks
         ]
-        value, used, excluded = weighted_auc_detail(preds)
+        value, used, excluded = weighted_auc_detail(columns(preds))
         assert (used, excluded) == (1, 1)
         assert value == 1.0
 
     def test_no_defined_user_raises(self):
         with pytest.raises(MetricError):
-            weighted_auc([Prediction(1, 1, 0.5, 1), Prediction(1, 1, 0.6, 1)])
+            weighted_auc(columns([Prediction(1, 1, 0.5, 1),
+                                  Prediction(1, 1, 0.6, 1)]))
 
 
 class TestPcoc:
@@ -177,7 +180,7 @@ class TestReport:
         return preds
 
     def test_report_fields(self):
-        report = build_report(self.make_preds())
+        report = build_report(columns(self.make_preds()))
         assert set(report.per_domain_auc) == {1, 2, 3}
         assert 0.0 <= report.overall_auc <= 1.0
         assert report.pcoc_std is not None
@@ -187,25 +190,26 @@ class TestReport:
         # (domain, user) grouping equals weighting users within each
         # domain's own predictions, bit for bit.
         preds = self.make_preds()
-        report = build_report(preds)
+        report = build_report(columns(preds))
         for p, value in report.per_domain_weighted_auc.items():
             subset = [pred for pred in preds if pred.p == p]
-            expected, used, _ = weighted_auc_detail(subset)
+            expected, used, _ = weighted_auc_detail(columns(subset))
             assert value == (expected if used else None)
             assert report.per_domain_weighted_auc[p] == eq9_oracle(subset)
 
     def test_kv_and_json_deterministic(self):
         preds = self.make_preds()
-        r1, r2 = build_report(preds), build_report(preds)
+        r1, r2 = build_report(columns(preds)), build_report(columns(preds))
         assert r1.to_kv_text() == r2.to_kv_text()
         assert r1.to_json() == r2.to_json()
 
     def test_out_of_range_prediction_rejected(self):
         with pytest.raises(DataError):
-            build_report([Prediction(1, 1, 1.0, 1), Prediction(1, 1, 0.5, 0)])
+            build_report(columns([Prediction(1, 1, 1.0, 1),
+                                  Prediction(1, 1, 0.5, 0)]))
 
     def test_svg_well_formed(self):
-        report = build_report(self.make_preds())
+        report = build_report(columns(self.make_preds()))
         svg = pcoc_scatter_svg(report.per_domain_pcoc)
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")

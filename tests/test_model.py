@@ -19,7 +19,7 @@ from starctr.train import train_step
 
 
 def tiny_batch(config, n=6, domain=1, seed=5):
-    return Batch.from_examples(random_examples(n, config, domain, seed))
+    return random_examples(n, config, domain, seed)
 
 
 class TestStarLayerParams:
@@ -97,7 +97,7 @@ class TestStarForward:
         model.norm.populated[:] = True
         ex1 = random_examples(6, config, domain=1, seed=8)
         ex2 = [e._replace(p=2) for e in ex1]
-        out1 = model.forward(Batch.from_examples(ex1), mode="infer")
+        out1 = model.forward(ex1, mode="infer")
         out2 = model.forward(Batch.from_examples(ex2), mode="infer")
         assert np.allclose(out1, out2, atol=1e-12)
 
@@ -226,8 +226,7 @@ class TestBaselines:
         model = build_model(config)
         ex1 = random_examples(4, config, domain=1, seed=11)
         ex2 = [e._replace(p=2) for e in ex1]
-        out1 = model.forward(Batch.from_examples(ex1), mode="train",
-                             update_stats=False)
+        out1 = model.forward(ex1, mode="train", update_stats=False)
         out2 = model.forward(Batch.from_examples(ex2), mode="train",
                              update_stats=False)
         assert np.array_equal(out1, out2)

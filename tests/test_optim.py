@@ -6,7 +6,7 @@ import pytest
 from starctr.errors import ContractViolation, DataError, DomainError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.layers import Arena, EmbeddingTable, Param, sigmoid
-from starctr.model import Batch, build_model
+from starctr.model import build_model
 from starctr.optim import Adam, bce_loss
 from starctr.tensor import make_rng
 from starctr.train import train_step
@@ -228,8 +228,7 @@ def test_arena_adam_equals_reference_bitwise(variant, norm, aux, features):
     initial = arena.values.copy()
     for step in range(20):
         domain = 1 + step % 2
-        batch = Batch.from_examples(
-            random_examples(16, config, domain, seed=400 + step))
+        batch = random_examples(16, config, domain, seed=400 + step)
         for net in (model, ref_model):
             net.zero_grad()
             _, dlogits = bce_loss(net.forward(batch, mode="train"), batch.y)
@@ -271,7 +270,7 @@ VARIANTS = [
 def test_loss_decreases_over_100_fullbatch_steps(variant, norm, aux):
     config = tiny_model_config(variant, norm, aux)
     model = build_model(config)
-    batch = Batch.from_examples(random_examples(64, config, domain=1, seed=9))
+    batch = random_examples(64, config, domain=1, seed=9)
     opt = Adam(model.arena, lr=0.001)
     first = last = train_step(model, opt, batch)
     for _ in range(99):

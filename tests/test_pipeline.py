@@ -4,7 +4,8 @@ import numpy as np
 
 import pytest
 
-from starctr.datagen import Example, default_gen_config, generate_examples
+from starctr.datagen import (Dataset, Example, default_gen_config,
+                             generate_examples)
 from starctr.errors import ConfigError
 from starctr.pipeline import (
     ShuffleBuffer,
@@ -33,38 +34,41 @@ class TestShuffleBuffer:
     def test_batch_size_exceeding_capacity(self):
         buffer = ShuffleBuffer(10, make_rng(0))
         with pytest.raises(ConfigError):
-            list(stream_batches([], buffer, 11))
+            list(stream_batches(Dataset.from_examples([]), buffer, 11))
 
     def test_every_batch_single_domain(self):
         examples = toy_examples(5_000, 4)
         buffer = ShuffleBuffer(512, make_rng(1))
-        for batch in stream_batches(examples, buffer, 64):
+        for batch in stream_batches(Dataset.from_examples(examples), buffer,
+                                    64):
             assert len({ex.p for ex in batch}) == 1
 
     def test_conservation_full_capacity_is_permutation(self):
         examples = toy_examples(3_000, 3)
         buffer = ShuffleBuffer(3_000, make_rng(2))
-        emitted = [ex for b in stream_batches(examples, buffer, 100) for ex in b]
+        data = Dataset.from_examples(examples)
+        emitted = [ex for b in stream_batches(data, buffer, 100) for ex in b]
         assert Counter(emitted) == Counter(examples)
 
     def test_conservation_small_buffer(self):
         examples = toy_examples(2_000, 5)
         buffer = ShuffleBuffer(256, make_rng(3))
-        emitted = [ex for b in stream_batches(examples, buffer, 32) for ex in b]
+        data = Dataset.from_examples(examples)
+        emitted = [ex for b in stream_batches(data, buffer, 32) for ex in b]
         assert Counter(emitted) == Counter(examples)
 
     def test_deterministic_given_seed(self):
-        examples = toy_examples(1_000, 3)
+        data = Dataset.from_examples(toy_examples(1_000, 3))
         runs = []
         for _ in range(2):
             buffer = ShuffleBuffer(128, make_rng(42))
-            runs.append([tuple(b) for b in stream_batches(examples, buffer, 16)])
+            runs.append([tuple(b) for b in stream_batches(data, buffer, 16)])
         assert runs[0] == runs[1]
 
     def test_buffer_never_exceeds_capacity(self):
-        examples = toy_examples(1_000, 2)
+        data = Dataset.from_examples(toy_examples(1_000, 2))
         buffer = ShuffleBuffer(64, make_rng(4))
-        for _ in stream_batches(examples, buffer, 16):
+        for _ in stream_batches(data, buffer, 16):
             assert len(buffer) <= 64
 
     def test_domain_sorted_stream_mixes_earlier_than_chronological(self):
@@ -75,8 +79,9 @@ class TestShuffleBuffer:
         global_mix = {p: c / total for p, c in global_counts.items()}
 
         buffer = ShuffleBuffer(10 * 64, make_rng(5))
-        buffered = list(stream_batches(examples, buffer, 64))
-        chronological = list(iter_batches(examples, 64))
+        data = Dataset.from_examples(examples)
+        buffered = list(stream_batches(data, buffer, 64))
+        chronological = list(iter_batches(data, 64))
 
         tv_buffered = mean_tv_distance(batch_domain_mix(buffered, 20),
                                        global_mix)
@@ -102,7 +107,7 @@ def test_drain_emits_leftover_singletons():
     examples = [Example((1,), 0, 0, 0, 0, 1) for _ in range(5)]
     examples.insert(3, Example((2,), 1, 1, 1, 1, 2))
     buffer = ShuffleBuffer(4, make_rng(9))
-    batches = list(stream_batches(examples, buffer, 2))
+    batches = list(stream_batches(Dataset.from_examples(examples), buffer, 2))
     emitted = [ex for b in batches for ex in b]
     assert Counter(emitted) == Counter(examples)
     assert any(len(b) == 1 for b in batches)
@@ -164,7 +169,8 @@ def test_index_plan_matches_list_reference(seed, batch_size, capacity, n):
     expected = list(reference_batches(examples, capacity, make_rng(seed),
                                       batch_size))
     got = [list(b) for b in stream_batches(
-        examples, ShuffleBuffer(capacity, make_rng(seed)), batch_size)]
+        Dataset.from_examples(examples),
+        ShuffleBuffer(capacity, make_rng(seed)), batch_size)]
     assert got == expected
     if capacity < n:
         # The drain phase emits leftover singletons.

@@ -6,7 +6,7 @@ import pytest
 
 from starctr import serve
 from starctr.checkpoint import serialize
-from starctr.datagen import Example, as_dataset, write_dataset
+from starctr.datagen import Dataset, Example, write_dataset
 from starctr.errors import DataError, FoldError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import NORMALIZERS, VARIANTS, ModelConfig, build_model
@@ -36,7 +36,6 @@ def serving_config(normalizer="pn", aux=True, num_domains=5, variant="star",
 def small_trained_model(normalizer="pn", aux=True, num_domains=5,
                         variant="star", aux_use_features=False):
     """A briefly trained model with every domain's stats populated."""
-    from starctr.model import Batch
     from starctr.optim import Adam
     from starctr.train import train_step
 
@@ -46,8 +45,7 @@ def small_trained_model(normalizer="pn", aux=True, num_domains=5,
     opt = Adam(model.arena)
     for step in range(4 * num_domains):
         domain = 1 + step % num_domains
-        batch = Batch.from_examples(
-            random_examples(16, config, domain, seed=100 + step))
+        batch = random_examples(16, config, domain, seed=100 + step)
         train_step(model, opt, batch)
     return model
 
@@ -92,7 +90,7 @@ class TestFold:
                                             aux_use_features=features)
                 examples = random_eval_examples(model.config, 200)
                 a = fold(model).score_examples(examples)
-                b = score_with_model(model, examples)
+                b = score_with_model(model, Dataset.from_examples(examples))
                 assert np.abs(a - b).max() <= 1e-12, (variant, aux)
 
     @pytest.mark.parametrize("normalizer", ["pn", "bn", "ln"])
@@ -102,7 +100,7 @@ class TestFold:
         folded = fold(model)
         examples = random_eval_examples(model.config, 200)
         a = folded.score_examples(examples)
-        b = score_with_model(model, examples)
+        b = score_with_model(model, Dataset.from_examples(examples))
         assert np.abs(a - b).max() <= 1e-12
 
     @pytest.mark.parametrize("normalizer", ["pn", "ln"])
@@ -142,8 +140,7 @@ class TestFold:
     def test_unpopulated_domain_stats_named(self):
         config = serving_config("pn")
         model = build_model(config)
-        from starctr.model import Batch
-        batch = Batch.from_examples(random_examples(8, config, 1, seed=3))
+        batch = random_examples(8, config, 1, seed=3)
         model.forward(batch, mode="train")  # populate only domain 1
         with pytest.raises(FoldError, match="domain 2"):
             fold(model)
@@ -167,7 +164,7 @@ class TestFold:
         examples = random_eval_examples(model.config, 100)
         folded = fold(model)
         folded.score_examples(examples)
-        score_with_model(model, examples)
+        score_with_model(model, Dataset.from_examples(examples))
         assert hashlib.sha256(serialize(model)).hexdigest() == digest_before
 
 
@@ -275,7 +272,8 @@ def test_previous_folded_layout_exits_2(tmp_path, capsys, normalizer, aux,
     old.write_bytes(pack("folded", model.config,
                          previous_layout_tensors(model)))
     data = tmp_path / "d.tsv"
-    write_dataset(random_eval_examples(model.config, 5), str(data))
+    write_dataset(Dataset.from_examples(random_eval_examples(model.config, 5)),
+                  str(data))
     out = tmp_path / "p.tsv"
     assert main(["score", str(old), str(data), str(out)]) == 2
     err = capsys.readouterr().err
@@ -287,7 +285,8 @@ def test_score_with_model_out_of_vocab_is_data_error():
     config = tiny_model_config("star", "ln", aux=False)
     model = build_model(config)
     with pytest.raises(DataError, match=r"item.*99.*12"):
-        score_with_model(model, [Example((1,), 0, 99, 0, 0, 1)])
+        score_with_model(model,
+                         Dataset.from_examples([Example((1,), 0, 99, 0, 0, 1)]))
 
 
 @pytest.mark.parametrize("example,error", [
@@ -300,7 +299,8 @@ def test_scorers_check_ids(example, error):
     # Negative ids would wrap to the last embedding rows and score.
     model = small_trained_model()
     for score in (fold(model).score_examples,
-                  lambda data: score_with_model(model, data)):
+                  lambda rows: score_with_model(model,
+                                                Dataset.from_examples(rows))):
         with pytest.raises(DataError, match=f"example 1: {error}"):
             score([example])
 
@@ -320,7 +320,7 @@ class TestScoreFile:
         model = small_trained_model()
         examples = random_eval_examples(model.config, 80)
         data = tmp_path / "d.tsv"
-        write_dataset(examples, str(data))
+        write_dataset(Dataset.from_examples(examples), str(data))
         folded = fold(model)
         o1, o2 = tmp_path / "p1.tsv", tmp_path / "p2.tsv"
         score_file(folded, str(data), str(o1))
@@ -331,7 +331,7 @@ class TestScoreFile:
         model = small_trained_model()
         examples = random_eval_examples(model.config, 10)
         data = tmp_path / "d.tsv"
-        write_dataset(examples, str(data))
+        write_dataset(Dataset.from_examples(examples), str(data))
         out = tmp_path / "p.tsv"
         score_file(fold(model), str(data), str(out))
         rows = read_predictions(str(out))
@@ -349,7 +349,8 @@ class TestScoreFile:
                                                   monkeypatch):
         model = small_trained_model()
         data = tmp_path / "d.tsv"
-        write_dataset(random_eval_examples(model.config, 10), str(data))
+        write_dataset(Dataset.from_examples(
+            random_eval_examples(model.config, 10)), str(data))
         out = tmp_path / "p.tsv"
         out.write_bytes(b"previous\n")
         fmt = serve._PRED_FMT
@@ -374,7 +375,7 @@ class TestScoreFile:
         examples = random_eval_examples(model.config, 5)
         bad = examples[0]._replace(p=9)
         data = tmp_path / "d.tsv"
-        write_dataset(examples + [bad], str(data))
+        write_dataset(Dataset.from_examples(examples + [bad]), str(data))
         out = tmp_path / "p.tsv"
         summary = score_file(fold(model), str(data), str(out))
         assert summary.n_skipped == 1
@@ -417,7 +418,8 @@ class TestThroughput:
         examples = random_eval_examples(model.config, 1500)
         folded = fold(model)
         runs = (lambda: folded.score_examples(examples, 256),
-                lambda: score_with_model(model, examples, 256))
+                lambda: score_with_model(model, Dataset.from_examples(examples),
+                                         256))
         best = [float("inf")] * len(runs)
         for _ in range(7):
             for i, run in enumerate(runs):

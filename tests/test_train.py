@@ -12,7 +12,7 @@ from starctr.config import (
     parse_experiment_config,
     with_overrides,
 )
-from starctr.datagen import default_gen_config, generate_examples
+from starctr.datagen import Dataset, default_gen_config, generate_examples
 from starctr.errors import ConfigError, DataError, NumericError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import build_model
@@ -191,7 +191,8 @@ class TestAblation:
         from starctr.errors import DataError
         train, _ = tiny_data
         with pytest.raises(DataError, match="no evaluation examples"):
-            run_ablation(tiny_config(), train[:1000], [])
+            run_ablation(tiny_config(), train[:1000],
+                         Dataset.from_examples([]))
 
     def test_row_format(self, tiny_data):
         train, test = tiny_data
@@ -219,6 +220,13 @@ class TestExperimentConfig:
         path = Path(__file__).resolve().parent.parent / "configs"
         assert (load_experiment_config(str(path / "experiment_default.cfg"))
                 == ExperimentConfig())
+
+    def test_batch_must_fit_an_explicit_buffer(self):
+        config = ExperimentConfig()
+        with pytest.raises(ConfigError, match="batch_size 1024 exceeds "
+                                              "buffer capacity 10$"):
+            with_overrides(config, buffer_capacity=10)
+        assert with_overrides(config, buffer_capacity=1024).validate() is None
 
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError, match="zap.*zip|zip.*zap"):
