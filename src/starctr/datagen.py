@@ -121,15 +121,31 @@ class Dataset:
     def take(self, rows) -> "Dataset":
         """Gather the given rows, in the given order, into a new Dataset."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.behavior_offsets[rows]
-        lens = self.behavior_offsets[rows + 1] - starts
-        offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        flat_rows = np.repeat(starts - offsets[:-1], lens)
-        flat_rows += np.arange(offsets[-1], dtype=np.int64)
+        flat_rows, offsets = _flat_rows(self.behavior_offsets, rows)
         return Dataset(self.behavior_flat[flat_rows], offsets,
                        self.profile[rows], self.item[rows],
                        self.context[rows], self.y[rows], self.p[rows])
+
+    def row_range(self, start: int, stop: int) -> "Dataset":
+        """Rows ``start:stop`` as views of these columns; only the offsets
+        are new."""
+        offsets = self.behavior_offsets[start:stop + 1]
+        return Dataset(self.behavior_flat[offsets[0]:offsets[-1]],
+                       offsets - offsets[0], self.profile[start:stop],
+                       self.item[start:stop], self.context[start:stop],
+                       self.y[start:stop], self.p[start:stop])
+
+
+def _flat_rows(offsets: np.ndarray, rows: np.ndarray):
+    """Where the behavior ids of ``rows``, in that order, sit in a flat CSR
+    array with ``offsets``; and the offsets of the gathered lists."""
+    starts = offsets[rows]
+    lens = offsets[rows + 1] - starts
+    gathered = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=gathered[1:])
+    flat_rows = np.repeat(starts - gathered[:-1], lens)
+    flat_rows += np.arange(gathered[-1], dtype=np.int64)
+    return flat_rows, gathered
 
 
 def bounded(low, high=math.inf, *, open_low=False, key=None, **kwargs):
@@ -284,10 +300,36 @@ class GenResult:
     realized_ctr: dict[int, float] = field(default_factory=dict)
 
 
-def _draw_categorical(rng_uniform: np.ndarray, cum_probs: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cum_probs, rng_uniform, side="right").clip(
-        0, cum_probs.size - 1
-    )
+# Buckets of the guide table: a power of two, so ``u * _GUIDE_BUCKETS`` and
+# ``j / _GUIDE_BUCKETS`` are exact.
+_GUIDE_BUCKETS = 1 << 16
+
+
+def _guide_table(cum_probs: np.ndarray) -> np.ndarray:
+    """``guide[j]``, for j in 0..B, counts the ``cum_probs`` values <= j / B
+    (B = ``_GUIDE_BUCKETS``, ``cum_probs`` non-decreasing and >= 0)."""
+    # cum <= j / B exactly when ceil(cum * B) <= j: the first j that counts
+    # it.  A value past 1 (a cumsum's rounding) counts at no j <= B.
+    first = np.ceil(cum_probs * _GUIDE_BUCKETS).astype(np.int64)
+    counts = np.bincount(first, minlength=_GUIDE_BUCKETS + 1)
+    return np.cumsum(counts[:_GUIDE_BUCKETS + 1])
+
+
+def _draw_categorical(rng_uniform: np.ndarray, cum_probs: np.ndarray,
+                      guide: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum_probs, u, side="right")`` clipped to the last
+    category, for uniforms ``u`` in [0, 1); ``guide`` is
+    ``_guide_table(cum_probs)``.
+
+    ``u`` lies in bucket ``j = floor(u * B)``, so its answer lies in
+    ``[guide[j], guide[j + 1]]``; ``cum_probs`` is searched only for the
+    uniforms whose bucket holds a category boundary.
+    """
+    bucket = (rng_uniform * _GUIDE_BUCKETS).astype(np.int64)
+    out = guide[bucket]
+    split = np.flatnonzero((guide[1:] != guide[:-1])[bucket])
+    out[split] = np.searchsorted(cum_probs, rng_uniform[split], side="right")
+    return np.minimum(out, cum_probs.size - 1, out=out)
 
 
 def _domain_cum_probs(latent: np.ndarray, shift: np.ndarray | None) -> np.ndarray:
@@ -302,17 +344,52 @@ def _domain_cum_probs(latent: np.ndarray, shift: np.ndarray | None) -> np.ndarra
 
 
 def _calibrate_bias(raw_logits: np.ndarray, target: float) -> float:
-    """Bisect the additive bias so mean(sigmoid(raw + b)) == target."""
+    """Bisect the additive bias so mean(sigmoid(raw + b)) == target.
+
+    Once the midpoint equals an end, every later step would repeat a
+    comparison already made and the bisection would return that midpoint,
+    so it returns it there.
+    """
+    x = np.empty_like(raw_logits)
+    e = np.empty_like(raw_logits)
+    nonneg = np.empty(raw_logits.shape, dtype=bool)
+
+    def mean_sigmoid(bias: float) -> float:
+        # layers.sigmoid's arithmetic in these buffers: e = exp(-|x|), then
+        # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere.
+        np.add(raw_logits, bias, out=x)
+        np.greater_equal(x, 0, out=nonneg)
+        np.abs(x, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=e)
+        np.add(e, 1.0, out=x)
+        np.divide(e, x, out=e)
+        np.divide(1.0, x, out=e, where=nonneg)
+        return e.mean()
+
     lo, hi = -60.0, 60.0
-    if not (sigmoid(raw_logits + lo).mean() < target < sigmoid(raw_logits + hi).mean()):
+    if not mean_sigmoid(lo) < target < mean_sigmoid(hi):
         raise CalibrationError(f"CTR target {target} unreachable by bias shift")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if sigmoid(raw_logits + mid).mean() < target:
+        if mid == lo or mid == hi:
+            return mid
+        if mean_sigmoid(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# Rows pooled at a time: the pool's gathered factors stay a few MB.
+_POOL_ROWS = 16_384
+
+
+def _ungroup(grouped: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Values back in arrival order: ``grouped[i]`` belongs at ``rows[i]``."""
+    out = np.empty_like(grouped)
+    out[rows] = grouped
+    return out
 
 
 def generate_examples(config: GenConfig) -> GenResult:
@@ -345,63 +422,86 @@ def generate_examples(config: GenConfig) -> GenResult:
         w_domain = rng_w.normal(0.0, config.domain_weight_scale,
                                 size=(m, 4 * k))
 
-    shares = np.array([p.traffic_share for p in config.profiles])
-    domains = _draw_categorical(rng_s.uniform(size=n), np.cumsum(shares)) + 1
+    cum_shares = np.cumsum([p.traffic_share for p in config.profiles])
+    domains = _draw_categorical(rng_s.uniform(size=n), cum_shares,
+                                _guide_table(cum_shares)) + 1
 
     lens = np.minimum(rng_s.poisson(config.behavior_mean_len, size=n),
                       config.behavior_max_len)
-    total_beh = int(lens.sum())
-    u_beh = rng_s.uniform(size=total_beh)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    u_beh = rng_s.uniform(size=int(offsets[-1]))
     u_item = rng_s.uniform(size=n)
     u_prof = rng_s.uniform(size=n)
     u_ctx = rng_s.uniform(size=n)
 
-    beh_ids = np.zeros(total_beh, dtype=np.int64)
-    item_ids = np.zeros(n, dtype=np.int64)
-    prof_ids = np.zeros(n, dtype=np.int64)
-    ctx_ids = np.zeros(n, dtype=np.int64)
-    flat_domain = np.repeat(domains, lens)
+    # One stable sort groups the rows by domain, in arrival order within
+    # each: domain p owns grouped rows bounds[p - 1]:bounds[p] and grouped
+    # behavior ids flat_bounds[p - 1]:flat_bounds[p].  So each domain draws
+    # from the same uniforms, and pools and scores the same rows, in the
+    # same order as a mask of its rows would give.
+    rows = np.argsort(domains, kind="stable")
+    flat_rows, offsets_g = _flat_rows(offsets, rows)
+    bounds = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(domains, minlength=m + 1)[1:], out=bounds[1:])
+    flat_bounds = offsets_g[bounds]
+    u_beh, u_item, u_prof, u_ctx = (u_beh[flat_rows], u_item[rows],
+                                    u_prof[rows], u_ctx[rows])
+    beh_g = np.empty(u_beh.size, dtype=np.int64)
+    item_g, prof_g, ctx_g = (np.empty(n, dtype=np.int64) for _ in range(3))
     for p in range(1, m + 1):
         shift = config.profiles[p - 1].feature_shift
         cum_item = _domain_cum_probs(latent_items, shift)
         cum_prof = _domain_cum_probs(latent_profiles, shift)
         cum_ctx = _domain_cum_probs(latent_contexts, shift)
-        fm = flat_domain == p
-        em = domains == p
-        beh_ids[fm] = _draw_categorical(u_beh[fm], cum_item)
-        item_ids[em] = _draw_categorical(u_item[em], cum_item)
-        prof_ids[em] = _draw_categorical(u_prof[em], cum_prof)
-        ctx_ids[em] = _draw_categorical(u_ctx[em], cum_ctx)
+        guide_item = _guide_table(cum_item)
+        own = slice(bounds[p - 1], bounds[p])
+        flat = slice(flat_bounds[p - 1], flat_bounds[p])
+        beh_g[flat] = _draw_categorical(u_beh[flat], cum_item, guide_item)
+        item_g[own] = _draw_categorical(u_item[own], cum_item, guide_item)
+        prof_g[own] = _draw_categorical(u_prof[own], cum_prof,
+                                        _guide_table(cum_prof))
+        ctx_g[own] = _draw_categorical(u_ctx[own], cum_ctx,
+                                       _guide_table(cum_ctx))
 
-    # Pooled latent features, same convention as the model: mean over the
-    # behavior list (zeros when empty), then concat with the single fields.
+    # Pooled latent features of the grouped rows, same convention as the
+    # model: mean over the behavior list (zeros when empty), then concat
+    # with the single fields.  Built in row blocks, so the gathered
+    # factors stay small; each row's sum is the same in any block.
     phi = np.empty((n, 4 * k))
-    phi[:, 0:k] = mean_pool(latent_items, beh_ids, lens)
-    phi[:, k:2 * k] = latent_profiles[prof_ids]
-    phi[:, 2 * k:3 * k] = latent_items[item_ids]
-    phi[:, 3 * k:4 * k] = latent_contexts[ctx_ids]
+    lens_g = np.diff(offsets_g)
+    for lo in range(0, n, _POOL_ROWS):
+        hi = min(lo + _POOL_ROWS, n)
+        block = phi[lo:hi]
+        block[:, 0:k] = mean_pool(
+            latent_items, beh_g[offsets_g[lo]:offsets_g[hi]], lens_g[lo:hi])
+        block[:, k:2 * k] = latent_profiles[prof_g[lo:hi]]
+        block[:, 2 * k:3 * k] = latent_items[item_g[lo:hi]]
+        block[:, 3 * k:4 * k] = latent_contexts[ctx_g[lo:hi]]
 
-    logits = np.zeros(n)
+    logits = np.empty(n)
     biases = np.zeros(m)
     for p in range(1, m + 1):
         prof = config.profiles[p - 1]
-        em = domains == p
-        raw = phi[em] @ (w_shared + prof.specificity * w_domain[p - 1])
-        biases[p - 1] = _calibrate_bias(raw, prof.base_ctr) if em.any() else 0.0
-        logits[em] = raw + biases[p - 1]
+        own = slice(bounds[p - 1], bounds[p])
+        raw = phi[own] @ (w_shared + prof.specificity * w_domain[p - 1])
+        if raw.size:
+            biases[p - 1] = _calibrate_bias(raw, prof.base_ctr)
+        logits[rows[own]] = raw + biases[p - 1]
 
     probs = sigmoid(logits)
     ys = (rng_y.uniform(size=n) < probs).astype(np.int64)
 
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    examples = Dataset(beh_ids, offsets, prof_ids, item_ids, ctx_ids, ys,
-                       domains)
+    examples = Dataset(_ungroup(beh_g, flat_rows), offsets,
+                       _ungroup(prof_g, rows), _ungroup(item_g, rows),
+                       _ungroup(ctx_g, rows), ys, domains)
     truth = GroundTruth(latent_items, latent_profiles, latent_contexts,
                         w_shared, w_domain, biases)
-    realized = {
-        p: float(ys[domains == p].mean()) for p in range(1, m + 1)
-        if (domains == p).any()
-    }
+    # Click counts are whole numbers, so each sum and mean is exact.
+    clicks = np.bincount(domains, weights=ys, minlength=m + 1)[1:]
+    sizes = np.diff(bounds)
+    realized = {p: float(clicks[p - 1] / sizes[p - 1])
+                for p in range(1, m + 1) if sizes[p - 1]}
     return GenResult(examples, truth, probs, realized)
 
 
@@ -440,48 +540,65 @@ def _token_layout(lens: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     return slots, is_behavior
 
 
-# The text written before each token, by separator code.  A line's leading
+# The text written before each scalar token, in ``_SCALAR_COLUMNS`` order;
+# "\tbehavior:" follows y, and "," separates behavior ids.  A line's leading
 # "\n" ends the previous line; the writer drops the first and adds a last.
-_SEPARATORS = (b"\n", b"\t", b"\tbehavior:", b",", b"\tprofile:",
-               b"\tbehavior:\tprofile:", b"\titem:", b"\tctx:")
-_SEPARATOR_LEN = np.array([len(sep) for sep in _SEPARATORS])
-_SCALAR_SEPARATORS = (0, 1, 4, 6, 7)
+_SCALAR_PREFIXES = (b"\n", b"\t", b"\tprofile:", b"\titem:", b"\tctx:")
+_BEHAVIOR_TAG = b"\tbehavior:"
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 _WRITE_ROWS = 16_384
+
+
+def _put(out: np.ndarray, at: np.ndarray, text: bytes):
+    """Write ``text`` into ``out`` at each of the positions ``at``."""
+    for j, byte in enumerate(text):
+        out[at + j] = byte
 
 
 def _format_lines(data: Dataset) -> bytes:
     """The text lines of ``data`` (non-empty), built as one byte array."""
     lens = np.diff(data.behavior_offsets)
     slots, is_behavior = _token_layout(lens)
-    tokens = np.empty(is_behavior.size, dtype=np.int64)
-    code = np.full(tokens.size, 3)
-    for name, pos, sep in zip(_SCALAR_COLUMNS, slots, _SCALAR_SEPARATORS):
-        tokens[pos] = getattr(data, name)
-        code[pos] = sep
-    tokens[is_behavior] = data.behavior_flat
-    code[slots[1][lens > 0] + 1] = 2
-    code[slots[2][lens == 0]] = 5
-    negative = tokens < 0
-    digits = np.abs(tokens)
-    ndigits = np.ones(tokens.size, dtype=np.int64)
-    for power in range(1, 19):
-        longer = digits >= 10 ** power
+    digits = np.empty(is_behavior.size, dtype=np.int64)
+    width = np.ones(digits.size, dtype=np.int64)    # "," or a prefix
+    for name, pos, text in zip(_SCALAR_COLUMNS, slots, _SCALAR_PREFIXES):
+        digits[pos] = getattr(data, name)
+        width[pos] = len(text)
+    digits[is_behavior] = data.behavior_flat
+    # The tag comes before the token after y: the profile, or a first
+    # behavior id, whose "," it replaces.
+    width[slots[1] + 1] += len(_BEHAVIOR_TAG) - (lens > 0)
+    negative = digits < 0
+    # Unsigned, so the magnitude of -2**63 is 2**63.
+    digits = np.abs(digits, out=digits).view(np.uint64)
+    ndigits = np.ones(digits.size, dtype=np.int64)
+    for power in _POWERS_OF_TEN:
+        longer = digits >= power
         if not longer.any():
             break
         ndigits += longer
-    sep_len = _SEPARATOR_LEN[code]
-    end = np.cumsum(sep_len + negative + ndigits)
-    start = end - (sep_len + negative + ndigits)
-    out = np.empty(int(end[-1]) + 1, dtype=np.uint8)
-    for c, sep in enumerate(_SEPARATORS):
-        at = start[code == c]
-        for j, byte in enumerate(sep):
-            out[at + j] = byte
-    out[(start + sep_len)[negative]] = ord("-")
-    for d in range(int(ndigits.max())):
-        live = ndigits > d
-        out[(end - 1 - d)[live]] = ord("0") + digits[live] % 10
-        digits //= 10
+    width += negative
+    width += ndigits
+    end = np.cumsum(width)
+    first = end - ndigits    # each token's first digit
+    # Every byte left as "," lies between two behavior ids.
+    out = np.full(int(end[-1]) + 1, ord(","), dtype=np.uint8)
+    for pos, text in zip(slots, _SCALAR_PREFIXES):
+        _put(out, first[pos] - negative[pos] - len(text), text)
+    _put(out, end[slots[1]], _BEHAVIOR_TAG)
+    out[first[negative] - 1] = ord("-")
+    # Digit d of every token, counted from its last digit, written for the
+    # largest d first.  A token with fewer than d + 1 digits writes its
+    # digit d, a "0", at its first digit (the clamp), where its leading
+    # digit, written later, replaces it.
+    chars = []
+    for _ in range(int(ndigits.max())):
+        quotient = digits // 10
+        chars.append((digits - 10 * quotient).astype(np.uint8))
+        digits = quotient
+    for d in reversed(range(len(chars))):
+        chars[d] += ord("0")
+        out[np.maximum(end - (d + 1), first)] = chars[d]
     out[-1] = ord("\n")
     return out[1:].tobytes()
 
@@ -509,7 +626,7 @@ def write_atomic(path: str, raw: bytes):
 def write_dataset(data: Dataset, path: str):
     with atomic_open(path) as fh:
         for start in range(0, len(data), _WRITE_ROWS):
-            fh.write(_format_lines(data[start:start + _WRITE_ROWS]))
+            fh.write(_format_lines(data.row_range(start, start + _WRITE_ROWS)))
 
 
 def _parse_tagged(part: str, tag: str, lineno: int) -> str:

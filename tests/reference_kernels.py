@@ -3,13 +3,26 @@
 scorer's mean pool), the per-parameter Adam (for the one-pass arena Adam),
 and the folded request path that regrouped every request by a sort and a
 gather (for the one-pass scorer), with its masked sigmoid and fresh arrays
-in place of the scorer's in-place layers."""
+in place of the scorer's in-place layers; and the data generator that drew
+each domain's rows through a boolean mask, with its ``searchsorted`` draws
+and 80-step bisection, and a writer that formats one row at a time (for the
+grouped generator and the array writer)."""
 
 import numpy as np
 
-from starctr.datagen import Dataset, validate_ids
-from starctr.errors import DataError
+from starctr.datagen import (
+    Dataset,
+    GenConfig,
+    GenResult,
+    GroundTruth,
+    _domain_cum_probs,
+    format_example,
+    validate_ids,
+)
+from starctr.errors import CalibrationError, DataError
+from starctr.layers import mean_pool, sigmoid
 from starctr.model import Batch
+from starctr.tensor import make_rng
 
 
 def reference_pool(table, flat_ids, offsets):
@@ -188,3 +201,120 @@ class ReferenceAdam:
             if name in moments:
                 out[arena_slice(model.arena, values)] = moments[name].ravel()
         return out
+
+
+def reference_draw_categorical(rng_uniform, cum_probs):
+    """``datagen._draw_categorical`` as one ``searchsorted`` over ``cum_probs``."""
+    return np.searchsorted(cum_probs, rng_uniform, side="right").clip(
+        0, cum_probs.size - 1
+    )
+
+
+def reference_calibrate_bias(raw_logits: np.ndarray, target: float) -> float:
+    """``datagen._calibrate_bias`` as all 80 bisection steps, each on a
+    fresh ``sigmoid``."""
+    lo, hi = -60.0, 60.0
+    if not (sigmoid(raw_logits + lo).mean() < target < sigmoid(raw_logits + hi).mean()):
+        raise CalibrationError(f"CTR target {target} unreachable by bias shift")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sigmoid(raw_logits + mid).mean() < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_generate_examples(config: GenConfig) -> GenResult:
+    """``datagen.generate_examples`` with a boolean mask per domain."""
+    config.validate()
+    m = config.num_domains
+    k = config.latent_dim
+    n = config.n_examples
+    # The world (latent factors, ground-truth weights) comes from `seed`;
+    # which examples get drawn comes from `sample_seed`, so a holdout set is
+    # the same world with a different sample_seed.
+    rng_lat = make_rng(config.seed, stream=0)
+    rng_w = make_rng(config.seed, stream=1)
+    rng_s = make_rng(config.effective_sample_seed, stream=2)
+    rng_y = make_rng(config.effective_sample_seed, stream=3)
+
+    latent_items = rng_lat.normal(size=(config.vocab_items, k))
+    latent_profiles = rng_lat.normal(size=(config.vocab_profiles, k))
+    latent_contexts = rng_lat.normal(size=(config.vocab_contexts, k))
+    w_shared = (rng_w.normal(0.0, config.shared_weight_scale, size=4 * k)
+                + config.weight_mean_shift)
+    if config.domain_rank > 0:
+        r = config.domain_rank
+        basis, _ = np.linalg.qr(rng_w.normal(size=(4 * k, r)))
+        coords = rng_w.normal(
+            0.0, config.domain_weight_scale * np.sqrt(4 * k / r), size=(m, r)
+        )
+        w_domain = coords @ basis.T
+    else:
+        w_domain = rng_w.normal(0.0, config.domain_weight_scale,
+                                size=(m, 4 * k))
+
+    shares = np.array([p.traffic_share for p in config.profiles])
+    domains = reference_draw_categorical(rng_s.uniform(size=n), np.cumsum(shares)) + 1
+
+    lens = np.minimum(rng_s.poisson(config.behavior_mean_len, size=n),
+                      config.behavior_max_len)
+    total_beh = int(lens.sum())
+    u_beh = rng_s.uniform(size=total_beh)
+    u_item = rng_s.uniform(size=n)
+    u_prof = rng_s.uniform(size=n)
+    u_ctx = rng_s.uniform(size=n)
+
+    beh_ids = np.zeros(total_beh, dtype=np.int64)
+    item_ids = np.zeros(n, dtype=np.int64)
+    prof_ids = np.zeros(n, dtype=np.int64)
+    ctx_ids = np.zeros(n, dtype=np.int64)
+    flat_domain = np.repeat(domains, lens)
+    for p in range(1, m + 1):
+        shift = config.profiles[p - 1].feature_shift
+        cum_item = _domain_cum_probs(latent_items, shift)
+        cum_prof = _domain_cum_probs(latent_profiles, shift)
+        cum_ctx = _domain_cum_probs(latent_contexts, shift)
+        fm = flat_domain == p
+        em = domains == p
+        beh_ids[fm] = reference_draw_categorical(u_beh[fm], cum_item)
+        item_ids[em] = reference_draw_categorical(u_item[em], cum_item)
+        prof_ids[em] = reference_draw_categorical(u_prof[em], cum_prof)
+        ctx_ids[em] = reference_draw_categorical(u_ctx[em], cum_ctx)
+
+    # Pooled latent features, same convention as the model: mean over the
+    # behavior list (zeros when empty), then concat with the single fields.
+    phi = np.empty((n, 4 * k))
+    phi[:, 0:k] = mean_pool(latent_items, beh_ids, lens)
+    phi[:, k:2 * k] = latent_profiles[prof_ids]
+    phi[:, 2 * k:3 * k] = latent_items[item_ids]
+    phi[:, 3 * k:4 * k] = latent_contexts[ctx_ids]
+
+    logits = np.zeros(n)
+    biases = np.zeros(m)
+    for p in range(1, m + 1):
+        prof = config.profiles[p - 1]
+        em = domains == p
+        raw = phi[em] @ (w_shared + prof.specificity * w_domain[p - 1])
+        biases[p - 1] = reference_calibrate_bias(raw, prof.base_ctr) if em.any() else 0.0
+        logits[em] = raw + biases[p - 1]
+
+    probs = sigmoid(logits)
+    ys = (rng_y.uniform(size=n) < probs).astype(np.int64)
+
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    examples = Dataset(beh_ids, offsets, prof_ids, item_ids, ctx_ids, ys,
+                       domains)
+    truth = GroundTruth(latent_items, latent_profiles, latent_contexts,
+                        w_shared, w_domain, biases)
+    realized = {
+        p: float(ys[domains == p].mean()) for p in range(1, m + 1)
+        if (domains == p).any()
+    }
+    return GenResult(examples, truth, probs, realized)
+
+
+def reference_format_lines(data):
+    """``datagen._format_lines``: ``format_example`` of each row."""
+    return "".join(format_example(ex) + "\n" for ex in data).encode("ascii")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -523,8 +524,9 @@ def test_ablation_with_explicit_eval_data(workspace, tmp_path, capsys):
 @pytest.fixture(scope="module")
 def blas_thread_runs(tmp_path_factory):
     """``python -m starctr train`` of one default star/pn config on 3,000
-    examples under each BLAS thread request; unpinned, 2 threads change
-    this checkpoint's bytes."""
+    examples under each BLAS thread request, and once more with numpy
+    imported before starctr; unpinned, 2 threads change this checkpoint's
+    bytes."""
     root = tmp_path_factory.mktemp("blas")
     gen_config = root / "gen.cfg"
     gen_config.write_text(format_gen_config(
@@ -544,12 +546,36 @@ def blas_thread_runs(tmp_path_factory):
                        env=env, check=True, capture_output=True,
                        timeout=300)
         runs[threads] = ckpt
+    # numpy first, under the machine's default thread count: the package
+    # pins the OpenBLAS numpy has loaded.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+    ckpt = root / "numpy_first.ckpt"
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy, starctr\n"
+         "from starctr.cli import main\n"
+         "print(starctr.BLAS_THREADS)\n"
+         "sys.exit(main(sys.argv[1:]))",
+         "train", str(exp_config), str(data), str(ckpt)],
+        env=dict(env, PYTHONPATH=src), check=True, capture_output=True,
+        text=True, timeout=300)
+    runs["numpy_first"] = ckpt
+    runs["numpy_first_threads"] = child.stdout.splitlines()[0]
     return runs
 
 
 def test_checkpoint_bytes_ignore_the_blas_thread_request(blas_thread_runs):
     one, two = (blas_thread_runs[t].read_bytes() for t in ("1", "2"))
     assert one == two
+
+
+def test_numpy_imported_first_still_pins_blas(blas_thread_runs):
+    assert blas_thread_runs["numpy_first_threads"] == "1"
+    digests = {name: hashlib.sha256(blas_thread_runs[name].read_bytes())
+               .hexdigest() for name in ("1", "numpy_first")}
+    assert digests["numpy_first"] == digests["1"]
 
 
 def test_manifest_names_the_blas_thread_setting(blas_thread_runs):
