@@ -39,11 +39,10 @@ def main():
         examples.extend(random_examples(4000, config, p, seed=100 + p))
 
     t0 = time.perf_counter()
-    a = folded.score_examples(examples, batch_size=256)
+    a = folded.score_examples(examples)
     t_folded = time.perf_counter() - t0
     t0 = time.perf_counter()
-    b = score_with_model(model, Dataset.from_examples(examples),
-                         batch_size=256)
+    b = score_with_model(model, Dataset.from_examples(examples))
     t_unfolded = time.perf_counter() - t0
 
     print(f"scored {len(examples)} examples across 5 domains")

@@ -186,9 +186,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    config = (load_experiment_config(args.config, _overrides(args.set))
+              if args.config else None)
     results = run_all()
-    if args.config:
-        config = load_experiment_config(args.config, _overrides(args.set))
+    if config is not None:
         name = f"model_{config.variant}_{config.normalizer}"
         results[name] = check_model(tiny_model_config(
             config.variant, config.normalizer, config.aux_enabled))
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:    # a missing, unreadable or directory path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, FoldError) as exc:

@@ -6,7 +6,8 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from .datagen import (MAX_SIZE, bounded, config_keys, field_parser,
-                      format_field, parse_kv_text, parse_value)
+                      format_field, parse_kv_text, parse_value,
+                      read_config_text)
 from .errors import ConfigError
 from .model import ModelConfig
 
@@ -62,8 +63,7 @@ def parse_experiment_config(text: str,
 def load_experiment_config(path: str,
                            overrides: dict[str, str] | None = None
                            ) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_experiment_config(fh.read(), overrides)
+    return parse_experiment_config(read_config_text(path), overrides)
 
 
 def format_experiment_config(config: ExperimentConfig) -> str:

@@ -47,8 +47,9 @@ class Dataset:
     Row ``i``'s behavior ids are
     ``behavior_flat[behavior_offsets[i]:behavior_offsets[i + 1]]``; the
     other fields hold one int64 per row.  Indexing with an int yields an
-    ``Example``, iteration yields every row as one, and a slice or an index
-    array gathers a new ``Dataset``.
+    ``Example``, iteration yields every row as one, and any other key (a
+    slice, a boolean mask, an index array) gathers a new ``Dataset`` of the
+    rows numpy's indexing of ``arange(len)`` picks.
     """
 
     __slots__ = ("behavior_flat", "behavior_offsets", "profile", "item",
@@ -96,9 +97,7 @@ class Dataset:
                            int(self.profile[i]), int(self.item[i]),
                            int(self.context[i]), int(self.y[i]),
                            int(self.p[i]))
-        if isinstance(key, slice):
-            key = np.arange(len(self))[key]
-        return self.take(key)
+        return self.take(np.arange(len(self))[key])
 
     def __iter__(self):
         flat = self.behavior_flat.tolist()
@@ -243,23 +242,21 @@ _DEFAULT_SHARES = (0.2876, 0.1676, 0.1216, 0.1000, 0.0585)
 _DEFAULT_CTRS = (0.0375, 0.0324, 0.0214, 0.1203, 0.0127)
 
 
-def default_profiles(num_domains: int = 5, seed: int = 0,
-                     specificity: float = 0.6,
-                     shift_scale: float = 2.0,
+def default_profiles(num_domains: int = 5,
                      latent_dim: int = 8) -> list[DomainProfile]:
-    """Heterogeneous domain profiles with distinct latent shift directions."""
-    rng = make_rng(seed, stream=7)
+    """Heterogeneous domain profiles with distinct latent shift directions,
+    each of norm 2."""
+    rng = make_rng(0, stream=7)
     raw = np.array([_DEFAULT_SHARES[i % len(_DEFAULT_SHARES)] * (1.0 + i // 5)
                     for i in range(num_domains)])
     shares = raw / raw.sum()
     profiles = []
     for i in range(num_domains):
         shift = rng.normal(size=latent_dim)
-        shift *= shift_scale / np.linalg.norm(shift)
+        shift *= 2.0 / np.linalg.norm(shift)
         profiles.append(DomainProfile(
             traffic_share=float(shares[i]),
             base_ctr=_DEFAULT_CTRS[i % len(_DEFAULT_CTRS)],
-            specificity=specificity,
             feature_shift=shift,
         ))
     return profiles
@@ -267,13 +264,7 @@ def default_profiles(num_domains: int = 5, seed: int = 0,
 
 def default_gen_config(num_domains: int = 5, seed: int = 0,
                        n_examples: int = 200_000, **overrides) -> GenConfig:
-    profiles = default_profiles(
-        num_domains,
-        seed=overrides.pop("profile_seed", 0),
-        specificity=overrides.pop("specificity", 0.6),
-        shift_scale=overrides.pop("shift_scale", 2.0),
-        latent_dim=overrides.get("latent_dim", 8),
-    )
+    profiles = default_profiles(num_domains, overrides.get("latent_dim", 8))
     return GenConfig(profiles=profiles, n_examples=n_examples, seed=seed,
                      **overrides)
 
@@ -287,9 +278,6 @@ class GroundTruth:
     w_shared: np.ndarray
     w_domain: np.ndarray          # (M, 4k)
     biases: np.ndarray            # (M,)
-
-    def effective_weights(self, p: int, alpha: float) -> np.ndarray:
-        return self.w_shared + alpha * self.w_domain[p - 1]
 
 
 @dataclass
@@ -859,6 +847,17 @@ def parse_value(key: str, raw: str, parse):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
+def read_config_text(path: str) -> str:
+    """A config file's text; one that is not UTF-8 is a ConfigError naming
+    the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     """Parse ``key=value`` lines; '#' starts a comment, blanks ignored."""
     out: dict[str, str] = {}
@@ -922,8 +921,7 @@ def format_gen_config(config: GenConfig) -> str:
 
 
 def load_gen_config(path: str) -> GenConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gen_config(fh.read())
+    return parse_gen_config(read_config_text(path))
 
 
 def validate_ids(data: Dataset, vocab_items: int, vocab_profiles: int,

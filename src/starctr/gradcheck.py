@@ -76,7 +76,10 @@ def check_embedding(h: float = 1e-5) -> float:
     return worst
 
 
-def _check_norm(norm, forward, params, h: float) -> float:
+def _check_norm(norm, h: float) -> float:
+    """Max gradcheck error over the input and every param of ``norm``, run
+    on domain 2 (of 3 for bn and pn)."""
+    params = norm.params()
     rng = make_rng(13)
     x = rng.normal(1.5, 2.0, size=(6, 4))
     r = rng.normal(size=(6, 4))
@@ -87,38 +90,28 @@ def _check_norm(norm, forward, params, h: float) -> float:
 
     def f(theta):
         _scatter(theta, arrays)
-        return float((forward(x) * r).sum())
+        return float((norm.forward_train(x, 2) * r).sum())
 
     _scatter(theta0, arrays)
-    forward(x)
+    norm.forward_train(x, 2)
     dx = norm.backward(r.copy())
     analytic = _pack([dx] + [p.grad for p in params])
     return grad_check(f, theta0, analytic, h)
 
 
 def check_batchnorm(h: float = 1e-5) -> float:
-    # bn is one partition that every domain maps to; domain 2 of 3 runs it.
-    norm = PartitionedNorm(4, num_domains=3, per_domain=False)
-    return _check_norm(
-        norm, lambda x: norm.forward_train(x, 2, update_stats=False),
-        norm.params(), h,
-    )
+    # bn is one partition that every domain maps to.
+    return _check_norm(PartitionedNorm(4, num_domains=3, per_domain=False), h)
 
 
 def check_layernorm(h: float = 1e-5) -> float:
-    norm = LayerNorm(4)
-    return _check_norm(norm, lambda x: norm.forward_train(x, 1),
-                       norm.params(), h)
+    return _check_norm(LayerNorm(4), h)
 
 
 def check_partitioned_norm(h: float = 1e-5) -> float:
-    # Domain 2 of 3 is on the compute path; the others' zero analytic
-    # gradients are checked against zero numeric gradients.
-    norm = PartitionedNorm(4, num_domains=3)
-    return _check_norm(
-        norm, lambda x: norm.forward_train(x, 2, update_stats=False),
-        norm.params(), h,
-    )
+    # The zero analytic gradients of domains 1 and 3 are checked against
+    # zero numeric gradients.
+    return _check_norm(PartitionedNorm(4, num_domains=3), h)
 
 
 def tiny_model_config(variant: str = "star", normalizer: str = "pn",
@@ -170,8 +163,7 @@ def check_model(config: ModelConfig, batch_size: int = 4,
     theta0 = values.copy()
 
     def loss_value():
-        return bce_loss(model.forward(batch, mode="train", update_stats=False),
-                        batch.y)
+        return bce_loss(model.forward(batch, mode="train"), batch.y)
 
     def f(theta):
         values[...] = theta

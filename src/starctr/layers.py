@@ -17,7 +17,7 @@ domain affine (``PartitionedNorm(..., per_domain=False)``), so bn and pn
 run the same arithmetic, and pn with unit domain scale and zero domain bias
 is bitwise equal to bn.  Moving statistics are kept one row per partition:
 M for pn, 1 for bn.  Both normalizers and ``LayerNorm`` take the same calls:
-``forward_train(z, p, update_stats)``, ``forward_infer(z, p)``,
+``forward_train(z, p)``, ``forward_infer(z, p)``,
 ``backward``, ``params`` and ``domain_params(p)``.  All three standardize
 through one ``standardize`` (columns for bn and pn, rows for ln) and
 backprop through one ``_affine_backward``.
@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     UninitializedStatsError,
 )
-from .tensor import make_rng
 
 
 class Param:
@@ -148,12 +147,9 @@ def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
     data generator all call it.  Sums run in occurrence order from 0.0 and
     are then divided by the count, so the result is bitwise equal to an
     unbuffered scatter-add (``ufunc.at`` on ``np.add``) into zeros followed
-    by the same division.  When every slice holds one id the rows are
-    gathered as they are, which is the same bits (``0.0 + w`` and ``w / 1``
-    are ``w`` for every w but -0.0).  Ids are not checked: numpy wraps
-    negative ones.
+    by the same division.  Ids are not checked: numpy wraps negative ones.
     """
-    if counts is None or (flat_ids.size == counts.size and (counts == 1).all()):
+    if counts is None:
         return weights.take(flat_ids, axis=0)
     owner = np.repeat(np.arange(counts.size), counts)
     out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
@@ -182,13 +178,11 @@ class EmbeddingTable:
     accumulate as ``g + (a + b)``, not ``(g + a) + b``.
     """
 
-    def __init__(self, vocab_size: int, dim: int, rng=None, init_scale: float = 0.1,
+    def __init__(self, vocab_size: int, dim: int, rng, init_scale: float = 0.1,
                  name: str = "embed"):
         self.name = name
         self.vocab_size = vocab_size
         self.dim = dim
-        if rng is None:
-            rng = make_rng(0)
         self.weights = rng.normal(0.0, init_scale, size=(vocab_size, dim))
         self.grad = np.zeros((vocab_size, dim))
         self.grad_rows = _NO_ROWS
@@ -235,18 +229,9 @@ class EmbeddingTable:
             slot = np.empty(self.vocab_size, dtype=np.int64)
             slot[rows] = np.arange(rows.size)
             self.grad[rows] += _segment_sum(slot[flat_ids], scaled, rows.size)
-            self._mark(rows)
+            self.grad_rows = (np.union1d(self.grad_rows, rows)
+                              if self.grad_rows.size else rows)
         self._cache = None
-
-    def add_row_grad(self, row: int, g: np.ndarray):
-        """Accumulate a gradient into a single row (used by the aux network)."""
-        self.grad[row] += g
-        self._mark(np.array([row], dtype=np.int64))
-
-    def _mark(self, rows: np.ndarray):
-        """Merge ``rows`` (sorted, unique) into ``grad_rows``."""
-        self.grad_rows = (np.union1d(self.grad_rows, rows)
-                          if self.grad_rows.size else rows)
 
     def zero_grad(self):
         self.grad[self.grad_rows] = 0.0
@@ -257,13 +242,11 @@ class FcLayer:
     """Fully connected layer ``out = act(x @ W + b)`` with W of shape (in, out)."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "relu",
-                 rng=None, name: str = "fc"):
+                 *, rng, name: str = "fc"):
         if activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
         self.name = name
         self.activation = activation
-        if rng is None:
-            rng = make_rng(0)
         limit = np.sqrt(6.0 / in_dim)
         self.W = Param(f"{name}.W", rng.uniform(-limit, limit, size=(in_dim, out_dim)))
         self.b = Param(f"{name}.b", np.zeros(out_dim))
@@ -367,8 +350,7 @@ class PartitionedNorm:
         return (i, self.gamma.value * self.domain_gamma[i].value,
                 self.beta.value + self.domain_beta[i].value)
 
-    def forward_train(self, z: np.ndarray, p: int, update_stats: bool = True
-                      ) -> np.ndarray:
+    def forward_train(self, z: np.ndarray, p: int) -> np.ndarray:
         i, gamma_eff, beta_eff = self.affine(p)
         if z.shape[0] < 2:
             raise DegenerateInputError(
@@ -376,15 +358,14 @@ class PartitionedNorm:
             )
         xhat, mu, var, inv = standardize(z, self.epsilon, axis=0)
         mu, var = mu[0], var[0]
-        if update_stats:
-            if not self.populated[i]:
-                self.moving_mean[i] = mu
-                self.moving_var[i] = var
-                self.populated[i] = True
-            else:
-                m = self.momentum
-                self.moving_mean[i] = (1.0 - m) * self.moving_mean[i] + m * mu
-                self.moving_var[i] = (1.0 - m) * self.moving_var[i] + m * var
+        if not self.populated[i]:
+            self.moving_mean[i] = mu
+            self.moving_var[i] = var
+            self.populated[i] = True
+        else:
+            m = self.momentum
+            self.moving_mean[i] = (1.0 - m) * self.moving_mean[i] + m * mu
+            self.moving_var[i] = (1.0 - m) * self.moving_var[i] + m * var
         self._cache = (i, gamma_eff, inv, xhat)
         return gamma_eff * xhat + beta_eff
 
@@ -446,8 +427,7 @@ class LayerNorm:
 
     # Same transform in both modes and for every domain p; the aliases take
     # the calls of ``PartitionedNorm``.
-    def forward_train(self, z: np.ndarray, p: int,
-                      update_stats: bool = True) -> np.ndarray:
+    def forward_train(self, z: np.ndarray, p: int) -> np.ndarray:
         return self.forward(z)
 
     def forward_infer(self, z: np.ndarray, p: int) -> np.ndarray:

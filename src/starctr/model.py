@@ -301,7 +301,10 @@ class StarFcn:
 
 class AuxNet:
     """Two-layer net over the domain embedding (optionally with raw pooled
-    features concatenated) producing the scalar added to the main logit."""
+    features concatenated) producing the scalar added to the main logit.
+
+    The domain indicator is a one-id field: row p - 1 of ``embed``, looked
+    up and backpropagated like every other field."""
 
     def __init__(self, num_domains: int, aux_embed_dim: int, feature_dim: int,
                  hidden: int, rng, name: str = "aux"):
@@ -315,24 +318,17 @@ class AuxNet:
                            activation="relu", rng=rng, name=f"{name}.fc1")
         self.fc2 = FcLayer(hidden, 1, activation="identity", rng=rng,
                            name=f"{name}.fc2")
-        self._cache = None
 
     def forward(self, z_raw: np.ndarray, p: int) -> np.ndarray:
-        n = z_raw.shape[0]
-        e = np.tile(self.embed.weights[p - 1], (n, 1))
+        e = self.embed.pool(np.full(z_raw.shape[0], p - 1), None)
         x = np.concatenate([e, z_raw], axis=1) if self.feature_dim else e
-        s = self.fc2.forward(self.fc1.forward(x))[:, 0]
-        self._cache = p
-        return s
+        return self.fc2.forward(self.fc1.forward(x))[:, 0]
 
     def backward(self, ds: np.ndarray) -> np.ndarray:
-        """Returns dL/d(z_raw); zeros when features are not consumed."""
-        if self._cache is None:
-            raise ContractViolation("aux net: backward without forward")
-        p = self._cache
+        """Returns dL/d(z_raw); it has no columns when features are not
+        consumed."""
         dx = self.fc1.backward(self.fc2.backward(ds[:, None]))
-        self.embed.add_row_grad(p - 1, dx[:, :self.aux_embed_dim].sum(axis=0))
-        self._cache = None
+        self.embed.backward(dx[:, :self.aux_embed_dim])
         return dx[:, self.aux_embed_dim:]
 
     def params(self) -> list[Param]:
@@ -381,21 +377,17 @@ class _CtrNet:
         self.arena = Arena(shared, domains, self.embedding_tables())
         self._mode: str | None = None   # the mode of the pending forward
 
-    def forward(self, batch: Batch, mode: str = "train",
-                update_stats: bool | None = None) -> np.ndarray:
+    def forward(self, batch: Batch, mode: str = "train") -> np.ndarray:
         """The logits of ``batch``: trunk plus aux net, before the sigmoid.
 
-        ``mode="train"`` normalizes by batch statistics and, unless
-        ``update_stats`` is False, moves the moving statistics; ``"infer"``
-        uses the moving statistics.  Only a train-mode forward may be
-        followed by ``backward``."""
+        ``mode="train"`` normalizes by batch statistics and moves the moving
+        statistics; ``"infer"`` uses the moving statistics.  Only a
+        train-mode forward may be followed by ``backward``."""
         if mode not in ("train", "infer"):
             raise ConfigError(f"unknown mode {mode!r}")
-        if update_stats is None:
-            update_stats = mode == "train"
         z = embed_and_pool(batch, self.tables)
         if mode == "train":
-            zn = self.norm.forward_train(z, batch.domain, update_stats)
+            zn = self.norm.forward_train(z, batch.domain)
         else:
             zn = self.norm.forward_infer(z, batch.domain)
         logits = self.fcn.forward(zn, batch.domain)

@@ -107,10 +107,9 @@ def stream_batches(data: Dataset, buffer: ShuffleBuffer, batch_size: int
     while len(buffer) > 0:
         p = buffer.sample_domain(min_count=2)
         if p is None or exhausted:
-            # Drain mode (or no domain has 2 buffered): emit whatever exists.
+            # Drain mode (or no domain has 2 buffered): emit whatever exists;
+            # a buffer that holds a row has a domain that holds one.
             p = buffer.sample_domain(min_count=1)
-            if p is None:
-                break
         yield Batch(data.take(buffer.draw(p, batch_size)))
         refill()
 

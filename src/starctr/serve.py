@@ -36,6 +36,8 @@ from .layers import mean_pool, relu, sigmoid, standardize
 from .model import Batch, ModelConfig, field_vocabs
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
+# Most rows of one domain a scorer passes to one ``score_batch`` call.
+SCORE_BATCH = 4096
 
 
 def _clamp_probs(yhat: np.ndarray) -> np.ndarray:
@@ -94,14 +96,13 @@ class FoldedModel:
             logits += _mlp(z, folded.aux_layers)
         return _clamp_probs(sigmoid(logits))
 
-    def score_examples(self, rows: Sequence[Example],
-                       batch_size: int = 4096) -> np.ndarray:
+    def score_examples(self, rows: Sequence[Example]) -> np.ndarray:
         """Scores of a request's ``Example`` rows, in input order; an id
         outside the vocabularies or a domain outside ``1..num_domains`` is
         a DataError naming the example."""
         data = Dataset.from_examples(rows)
         check_rows(data, self.config)
-        return _score_grouped(self.score_batch, data, batch_size)
+        return _score_grouped(self.score_batch, data)
 
 
 def fold(model) -> FoldedModel:
@@ -138,33 +139,32 @@ def fold(model) -> FoldedModel:
     return FoldedModel(config, embeddings, domains)
 
 
-def score_with_model(model, data: Dataset, batch_size: int = 4096
-                     ) -> np.ndarray:
+def score_with_model(model, data: Dataset) -> np.ndarray:
     """Unfolded inference-mode scoring; the reference for fold equivalence."""
 
     def score_batch(batch: Batch) -> np.ndarray:
         return _clamp_probs(sigmoid(model.forward(batch, mode="infer")))
 
     check_rows(data, model.config)
-    return _score_grouped(score_batch, data, batch_size)
+    return _score_grouped(score_batch, data)
 
 
-def _score_grouped(score_batch, data: Dataset, batch_size: int) -> np.ndarray:
+def _score_grouped(score_batch, data: Dataset) -> np.ndarray:
     """Scores of ``data`` in input order, from one ``score_batch`` call per
-    run of at most ``batch_size`` rows of one domain.
+    run of at most ``SCORE_BATCH`` rows of one domain.
 
-    At most ``batch_size`` rows of one domain are scored as they are,
+    At most ``SCORE_BATCH`` rows of one domain are scored as they are,
     without a copy; otherwise rows are grouped by domain with a stable sort
     and the scores scattered back."""
     n = len(data)
-    if n and n <= batch_size and (data.p == data.p[0]).all():
+    if n and n <= SCORE_BATCH and (data.p == data.p[0]).all():
         return score_batch(Batch(data))
     out = np.empty(n)
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1
     for rows in np.split(order, domain_starts):
-        for start in range(0, rows.size, batch_size):
-            chunk = rows[start:start + batch_size]
+        for start in range(0, rows.size, SCORE_BATCH):
+            chunk = rows[start:start + SCORE_BATCH]
             out[chunk] = score_batch(Batch(data.take(chunk)))
     return out
 
@@ -183,8 +183,8 @@ class ScoreSummary:
                 f"with unknown domains ({head})")
 
 
-def score_file(folded: FoldedModel, data_path: str, out_path: str,
-               batch_size: int = 4096) -> ScoreSummary:
+def score_file(folded: FoldedModel, data_path: str, out_path: str
+               ) -> ScoreSummary:
     """Score a dataset file into ``user<TAB>p<TAB>yhat<TAB>y`` lines.
 
     Output order follows input order.  Lines whose domain the model does not
@@ -203,7 +203,7 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str,
         errors = [f"line {lineno}: unknown domain {data.p[row]}"
                   for row, lineno in zip(first, _line_numbers(data_path, first))]
         data = data.take(np.flatnonzero(served))
-    yhat = _score_grouped(folded.score_batch, data, batch_size)
+    yhat = _score_grouped(folded.score_batch, data)
     with atomic_open(out_path, "w", encoding="ascii", newline="\n") as fh:
         for user, p, prob, y in zip(data.profile.tolist(), data.p.tolist(),
                                     yhat, data.y.tolist()):
@@ -254,16 +254,3 @@ def _assemble_folded(config: ModelConfig, take) -> FoldedModel:
 def load_folded(path: str) -> FoldedModel:
     return unpack(Path(path).read_bytes(), "folded", _assemble_folded)
 
-
-def read_predictions(path: str) -> list[tuple[int, int, float, int]]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"line {lineno}: expected 4 fields")
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
-                         int(parts[3])))
-    return rows

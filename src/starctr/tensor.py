@@ -8,24 +8,20 @@ hand-derived backward pass.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 
-def make_rng(seed: int | Sequence[int], stream: int = 0) -> np.random.Generator:
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded counter-based generator (Philox).
 
     Identical (seed, stream) pairs give bitwise-identical draw sequences, so
     every experiment in this package is reproducible from its seed alone.
     """
-    if isinstance(seed, (int, np.integer)):
-        key = [int(seed), int(stream)]
-    else:
-        key = [int(s) for s in seed] + [int(stream)]
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox([int(seed), int(stream)]))
 
 
 def grad_check(

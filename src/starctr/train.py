@@ -138,11 +138,10 @@ def train_model(config: ExperimentConfig, data: Dataset | BatchPlan,
     return TrainResult(model, opt.t, epoch_loss)
 
 
-def predictions_for(model, data: Dataset, batch_size: int = 4096
-                    ) -> PredictionColumns:
+def predictions_for(model, data: Dataset) -> PredictionColumns:
     """Score ``data`` unfolded; an id outside the model's vocabularies, or
     a domain it does not serve, is a DataError naming the example."""
-    yhat = score_with_model(model, data, batch_size)
+    yhat = score_with_model(model, data)
     return PredictionColumns(user=data.profile, p=data.p, yhat=yhat, y=data.y)
 
 
@@ -175,8 +174,7 @@ class AblationRow:
 
 
 def run_ablation(config: ExperimentConfig, train_data: Dataset,
-                 eval_data: Dataset, log: TextIO | None = None
-                 ) -> list[AblationRow]:
+                 eval_data: Dataset) -> list[AblationRow]:
     """Overall AUC for the five architecture/normalizer cells, aux on and
     off; all ten train on one ``BatchPlan`` of ``train_data``.  Both
     datasets are checked before the first cell trains."""
@@ -192,6 +190,4 @@ def run_ablation(config: ExperimentConfig, train_data: Dataset,
             model = train_model(cell, plan).model
             rows.append(AblationRow(variant, normalizer, aux, auc_or_none(
                 score_with_model(model, eval_data), eval_data.y)))
-            if log is not None:
-                log.write(rows[-1].format() + "\n")
     return rows

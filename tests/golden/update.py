@@ -6,7 +6,9 @@
 one that changed.  The lifecycle runs through the CLI in a temporary
 directory: gen-data of both shipped generator configs (20,000 and 5,000
 rows), train with ``configs/experiment_default.cfg``, eval with ``--svg``,
-fold, score, and ``ablation --out`` on the holdout rows at batch 256.  Then
+fold, score, and ``ablation --out`` on the holdout rows at batch 256; and a
+second train at batch 128, whose ~156 steps put per-step lines in its log
+(``LOG_EVERY``), of which only the log is an entry.  Then
 all 27 variant x normalizer x aux (off, on, on over the features) cells
 train on one ``BatchPlan`` of the first 5,000 training rows at batch 64.
 
@@ -78,6 +80,8 @@ def _lifecycle(work: Path) -> tuple[dict, dict[str, str]]:
     train, holdout = str(work / "train.tsv"), str(work / "holdout.tsv")
     ckpt, fold = str(work / "model.ckpt"), str(work / "model.fold")
     _run("train", experiment, train, ckpt)
+    _run("train", experiment, train, str(work / "b128.ckpt"),
+         "--set", "batch_size=128")
     _run("eval", ckpt, holdout, str(work / "report.txt"),
          "--svg", str(work / "pcoc.svg"))
     _run("fold", ckpt, fold)
@@ -89,7 +93,7 @@ def _lifecycle(work: Path) -> tuple[dict, dict[str, str]]:
                    for key in ("numpy", "blas", "blas_threads")}
     outputs = ("train.tsv", "holdout.tsv", "model.ckpt", "model.ckpt.log",
                "report.txt", "report.txt.json", "pcoc.svg", "model.fold",
-               "predictions.tsv", "ablation.txt")
+               "predictions.tsv", "ablation.txt", "b128.ckpt.log")
     return environment, {out: _sha256((work / out).read_bytes())
                          for out in outputs}
 

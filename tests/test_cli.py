@@ -358,6 +358,96 @@ def test_bad_gen_config_value_exits_2(workspace, tmp_path, capsys, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: [line for line in lines
+                    if not line.startswith("domain.2.base_ctr=")],
+     "domain.2.base_ctr missing"),
+    (lambda lines: ["domains=0"], "at least one domain profile required"),
+], ids=["missing_base_ctr", "zero_domains"])
+def test_incomplete_gen_config_exits_2(workspace, tmp_path, capsys, edit,
+                                       message):
+    _, gen_config, _, _, _ = workspace
+    bad = tmp_path / "gen.cfg"
+    bad.write_text("\n".join(edit(gen_config.read_text().splitlines())))
+    capsys.readouterr()
+    assert main(["gen-data", str(bad), str(tmp_path / "data.tsv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.cfg"]
+
+
+def test_set_without_equals_exits_2(workspace, tmp_path, capsys):
+    _, _, exp_config, data, _ = workspace
+    capsys.readouterr()
+    assert main(["train", str(exp_config), str(data), str(tmp_path / "m.ckpt"),
+                 "--set", "foo"]) == 2
+    assert (capsys.readouterr().err
+            == "config error: --set expects key=value, got 'foo'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "ablation",
+                                     "gradcheck"])
+def test_non_utf8_config_exits_2(workspace, tmp_path, capsys, command):
+    _, _, _, data, _ = workspace
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed=0\n\xff\n")
+    out = str(tmp_path / "out")
+    argv = {"gen-data": ["gen-data", str(bad), out],
+            "train": ["train", str(bad), str(data), out],
+            "ablation": ["ablation", str(bad), str(data), "--out", out],
+            "gradcheck": ["gradcheck", str(bad)]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: not UTF-8 (")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+# Every input path of every command; DIR is a directory.
+DIRECTORY_INPUTS = [
+    ["gen-data", "DIR", "OUT"],
+    ["train", "DIR", "DATA", "OUT"],
+    ["train", "EXP", "DIR", "OUT"],
+    ["eval", "DIR", "DATA", "OUT"],
+    ["eval", "CKPT", "DIR", "OUT"],
+    ["ablation", "DIR", "DATA", "--out", "OUT"],
+    ["ablation", "EXP", "DIR", "--out", "OUT"],
+    ["ablation", "EXP", "DATA", "--eval-data", "DIR", "--out", "OUT"],
+    ["fold", "DIR", "OUT"],
+    ["score", "DIR", "DATA", "OUT"],
+    ["score", "FOLD", "DIR", "OUT"],
+    ["gradcheck", "DIR"],
+]
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_INPUTS, ids="-".join)
+def test_directory_input_exits_3(workspace, tmp_path, capsys, argv):
+    _, _, exp_config, data, ckpt = workspace
+    folded = tmp_path / "m.fold"
+    assert main(["fold", str(ckpt), str(folded)]) == 0
+    paths = {"DIR": tmp_path / "dir", "OUT": tmp_path / "out",
+             "EXP": exp_config, "DATA": data, "CKPT": ckpt, "FOLD": folded}
+    paths["DIR"].mkdir()
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno 21] Is a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dir", "m.fold", "m.fold.manifest.json"]
+
+
+def test_directory_output_exits_3_and_stays(workspace, tmp_path, capsys):
+    _, _, _, _, ckpt = workspace
+    out = tmp_path / "out.fold"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["fold", str(ckpt), str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "data error: [Errno 21] Is a directory")
+    assert out.is_dir() and list(out.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fold"]
+
+
 def test_missing_data_exits_3(workspace, tmp_path):
     _, _, exp_config, _, _ = workspace
     rc = main(["train", str(exp_config), str(tmp_path / "nope.tsv"),
@@ -413,6 +503,13 @@ CORRUPTIONS = {
         raw, set_config("aux_enabled", 2)), "aux_enabled: expected bool"),
     "payload_byte_flipped": (flip_payload_byte, "sha256"),
     "header_length_past_eof": (header_length_past_eof, "past the end"),
+    "config_not_an_object": (lambda raw: edit_header(
+        raw, lambda header: header.update(config=[])),
+        "header config is not an object"),
+    "tensors_not_an_object": (lambda raw: edit_header(
+        raw, lambda header: header.update(tensors=[])),
+        "header tensors is not an object"),
+    "six_bytes": (lambda raw: raw[:6], "truncated header"),
     "wrong_kind": (None, "kind"),
 }
 

@@ -4,6 +4,7 @@ import pytest
 
 from starctr import datagen
 from starctr.datagen import (
+    Dataset,
     DomainProfile,
     Example,
     GenConfig,
@@ -36,8 +37,9 @@ class TestGenerator:
                            vocab_items=200, vocab_profiles=100,
                            vocab_contexts=10)
         result = generate_examples(config)
-        w1 = result.truth.effective_weights(1, 0.0)
-        w2 = result.truth.effective_weights(2, 0.0)
+        truth = result.truth
+        w1 = truth.w_shared + 0.0 * truth.w_domain[0]
+        w2 = truth.w_shared + 0.0 * truth.w_domain[1]
         assert np.array_equal(w1, w2)
         assert result.truth.biases[0] == pytest.approx(result.truth.biases[1],
                                                        abs=0.05)
@@ -129,6 +131,32 @@ class TestDatasetFormat:
     def test_wrong_field_tag_rejected(self):
         with pytest.raises(ParseError, match="profile"):
             parse_example("1\t0\tbehavior:1\tuser:1\titem:1\tctx:1", 3)
+
+
+class TestDatasetIndexing:
+    """Every key but an int picks the rows ``np.arange(len)[key]`` picks."""
+
+    ROWS = [Example((1, 2), 10, 20, 3, 1, 1), Example((), 11, 21, 4, 0, 2),
+            Example((5,), 12, 22, 5, 1, 1)]
+
+    @pytest.mark.parametrize("key,rows", [
+        (np.array([True, False, True]), [0, 2]),
+        ([False, True, False], [1]),
+        (np.array([-1, 0]), [2, 0]),
+        (slice(None, None, -1), [2, 1, 0]),
+        (np.array([], dtype=np.int64), []),
+    ], ids=["bool_array", "bool_list", "negative_ints", "reversed_slice",
+            "empty"])
+    def test_key_gathers_numpys_rows(self, key, rows):
+        data = Dataset.from_examples(self.ROWS)
+        assert list(data[key]) == [self.ROWS[i] for i in rows]
+
+    @pytest.mark.parametrize("key", [np.array([3]), np.array([True, False]),
+                                     np.array([-4])],
+                             ids=["past_end", "short_mask", "before_start"])
+    def test_bad_key_is_an_index_error(self, key):
+        with pytest.raises(IndexError):
+            Dataset.from_examples(self.ROWS)[key]
 
 
 class TestAtomicWrites:

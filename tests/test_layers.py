@@ -156,14 +156,16 @@ class TestEmbeddingKernel:
 class TestGradRows:
     """``grad_rows``: the sorted rows written since ``zero_grad``."""
 
-    def test_backwards_and_row_grad_merge_into_sorted_union(self):
+    def test_backwards_merge_into_sorted_union(self):
         table = EmbeddingTable(12, 3, rng=make_rng(0), name="f")
         assert table.grad_rows.tolist() == []
         table.pool(np.array([7, 2, 7, 9]), np.array([0, 1, 4]))
         table.backward(np.ones((2, 3)))
         table.pool(np.array([5, 2, 0]), None)
         table.backward(np.ones((3, 3)))
-        table.add_row_grad(11, np.ones(3))
+        # A one-id lookup of one row, as the aux net makes of its domain.
+        table.pool(np.full(4, 11), None)
+        table.backward(np.ones((4, 3)))
         assert table.grad_rows.dtype == np.int64
         assert table.grad_rows.tolist() == [0, 2, 5, 7, 9, 11]
         written = np.flatnonzero(table.grad.any(axis=1))

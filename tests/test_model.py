@@ -81,8 +81,8 @@ class TestStarForward:
         trunk_only = build_model(replace(config, aux_enabled=False))
         assert trunk_only.aux is None
         batch = tiny_batch(config)
-        logits = model.forward(batch, mode="train", update_stats=False)
-        trunk = trunk_only.forward(batch, mode="train", update_stats=False)
+        logits = model.forward(batch, mode="train")
+        trunk = trunk_only.forward(batch, mode="train")
         aux = model.aux.forward(embed_and_pool(batch, model.tables),
                                 batch.domain)
         assert np.array_equal(logits, trunk + aux)
@@ -105,10 +105,10 @@ class TestStarForward:
         config = tiny_model_config("star", "bn", aux=False)
         model = build_model(config)
         batch = tiny_batch(config)
-        logits = model.forward(batch, mode="train", update_stats=False)
+        logits = model.forward(batch, mode="train")
         # Oracle: manual forward through the shared parameters only.
         z = embed_and_pool(batch, model.tables)
-        x = model.norm.forward_train(z, batch.domain, update_stats=False)
+        x = model.norm.forward_train(z, batch.domain)
         for li, layer in enumerate(model.fcn.shared):
             pre = x @ layer.W.value + layer.b.value
             x = relu(pre) if layer.activation == "relu" else pre
@@ -226,9 +226,8 @@ class TestBaselines:
         model = build_model(config)
         ex1 = random_examples(4, config, domain=1, seed=11)
         ex2 = [e._replace(p=2) for e in ex1]
-        out1 = model.forward(ex1, mode="train", update_stats=False)
-        out2 = model.forward(Batch.from_examples(ex2), mode="train",
-                             update_stats=False)
+        out1 = model.forward(ex1, mode="train")
+        out2 = model.forward(Batch.from_examples(ex2), mode="train")
         assert np.array_equal(out1, out2)
 
     def test_base_has_no_domain_indexed_fcn_parameters(self):

@@ -116,7 +116,7 @@ class TestAdam:
     def test_span_outside_the_dense_values_rejected(self):
         """A span past the dense values would step a table's rows densely,
         or be cut short by numpy without a word."""
-        table = EmbeddingTable(2, 1, name="e")
+        table = EmbeddingTable(2, 1, rng=make_rng(0), name="e")
         p = Param("w", np.array([1.0]))
         opt = Adam(Arena([p], [], [table]))
         with pytest.raises(ContractViolation, match="leave the arena's dense"):

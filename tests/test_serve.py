@@ -13,7 +13,6 @@ from starctr.model import NORMALIZERS, VARIANTS, ModelConfig, build_model
 from starctr.serve import (
     fold,
     load_folded,
-    read_predictions,
     save_folded,
     score_file,
     score_with_model,
@@ -171,7 +170,7 @@ class TestFold:
 @pytest.mark.parametrize("variant,normalizer,aux", CELLS,
                          ids=["-".join(cell) for cell in CELLS])
 def test_one_pass_scorer_matches_regrouping_reference(variant, normalizer,
-                                                      aux):
+                                                      aux, monkeypatch):
     # The reference sorts and gathers every request and builds fresh arrays
     # at every step; the scores keep their bits.
     enabled, features = AUX_SETTINGS[aux]
@@ -185,16 +184,16 @@ def test_one_pass_scorer_matches_regrouping_reference(variant, normalizer,
         "one-domain list": (list(one[:100]), 4096),
         "one-domain Dataset": (one[:100], 4096),
         "mixed unsorted list": (mixed, 4096),
-        "longer than batch_size": (list(one), 64),
+        "longer than SCORE_BATCH": (list(one), 64),
         "n=1": (list(one[:1]), 4096),
         "n=0": ([], 4096),
     }
     for name, (examples, batch_size) in cases.items():
-        got = folded.score_examples(examples, batch_size)
+        monkeypatch.setattr(serve, "SCORE_BATCH", batch_size)
+        got = folded.score_examples(examples)
         want = reference_score_examples(folded, examples, batch_size)
         assert got.dtype == np.float64 and got.shape == (len(examples),), name
-        assert not np.shares_memory(got, folded.score_examples(examples,
-                                                                 batch_size))
+        assert not np.shares_memory(got, folded.score_examples(examples))
         assert got.tobytes() == want.tobytes(), name
 
 
@@ -334,7 +333,8 @@ class TestScoreFile:
         write_dataset(Dataset.from_examples(examples), str(data))
         out = tmp_path / "p.tsv"
         score_file(fold(model), str(data), str(out))
-        rows = read_predictions(str(out))
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        rows = [(int(u), int(p), float(yhat), int(y)) for u, p, yhat, y in rows]
         assert len(rows) == len(examples)
         for row, ex in zip(rows, examples):
             assert row[0] == ex.profile
@@ -410,16 +410,17 @@ class TestScoreFile:
 
 
 class TestThroughput:
-    def test_folded_not_slower_than_unfolded(self):
+    def test_folded_not_slower_than_unfolded(self, monkeypatch):
         # Folded scoring skips the per-batch weight fusion; compare best-of-7
         # wall times on the same examples, the two runs alternating so a
         # slow spell of the machine hits both sides.
+        monkeypatch.setattr(serve, "SCORE_BATCH", 256)
         model = small_trained_model()
         examples = random_eval_examples(model.config, 1500)
         folded = fold(model)
-        runs = (lambda: folded.score_examples(examples, 256),
-                lambda: score_with_model(model, Dataset.from_examples(examples),
-                                         256))
+        runs = (lambda: folded.score_examples(examples),
+                lambda: score_with_model(model,
+                                         Dataset.from_examples(examples)))
         best = [float("inf")] * len(runs)
         for _ in range(7):
             for i, run in enumerate(runs):

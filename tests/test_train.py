@@ -133,8 +133,7 @@ class TestTrainStep:
         opt = Adam(model.arena, lr=0.01)
         batch = random_examples(8, config, domain=2)
         before = model.arena.values.copy()
-        expected, _ = bce_loss(
-            model.forward(batch, mode="train", update_stats=False), batch.y)
+        expected, _ = bce_loss(model.forward(batch, mode="train"), batch.y)
         assert train_step(model, opt, batch) == expected
         assert opt.t == 1
         assert (model.arena.values != before).any()
