@@ -6,16 +6,20 @@ input files, the seed, the package, numpy and BLAS versions and
 ``blas_threads`` (``starctr.BLAS_THREADS``) next to its primary output;
 ``train`` and ``ablation`` add ``config_hash``, the hash of the effective
 configuration after ``--set``.  The same inputs plus seed always produce
-byte-identical outputs.  A training run that diverges exits 4, and one
-that trains no batch exits 3; neither writes the checkpoint or its log.
+byte-identical outputs.  Every path a command writes is checked before
+any input is read.  A training run that diverges exits 4, and one that
+trains no batch exits 3; neither writes the checkpoint or its log.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -71,6 +75,20 @@ def _blas_name() -> str | None:
         return None
 
 
+def _check_outputs(primary_output: str, *others: str):
+    """Before any input is read, raise the OSError that writing an output
+    or the manifest would end in: the path is a directory, or its parent is
+    missing or not a directory."""
+    for path in (primary_output, *others, primary_output + ".manifest.json"):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        parent = os.path.dirname(path) or "."
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR), parent)
+
+
 def _write_manifest(primary_output: str, command: str, seed,
                     inputs: dict[str, str], outputs: list[str],
                     config: ExperimentConfig | None = None):
@@ -91,6 +109,7 @@ def _write_manifest(primary_output: str, command: str, seed,
 
 
 def cmd_gen_data(args) -> int:
+    _check_outputs(args.out)
     config = load_gen_config(args.config)
     result = generate(config, args.out)
     _write_manifest(args.out, "gen-data", config.seed,
@@ -103,9 +122,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    log_path = args.checkpoint_out + ".log"
+    _check_outputs(args.checkpoint_out, log_path)
     config = load_experiment_config(args.config, _overrides(args.set))
     examples = read_dataset(args.data)
-    log_path = args.checkpoint_out + ".log"
     log = io.StringIO()
     result = train_model(config, examples, log=log)
     save_model(result.model, args.checkpoint_out)
@@ -120,11 +140,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    kv_path = args.report_out
+    json_path = args.report_out + ".json"
+    _check_outputs(kv_path, json_path, *([args.svg] if args.svg else []))
     model = load_model(args.checkpoint)
     examples = read_dataset(args.data)
     report = evaluate_model(model, examples)
-    kv_path = args.report_out
-    json_path = args.report_out + ".json"
     write_atomic(kv_path, report.to_kv_text().encode("ascii"))
     write_atomic(json_path, report.to_json().encode("ascii"))
     outputs = [kv_path, json_path]
@@ -140,6 +161,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    if args.out:
+        _check_outputs(args.out)
     config = load_experiment_config(args.config, _overrides(args.set))
     examples = read_dataset(args.data)
     if args.eval_data:
@@ -164,6 +187,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_fold(args) -> int:
+    _check_outputs(args.folded_out)
     model = load_model(args.checkpoint)
     folded = fold(model)
     save_folded(folded, args.folded_out)
@@ -174,6 +198,7 @@ def cmd_fold(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_outputs(args.predictions_out)
     folded = load_folded(args.folded)
     summary = score_file(folded, args.data, args.predictions_out)
     _write_manifest(args.predictions_out, "score", None,

@@ -5,9 +5,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from .datagen import (MAX_SIZE, bounded, config_keys, field_parser,
-                      format_field, parse_kv_text, parse_value,
-                      read_config_text)
+from .datagen import (MAX_SIZE, bounded, format_fields, parse_fields,
+                      parse_kv_text, read_config_text)
 from .errors import ConfigError
 from .model import ModelConfig
 
@@ -38,24 +37,17 @@ class ExperimentConfig(ModelConfig):
                               for f in fields(ModelConfig)})
 
 
-_KEYS = config_keys(ExperimentConfig)
-
-
 def parse_experiment_config(text: str,
                             overrides: dict[str, str] | None = None
                             ) -> ExperimentConfig:
     """The config of ``key=value`` text, with ``overrides`` applied; each
-    key names an ExperimentConfig field (``config_keys``) and parses by
-    ``field_parser``."""
+    key names an ExperimentConfig field (``datagen.parse_fields``)."""
     kv = parse_kv_text(text)
     if overrides:
         kv.update(overrides)
-    unknown = sorted(k for k in kv if k not in _KEYS)
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    config = ExperimentConfig(**{
-        _KEYS[key].name: parse_value(key, raw, field_parser(_KEYS[key]))
-        for key, raw in kv.items()})
+    config = ExperimentConfig(**parse_fields(ExperimentConfig, kv))
+    if kv:
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(kv)))
     config.validate()
     return config
 
@@ -67,8 +59,7 @@ def load_experiment_config(path: str,
 
 
 def format_experiment_config(config: ExperimentConfig) -> str:
-    return "".join(f"{key}={format_field(getattr(config, f.name))}\n"
-                   for key, f in _KEYS.items())
+    return format_fields(config)
 
 
 def config_hash(config: ExperimentConfig) -> str:

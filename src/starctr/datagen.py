@@ -174,7 +174,7 @@ MAX_SIZE = 10**9
 
 @dataclass
 class GenConfig:
-    profiles: list[DomainProfile]
+    profiles: list[DomainProfile] = field(metadata={"key": None})
     n_examples: int = bounded(0, MAX_SIZE, default=200_000, key="examples")
     seed: int = bounded(0, default=0)
     # -1: reuse seed; set differently for a holdout
@@ -751,8 +751,9 @@ def read_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Config files: flat key=value, one key per dataclass field (config_keys).
-# Each value parses to the type of its field's default (see field_parser).
+# Config files: flat key=value, one key per dataclass field (config_keys),
+# read by parse_fields and written by format_fields.  Each value parses to
+# the type of its field's default (see field_parser).
 # In a generator config the keys are "domains" (the number of profiles), the
 # GenConfig keys and domain.<i>.<key> for each DomainProfile key.
 # ---------------------------------------------------------------------------
@@ -760,13 +761,10 @@ def read_dataset(path: str) -> Dataset:
 
 def config_keys(cls) -> dict:
     """Each config key of dataclass ``cls`` and its field, in field order:
-    the field's ``key`` metadata, else its name."""
-    return {f.metadata.get("key", f.name): f for f in fields(cls)}
-
-
-_GEN_FIELDS = {key: f for key, f in config_keys(GenConfig).items()
-               if f.name != "profiles"}
-_PROFILE_FIELDS = config_keys(DomainProfile)
+    the field's ``key`` metadata, else its name; a ``key`` of None marks a
+    field that is not a config key."""
+    keys = ((f.metadata.get("key", f.name), f) for f in fields(cls))
+    return {key: f for key, f in keys if key is not None}
 
 
 def _rule(value, low, high, open_low) -> str:
@@ -872,52 +870,58 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
+def parse_fields(cls, kv: dict[str, str], prefix: str = "") -> dict:
+    """Keyword arguments of dataclass ``cls``: each field's value at key
+    ``<prefix><config key>`` of ``kv``, parsed by ``field_parser`` and
+    removed from ``kv``; a field with no default and no key is missing."""
+    out = {}
+    for key, f in config_keys(cls).items():
+        key = prefix + key
+        if key in kv:
+            out[f.name] = parse_value(key, kv.pop(key), field_parser(f))
+        elif f.default is MISSING:
+            raise ConfigError(f"{key} missing")
+    return out
+
+
+def format_fields(config, prefix: str = "") -> str:
+    """``<prefix><config key>=<value>`` lines of every field of ``config``
+    that is not None, in field order; ``parse_fields`` reads them back."""
+    return "".join(f"{prefix}{key}={format_field(value)}\n"
+                   for key, f in config_keys(type(config)).items()
+                   if (value := getattr(config, f.name)) is not None)
+
+
 def parse_gen_config(text: str) -> GenConfig:
     kv = parse_kv_text(text)
     if "domains" not in kv:
         raise ConfigError("missing required key 'domains'")
     m = parse_value("domains", kv.pop("domains"), int)
-    kwargs = {}
-    domain_kv: dict[int, dict] = {}
-    unknown = []
-    for key, value in kv.items():
+    kwargs = parse_fields(GenConfig, kv)
+    # Each profile needs a key of its own, so one of the first len(kv) + 1
+    # is missing and raises: a huge ``domains`` parses no further.
+    profiles = [DomainProfile(**parse_fields(DomainProfile, kv,
+                                             f"domain.{i}."))
+                for i in range(1, min(m, len(kv) + 1) + 1)]
+    for key in kv:
         prefix, _, rest = key.partition(".")
         index, _, name = rest.partition(".")
-        if key in _GEN_FIELDS:
-            f = _GEN_FIELDS[key]
-            kwargs[f.name] = parse_value(key, value, field_parser(f))
-        elif (prefix == "domain" and index.isdecimal()
-              and name in _PROFILE_FIELDS):
-            idx = int(index)
-            if not 1 <= idx <= m:
-                raise ConfigError(f"domain index {idx} outside 1..{m} in {key!r}")
-            domain_kv.setdefault(idx, {})[name] = parse_value(
-                key, value, field_parser(_PROFILE_FIELDS[name]))
-        else:
-            unknown.append(key)
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    profiles = []
-    for i in range(1, m + 1):
-        d = domain_kv.get(i, {})
-        for name, f in _PROFILE_FIELDS.items():
-            if f.default is MISSING and name not in d:
-                raise ConfigError(f"domain.{i}.{name} missing")
-        profiles.append(DomainProfile(**d))
+        if (prefix == "domain" and index.isdecimal()
+                and name in config_keys(DomainProfile)
+                and not 1 <= int(index) <= m):
+            raise ConfigError(f"domain index {int(index)} outside 1..{m} "
+                              f"in {key!r}")
+    if kv:
+        raise ConfigError("unknown config keys: " + ", ".join(sorted(kv)))
     config = GenConfig(profiles=profiles, **kwargs)
     config.validate()
     return config
 
 
 def format_gen_config(config: GenConfig) -> str:
-    lines = [f"domains={config.num_domains}"]
-    lines += [f"{key}={format_field(getattr(config, f.name))}"
-              for key, f in _GEN_FIELDS.items()]
-    for i, prof in enumerate(config.profiles, start=1):
-        lines += [f"domain.{i}.{name}={format_field(value)}"
-                  for name in _PROFILE_FIELDS
-                  if (value := getattr(prof, name)) is not None]
-    return "\n".join(lines) + "\n"
+    return (f"domains={config.num_domains}\n" + format_fields(config)
+            + "".join(format_fields(prof, f"domain.{i}.")
+                      for i, prof in enumerate(config.profiles, start=1)))
 
 
 def load_gen_config(path: str) -> GenConfig:

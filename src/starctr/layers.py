@@ -408,12 +408,12 @@ class LayerNorm:
     Identical in training and inference, and the same for every domain;
     rows need at least two features."""
 
-    def __init__(self, dim: int, epsilon: float = 1e-5, name: str = "ln"):
-        self.name = name
+    def __init__(self, dim: int, epsilon: float = 1e-5):
+        self.name = "ln"
         self.dim = dim
         self.epsilon = epsilon
-        self.gamma = Param(f"{name}.gamma", np.ones(dim))
-        self.beta = Param(f"{name}.beta", np.zeros(dim))
+        self.gamma = Param("ln.gamma", np.ones(dim))
+        self.beta = Param("ln.beta", np.zeros(dim))
         self._cache = None
 
     def forward(self, z: np.ndarray) -> np.ndarray:

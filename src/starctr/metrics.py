@@ -226,8 +226,7 @@ def build_report(predictions: PredictionColumns) -> MetricReport:
     )
 
 
-def pcoc_scatter_svg(per_domain_pcoc: dict[int, float | None],
-                     title: str = "per-domain PCOC") -> str:
+def pcoc_scatter_svg(per_domain_pcoc: dict[int, float | None]) -> str:
     """Standalone SVG scatter of per-domain PCOC around the 1.0 line."""
     width, height = 420, 260
     margin = 40
@@ -249,7 +248,7 @@ def pcoc_scatter_svg(per_domain_pcoc: dict[int, float | None],
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-size="13">{title}</text>',
+        f'font-size="13">per-domain PCOC</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '

@@ -220,14 +220,14 @@ class StarFcn:
     """
 
     def __init__(self, in_dim: int, widths: Sequence[int], num_domains: int,
-                 rng, variant: str = "star", name: str = "fcn"):
+                 rng, variant: str = "star"):
         has_shared, has_domain = TRUNK_FACTORS[variant]
         self.widths = tuple(widths)
         self.num_domains = num_domains
-        self.shared = (_build_stack(in_dim, widths, rng, f"{name}.shared")
+        self.shared = (_build_stack(in_dim, widths, rng, "fcn.shared")
                        if has_shared else None)
         self.domain = [
-            _build_stack(in_dim, widths, rng, f"{name}.d{p}",
+            _build_stack(in_dim, widths, rng, f"fcn.d{p}",
                          ones_init=has_shared)
             for p in range(1, num_domains + 1)
         ] if has_domain else None
@@ -307,17 +307,17 @@ class AuxNet:
     up and backpropagated like every other field."""
 
     def __init__(self, num_domains: int, aux_embed_dim: int, feature_dim: int,
-                 hidden: int, rng, name: str = "aux"):
+                 hidden: int, rng):
         self.aux_embed_dim = aux_embed_dim
         self.feature_dim = feature_dim
         # Domain embeddings start spread out: domain identities are
         # separable by the body from the first step.
         self.embed = EmbeddingTable(num_domains, aux_embed_dim, rng=rng,
-                                    init_scale=0.5, name=f"{name}.embed")
+                                    init_scale=0.5, name="aux.embed")
         self.fc1 = FcLayer(aux_embed_dim + feature_dim, hidden,
-                           activation="relu", rng=rng, name=f"{name}.fc1")
+                           activation="relu", rng=rng, name="aux.fc1")
         self.fc2 = FcLayer(hidden, 1, activation="identity", rng=rng,
-                           name=f"{name}.fc2")
+                           name="aux.fc2")
 
     def forward(self, z_raw: np.ndarray, p: int) -> np.ndarray:
         e = self.embed.pool(np.full(z_raw.shape[0], p - 1), None)

@@ -14,6 +14,10 @@ import numpy as np
 from .errors import ContractViolation, DataError
 from .layers import Arena, EmbeddingTable, sigmoid
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 def _check_labels(y: np.ndarray):
     if not np.isin(y, (0.0, 1.0)).all():
@@ -46,18 +50,15 @@ class Adam:
     spans and rows outside ``grad_rows`` keep their values and moments
     bitwise (no decay), which is what keeps other domains isolated and makes
     embedding updates lazy, the usual trade made by sparse trainers.  Per
-    value the update is the textbook one, ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*(g*g)``, ``w -= lr*(m/c1) / (sqrt(v/c2) + eps)``;
-    bias correction uses the global step count ``t``.
+    value the update is the textbook one with the module's constants,
+    ``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + (1-BETA2)*(g*g)``,
+    ``w -= lr*(m/c1) / (sqrt(v/c2) + EPSILON)``; bias correction uses the
+    global step count ``t``.
     """
 
-    def __init__(self, arena: Arena, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, arena: Arena, lr: float = 0.001):
         self.arena = arena
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = np.zeros(arena.size)
         self.v = np.zeros(arena.size)
@@ -66,12 +67,12 @@ class Adam:
         """The update of the arena values at ``idx``, a slice or an index
         that holds each value once."""
         g = self.arena.grads[idx]
-        m = self.beta1 * self.m[idx] + (1.0 - self.beta1) * g
-        v = self.beta2 * self.v[idx] + (1.0 - self.beta2) * (g * g)
+        m = BETA1 * self.m[idx] + (1.0 - BETA1) * g
+        v = BETA2 * self.v[idx] + (1.0 - BETA2) * (g * g)
         self.m[idx] = m
         self.v[idx] = v
         self.arena.values[idx] -= (self.lr * (m / c1)
-                                   / (np.sqrt(v / c2) + self.epsilon))
+                                   / (np.sqrt(v / c2) + EPSILON))
 
     def step(self, spans: list[slice], tables: list[EmbeddingTable] = ()):
         """One optimization step over ``spans``, ascending disjoint slices
@@ -86,8 +87,8 @@ class Adam:
             raise ContractViolation("Adam steps every embedding table of its "
                                     "arena once, in the arena's order")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for span in spans:
             self._update(span, c1, c2)
         idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [

@@ -1,9 +1,10 @@
-"""Seeded RNG and the finite-difference gradient checker.
+"""The seeded generator and the central-difference gradient checker.
 
-Everything numeric in this package is a plain 2-D (or 1-D) ``numpy.ndarray``
-of float64.  This module holds the seeded generator every experiment draws
-from and the central-difference harness used to validate every
-hand-derived backward pass.
+``make_rng(seed, stream)`` is the generator every draw in the package comes
+from, so a seed reproduces every experiment.  ``grad_check`` compares an
+analytic gradient with central differences of a function of a flat float64
+vector; ``gradcheck`` runs it over a parameter arena for every hand-derived
+backward pass.
 """
 
 from __future__ import annotations

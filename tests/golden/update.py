@@ -17,7 +17,10 @@ printed generator configs) involve no matrix product, so they are compared
 on every machine.  ``gemm`` entries are downstream of one, and BLAS kernels
 may round a product differently across numpy builds, BLAS libraries and
 thread counts; they are compared only where the ledger's recorded
-``environment`` (numpy, BLAS, ``starctr.BLAS_THREADS``) matches.
+``environment`` (numpy, BLAS, ``starctr.BLAS_THREADS``) matches.  The
+gradient checks are one ``gemm`` entry: the exact ``repr`` of every error
+``starctr gradcheck configs/experiment_default.cfg`` prints, so a change to
+any backward pass, or to the checks, moves it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from starctr import cli   # before numpy: the package pins BLAS to one thread
 from starctr.checkpoint import serialize
 from starctr.config import config_hash, load_experiment_config, with_overrides
 from starctr.datagen import format_gen_config, load_gen_config, read_dataset
+from starctr.gradcheck import check_model, run_all, tiny_model_config
 from starctr.model import NORMALIZERS, VARIANTS
 from starctr.train import BatchPlan, train_model
 
@@ -119,11 +123,24 @@ def _cells(train_path: Path) -> dict[str, str]:
     return entries
 
 
+def _gradcheck() -> dict[str, str]:
+    """``run_all()`` plus the model check that ``starctr gradcheck`` adds
+    for the default experiment config, as in ``cli.cmd_gradcheck``."""
+    config = load_experiment_config(str(CONFIGS / "experiment_default.cfg"))
+    results = run_all()
+    results[f"model_{config.variant}_{config.normalizer}"] = check_model(
+        tiny_model_config(config.variant, config.normalizer,
+                          config.aux_enabled))
+    return {"gradcheck experiment_default.cfg":
+            _sha256(repr(results).encode())}
+
+
 def compute_ledger() -> dict:
     """The ledger of the code as it is now."""
     with tempfile.TemporaryDirectory() as tmp:
         environment, gemm = _lifecycle(Path(tmp))
         gemm.update(_cells(Path(tmp) / "train.tsv"))
+    gemm.update(_gradcheck())
     return {"environment": environment, "portable": _portable(),
             "gemm": gemm}
 

@@ -112,7 +112,7 @@ def grid_mean(reports, key, metric):
 
 def test_criterion_01_gradient_correctness():
     t0 = time.time()
-    results = run_all(h=1e-5)
+    results = run_all()
     elapsed = time.time() - t0
     worst = max(results.values())
     ok = worst < 1e-4 and elapsed < 30.0

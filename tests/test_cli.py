@@ -448,6 +448,90 @@ def test_directory_output_exits_3_and_stays(workspace, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.fold"]
 
 
+# Each command with an output it cannot write: OUT is ``tmp/out``, and the
+# second item names the directory made under ``tmp`` (OUT itself, a file
+# named after it, or its manifest); NO_PARENT has no parent and FILE_PARENT
+# a file for one.
+UNWRITABLE_OUTPUTS = [
+    (["gen-data", "GEN", "OUT"], "out"),
+    (["gen-data", "GEN", "OUT"], "out.manifest.json"),
+    (["gen-data", "GEN", "NO_PARENT"], None),
+    (["gen-data", "GEN", "FILE_PARENT"], None),
+    (["train", "EXP", "DATA", "OUT"], "out"),
+    (["train", "EXP", "DATA", "OUT"], "out.log"),
+    (["train", "EXP", "DATA", "OUT"], "out.manifest.json"),
+    (["train", "EXP", "DATA", "NO_PARENT"], None),
+    (["eval", "CKPT", "DATA", "OUT"], "out"),
+    (["eval", "CKPT", "DATA", "OUT"], "out.json"),
+    (["eval", "CKPT", "DATA", "OUT", "--svg", "FILE_PARENT"], None),
+    (["ablation", "EXP", "DATA", "--out", "OUT"], "out"),
+    (["ablation", "EXP", "DATA", "--out", "FILE_PARENT"], None),
+    (["fold", "CKPT", "OUT"], "out"),
+    (["score", "FOLD", "DATA", "OUT"], "out"),
+]
+
+
+@pytest.mark.parametrize("argv,made", UNWRITABLE_OUTPUTS,
+                         ids=[f"{argv[0]}-{made or argv[-1]}"
+                              for argv, made in UNWRITABLE_OUTPUTS])
+def test_unwritable_output_exits_3_before_reading_input(workspace, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        argv, made):
+    _, gen_config, exp_config, data, ckpt = workspace
+    (tmp_path / "file").write_text("")
+    if made:
+        (tmp_path / made).mkdir()
+    paths = {"OUT": tmp_path / "out", "NO_PARENT": tmp_path / "nope" / "x",
+             "FILE_PARENT": tmp_path / "file" / "x", "GEN": gen_config,
+             "EXP": exp_config, "DATA": data, "CKPT": ckpt,
+             "FOLD": tmp_path / "m.fold"}
+    before = sorted(tmp_path.iterdir())
+
+    def read_input(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for reader in ("load_gen_config", "load_experiment_config",
+                   "read_dataset", "load_model", "load_folded"):
+        monkeypatch.setattr(f"starctr.cli.{reader}", read_input)
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [Errno ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_gen_data_to_a_directory_generates_nothing(workspace, tmp_path,
+                                                  capsys, monkeypatch):
+    _, gen_config, _, _, _ = workspace
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def generate_examples(config):
+        raise AssertionError("generate_examples called")
+
+    monkeypatch.setattr("starctr.datagen.generate_examples",
+                        generate_examples)
+    capsys.readouterr()
+    assert main(["gen-data", str(gen_config), str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: [Errno 21] Is a directory: '{out}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(out.iterdir()) == []
+
+
+def test_train_to_a_directory_reads_no_data(workspace, tmp_path, capsys,
+                                           monkeypatch):
+    _, _, exp_config, data, _ = workspace
+    out = tmp_path / "m.ckpt"
+    out.mkdir()
+    reads = []
+    monkeypatch.setattr("starctr.cli.read_dataset", reads.append)
+    assert main(["train", str(exp_config), str(data), str(out)]) == 3
+    assert reads == []
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_missing_data_exits_3(workspace, tmp_path):
     _, _, exp_config, _, _ = workspace
     rc = main(["train", str(exp_config), str(tmp_path / "nope.tsv"),
