@@ -67,24 +67,17 @@ class Dataset:
 
     @classmethod
     def from_examples(cls, rows: list[Example]) -> "Dataset":
-        """Transpose rows into columns (one pass per field): the one place
-        where ``Example`` rows become a ``Dataset``."""
-        if not rows:
-            return cls.empty()
-        behavior, profile, item, context, y, p = zip(*rows)
-        lens = np.fromiter(map(len, behavior), dtype=np.int64, count=len(rows))
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        flat = np.fromiter(chain.from_iterable(behavior), dtype=np.int64,
-                           count=int(offsets[-1]))
-        return cls(flat, offsets, *(np.array(col, dtype=np.int64)
-                                    for col in (profile, item, context, y, p)))
+        """The columns of ``Example`` rows (see ``example_columns``)."""
+        return cls.from_columns(*example_columns(rows))
 
     @classmethod
-    def empty(cls) -> "Dataset":
-        none = np.zeros(0, dtype=np.int64)
-        return cls(none, np.zeros(1, dtype=np.int64), none, none, none, none,
-                   none)
+    def from_columns(cls, behavior_flat: np.ndarray, counts: np.ndarray,
+                     scalars: np.ndarray) -> "Dataset":
+        """The Dataset of ``example_columns`` output; its scalar columns
+        are views of the rows of ``scalars``."""
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(behavior_flat, offsets, *scalars)
 
     def __len__(self) -> int:
         return self.p.shape[0]
@@ -133,6 +126,23 @@ class Dataset:
                        offsets - offsets[0], self.profile[start:stop],
                        self.item[start:stop], self.context[start:stop],
                        self.y[start:stop], self.p[start:stop])
+
+
+def example_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transpose ``Example`` rows into int64 id columns, one pass per field:
+    the one place where rows become columns.
+
+    Returns ``(behavior_flat, counts, scalars)``: every row's behavior ids
+    in row order, each row's number of them, and a ``(5, len(rows))``
+    block whose rows are the profile, item, context, y and p columns
+    (``Example._fields[1:]``)."""
+    if not rows:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros((5, 0), dtype=np.int64)
+    behavior, *scalars = zip(*rows)
+    counts = np.fromiter(map(len, behavior), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(behavior), dtype=np.int64)
+    return flat, counts, np.array(scalars, dtype=np.int64)
 
 
 def _flat_rows(offsets: np.ndarray, rows: np.ndarray):
@@ -700,7 +710,7 @@ def _parse_other(raw: bytes, lineno: int, rows: list[Example]) -> int:
 
 def _concat(pieces: list[Dataset]) -> Dataset:
     if not pieces:
-        return Dataset.empty()
+        return Dataset.from_examples([])
     shifts = np.cumsum([0] + [piece.behavior_flat.size for piece in pieces])
     offsets = [pieces[0].behavior_offsets[:1]] + [
         piece.behavior_offsets[1:] + shift
@@ -932,7 +942,13 @@ def validate_ids(data: Dataset, vocab_items: int, vocab_profiles: int,
                  vocab_contexts: int):
     """Raise DataError naming the first example (1-based) whose ids fall
     outside the given vocabularies, and its first such id (a behavior id
-    counts as an item id)."""
+    counts as an item id).  Clean data costs one min and one max per
+    column; the masks are built only to name the example."""
+    if (_ids_fit(data.item, 0, vocab_items)
+            and _ids_fit(data.behavior_flat, 0, vocab_items)
+            and _ids_fit(data.profile, 0, vocab_profiles)
+            and _ids_fit(data.context, 0, vocab_contexts)):
+        return
 
     def outside(ids, vocab):
         return (ids < 0) | (ids >= vocab)
@@ -944,10 +960,7 @@ def validate_ids(data: Dataset, vocab_items: int, vocab_profiles: int,
     checks = ((bad_item, "item", vocab_items),
               (outside(data.profile, vocab_profiles), "profile", vocab_profiles),
               (outside(data.context, vocab_contexts), "context", vocab_contexts))
-    bad = bad_item | checks[1][0] | checks[2][0]
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
+    i = int(np.argmax(bad_item | checks[1][0] | checks[2][0]))
     lo, hi = data.behavior_offsets[i:i + 2]
     row = {"item": [data.item[i], *data.behavior_flat[lo:hi]],
            "profile": [data.profile[i]], "context": [data.context[i]]}
@@ -965,8 +978,31 @@ def check_rows(data: Dataset, config):
     domain is outside ``1..config.num_domains``."""
     validate_ids(data, config.vocab_items, config.vocab_profiles,
                  config.vocab_contexts)
-    bad = (data.p < 1) | (data.p > config.num_domains)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
-                        f"(model serves 1..{config.num_domains})")
+    if _ids_fit(data.p, 1, config.num_domains + 1):
+        return
+    i = int(np.argmax((data.p < 1) | (data.p > config.num_domains)))
+    raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
+                    f"(model serves 1..{config.num_domains})")
+
+
+def clean_domain(behavior_flat: np.ndarray, scalars: np.ndarray,
+                 config) -> int:
+    """The domain of the non-empty ``example_columns`` output
+    ``(behavior_flat, _, scalars)`` when ``check_rows`` would accept it
+    and all its rows share that domain; 0 otherwise.  One min and one max
+    per column, and no mask."""
+    low = scalars.min(axis=1).tolist()
+    high = scalars.max(axis=1).tolist()
+    p = low[4]
+    vocabs = (config.vocab_profiles, config.vocab_items, config.vocab_contexts)
+    if (p == high[4] and 1 <= p <= config.num_domains and min(low[:3]) >= 0
+            and all(h < v for h, v in zip(high, vocabs))
+            and _ids_fit(behavior_flat, 0, config.vocab_items)):
+        return p
+    return 0
+
+
+def _ids_fit(ids: np.ndarray, low: int, high: int) -> bool:
+    """Whether every id lies in ``[low, high)``: one min and one max, none
+    for an empty column."""
+    return ids.size == 0 or (low <= ids.min() and ids.max() < high)

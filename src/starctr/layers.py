@@ -107,13 +107,15 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function: ``1 / (1 + e)`` where x >= 0
     and ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``, so no exp
     overflows.  Both branches are computed for every value and ``np.where``
-    picks one, which is cheaper than masking the input."""
+    picks one, which is cheaper than masking the input.  A caller that
+    already holds ``exp(-|x|)`` passes it as ``e``."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
+    if e is None:
+        e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
 

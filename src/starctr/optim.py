@@ -20,9 +20,9 @@ EPSILON = 1e-8
 
 
 def _check_labels(y: np.ndarray):
-    if not np.isin(y, (0.0, 1.0)).all():
-        bad = y[~np.isin(y, (0.0, 1.0))][0]
-        raise DataError(f"label {bad!r} outside {{0, 1}}")
+    ok = (y == 0.0) | (y == 1.0)
+    if not ok.all():
+        raise DataError(f"label {y[~ok][0]!r} outside {{0, 1}}")
 
 
 def bce_loss(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -30,13 +30,14 @@ def bce_loss(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
     The loss is the stable softplus form ``max(s,0) - s*y + log(1 +
     exp(-|s|))``, so no logit overflows it; the gradient is
-    ``(sigmoid(s) - y) / batch``.
+    ``(sigmoid(s) - y) / batch``.  Both use the one ``exp(-|s|)``.
     """
     s = np.asarray(logits, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_labels(y)
-    per = np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    return float(per.mean()), (sigmoid(s) - y) / y.size
+    e = np.exp(-np.abs(s))
+    per = np.maximum(s, 0.0) - s * y + np.log1p(e)
+    return float(per.mean()), (sigmoid(s, e) - y) / y.size
 
 
 class Adam:

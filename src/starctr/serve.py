@@ -13,11 +13,13 @@ inference never touches the shared-vs-domain split, its per-example cost
 does not depend on the number of domains, and it agrees with
 ``score_with_model`` to 1e-12: folding regroups floating-point sums.
 
-A request is scored in one pass.  A request whose rows all share one
-domain is scored without a copy; other inputs are grouped by a stable
-sort.  BLAS kernels can round the same example's score differently in the
-last bit at different batch shapes, which is why a request's scores are
-compared with the predictions file at 1e-12 rather than bit for bit.
+Folded scoring runs one kernel, a domain's network over id columns
+(``FoldedModel._score``).  A request of at most ``SCORE_BATCH`` clean rows
+of one domain reaches it with no ``Dataset`` or ``Batch``; other inputs are
+grouped by a stable sort.  BLAS kernels can round the same example's score
+differently in the last bit at different batch shapes, which is why a
+request's scores are compared with the predictions file at 1e-12 rather
+than bit for bit.
 """
 
 from __future__ import annotations
@@ -29,20 +31,22 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import pack, unpack
-from .datagen import (Dataset, Example, atomic_open, check_rows, read_dataset,
-                      validate_ids, write_atomic)
+from .datagen import (Dataset, Example, atomic_open, check_rows, clean_domain,
+                      example_columns, read_dataset, validate_ids, write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid, standardize
 from .model import Batch, ModelConfig, field_vocabs
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
-# Most rows of one domain a scorer passes to one ``score_batch`` call.
+# Most rows of one domain a scorer passes to one call of the folded kernel.
 SCORE_BATCH = 4096
 
 
 def _clamp_probs(yhat: np.ndarray) -> np.ndarray:
-    """Clip fresh probabilities in place."""
-    return np.clip(yhat, 1e-15, 1.0 - 1e-15, out=yhat)
+    """Clip fresh probabilities in place: ``np.clip``'s values from two
+    ufunc calls, without its Python wrapper's per-call cost."""
+    np.maximum(yhat, 1e-15, out=yhat)
+    return np.minimum(yhat, 1.0 - 1e-15, out=yhat)
 
 
 def _mlp(x: np.ndarray, layers) -> np.ndarray:
@@ -83,11 +87,41 @@ class FoldedModel:
         p = batch.domain
         if not 1 <= p <= self.num_domains:
             raise DataError(f"unknown domain {p} (model serves 1..{self.num_domains})")
+        return self._score(p, batch.behavior_flat,
+                           np.diff(batch.behavior_offsets), batch.profile,
+                           batch.item, batch.context)
+
+    def score_examples(self, rows: Sequence[Example]) -> np.ndarray:
+        """Scores of a request's ``Example`` rows, in input order; an id
+        outside the vocabularies or a domain outside ``1..num_domains`` is
+        a DataError naming the example.
+
+        The rows become id columns once.  At most ``SCORE_BATCH`` clean
+        rows of one domain go straight to that domain's network; any other
+        request is checked and scored as ``score_file`` scores a file."""
+        flat, counts, scalars = example_columns(rows)
+        if 0 < counts.size <= SCORE_BATCH:
+            p = clean_domain(flat, scalars, self.config)
+            if p:
+                profile, item, context, _, _ = scalars
+                return self._score(p, flat, counts, profile, item, context)
+        data = Dataset.from_columns(flat, counts, scalars)
+        check_rows(data, self.config)
+        return _score_grouped(self.score_batch, data)
+
+    def _score(self, p: int, behavior: np.ndarray, counts: np.ndarray,
+               profile: np.ndarray, item: np.ndarray,
+               context: np.ndarray) -> np.ndarray:
+        """Clamped probabilities of domain ``p``'s folded network over id
+        columns that are already checked: row i's behavior ids are the
+        next ``counts[i]`` of ``behavior``, its other ids one per column."""
         folded = self.domains[p - 1]
-        z = np.concatenate([
-            mean_pool(self.embeddings[name], ids,
-                      None if offsets is None else np.diff(offsets))
-            for name, ids, offsets in batch.fields()], axis=1)
+        tables = self.embeddings
+        z = np.concatenate([mean_pool(tables["behavior"], behavior, counts),
+                            mean_pool(tables["profile"], profile, None),
+                            mean_pool(tables["item"], item, None),
+                            mean_pool(tables["context"], context, None)],
+                           axis=1)
         x = z
         if self.config.normalizer == "ln":
             x = standardize(z, self.config.epsilon, axis=1)[0]
@@ -95,14 +129,6 @@ class FoldedModel:
         if folded.aux_layers:
             logits += _mlp(z, folded.aux_layers)
         return _clamp_probs(sigmoid(logits))
-
-    def score_examples(self, rows: Sequence[Example]) -> np.ndarray:
-        """Scores of a request's ``Example`` rows, in input order; an id
-        outside the vocabularies or a domain outside ``1..num_domains`` is
-        a DataError naming the example."""
-        data = Dataset.from_examples(rows)
-        check_rows(data, self.config)
-        return _score_grouped(self.score_batch, data)
 
 
 def fold(model) -> FoldedModel:
@@ -151,14 +177,9 @@ def score_with_model(model, data: Dataset) -> np.ndarray:
 
 def _score_grouped(score_batch, data: Dataset) -> np.ndarray:
     """Scores of ``data`` in input order, from one ``score_batch`` call per
-    run of at most ``SCORE_BATCH`` rows of one domain.
-
-    At most ``SCORE_BATCH`` rows of one domain are scored as they are,
-    without a copy; otherwise rows are grouped by domain with a stable sort
-    and the scores scattered back."""
+    run of at most ``SCORE_BATCH`` rows of one domain: rows are grouped by
+    domain with a stable sort and the scores scattered back."""
     n = len(data)
-    if n and n <= SCORE_BATCH and (data.p == data.p[0]).all():
-        return score_batch(Batch(data))
     out = np.empty(n)
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1

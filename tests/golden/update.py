@@ -123,11 +123,12 @@ def _cells(train_path: Path) -> dict[str, str]:
     return entries
 
 
-def _gradcheck() -> dict[str, str]:
-    """``run_all()`` plus the model check that ``starctr gradcheck`` adds
-    for the default experiment config, as in ``cli.cmd_gradcheck``."""
+def _gradcheck(checks: dict[str, float]) -> dict[str, str]:
+    """``checks``, the result of ``run_all()``, plus the model check that
+    ``starctr gradcheck`` adds for the default experiment config, as in
+    ``cli.cmd_gradcheck``."""
     config = load_experiment_config(str(CONFIGS / "experiment_default.cfg"))
-    results = run_all()
+    results = dict(checks)
     results[f"model_{config.variant}_{config.normalizer}"] = check_model(
         tiny_model_config(config.variant, config.normalizer,
                           config.aux_enabled))
@@ -135,12 +136,13 @@ def _gradcheck() -> dict[str, str]:
             _sha256(repr(results).encode())}
 
 
-def compute_ledger() -> dict:
-    """The ledger of the code as it is now."""
+def compute_ledger(checks: dict[str, float]) -> dict:
+    """The ledger of the code as it is now, given ``checks``, the result
+    of ``run_all()``."""
     with tempfile.TemporaryDirectory() as tmp:
         environment, gemm = _lifecycle(Path(tmp))
         gemm.update(_cells(Path(tmp) / "train.tsv"))
-    gemm.update(_gradcheck())
+    gemm.update(_gradcheck(checks))
     return {"environment": environment, "portable": _portable(),
             "gemm": gemm}
 
@@ -154,7 +156,7 @@ def drift(recorded: dict[str, str], current: dict[str, str]) -> list[str]:
 
 
 def main() -> int:
-    ledger = compute_ledger()
+    ledger = compute_ledger(run_all())
     if LEDGER.exists():
         old = json.loads(LEDGER.read_text())
         for group in ("portable", "gemm"):

@@ -16,7 +16,7 @@ from starctr import BLAS_THREADS
 from starctr.checkpoint import deserialize, serialize
 from starctr.config import ExperimentConfig
 from starctr.datagen import Dataset, default_gen_config, generate_examples
-from starctr.gradcheck import random_examples, run_all
+from starctr.gradcheck import random_examples
 from starctr.metrics import auc, pcoc, weighted_auc
 from starctr.model import ModelConfig, build_model
 from starctr.optim import Adam
@@ -110,10 +110,8 @@ def grid_mean(reports, key, metric):
                           for s in SEEDS]))
 
 
-def test_criterion_01_gradient_correctness():
-    t0 = time.time()
-    results = run_all()
-    elapsed = time.time() - t0
+def test_criterion_01_gradient_correctness(gradient_checks):
+    results, elapsed = gradient_checks
     worst = max(results.values())
     ok = worst < 1e-4 and elapsed < 30.0
     check(1, "gradient-correctness", ok,

@@ -15,8 +15,9 @@ from golden.update import LEDGER, compute_ledger, drift
 
 
 @pytest.fixture(scope="module")
-def ledgers():
-    return json.loads(LEDGER.read_text()), compute_ledger()
+def ledgers(gradient_checks):
+    return (json.loads(LEDGER.read_text()),
+            compute_ledger(gradient_checks[0]))
 
 
 def test_portable_entries_unchanged(ledgers):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,8 +54,10 @@ class TestBceLoss:
         assert bce_loss(logits, y)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bad_label_raises(self):
-        with pytest.raises(DataError):
-            bce_loss(np.array([0.0]), np.array([2.0]))
+        for label in (2.0, 0.5, np.nan):
+            message = f"label {np.float64(label)!r} outside {{0, 1}}"
+            with pytest.raises(DataError, match=re.escape(message)):
+                bce_loss(np.array([0.0, 0.0]), np.array([1.0, label]))
 
 
 def param_and_adam(value, **kwargs):

@@ -6,10 +6,11 @@ import pytest
 
 from starctr import serve
 from starctr.checkpoint import serialize
-from starctr.datagen import Dataset, Example, write_dataset
+from starctr.datagen import Dataset, Example, check_rows, write_dataset
 from starctr.errors import DataError, FoldError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import NORMALIZERS, VARIANTS, ModelConfig, build_model
+from starctr.model import (NORMALIZERS, VARIANTS, Batch, ModelConfig,
+                           build_model)
 from starctr.serve import (
     fold,
     load_folded,
@@ -302,6 +303,82 @@ def test_scorers_check_ids(example, error):
                                                 Dataset.from_examples(rows))):
         with pytest.raises(DataError, match=f"example 1: {error}"):
             score([example])
+
+
+@pytest.fixture(scope="module")
+def folded_model():
+    return fold(small_trained_model())
+
+
+# One value outside serving_config's vocabularies (60 items, 30 profiles,
+# 8 contexts) or domains (1..5) per field.
+BAD_VALUES = {"item": {"item": 60}, "behavior": {"behavior": (1, -1)},
+              "profile": {"profile": 30}, "context": {"context": -1},
+              "domain": {"p": 6}}
+
+
+@pytest.mark.parametrize("shape", ["one-domain", "mixed"])
+@pytest.mark.parametrize("field", BAD_VALUES)
+def test_bad_request_names_the_example_as_check_rows(folded_model, field,
+                                                     shape):
+    # The request path checks with one min and one max per column; the
+    # text of its DataError is still check_rows' own.
+    config = folded_model.config
+    rows = list(random_examples(20, config, 3, seed=7))
+    if shape == "mixed":
+        rows += list(random_examples(20, config, 1, seed=8))
+    spoiled = (range(len(rows)) if (field, shape) == ("domain", "one-domain")
+               else [5, 9])
+    for i in spoiled:
+        rows[i] = rows[i]._replace(**BAD_VALUES[field])
+    with pytest.raises(DataError) as want:
+        check_rows(Dataset.from_examples(rows), config)
+    with pytest.raises(DataError) as got:
+        folded_model.score_examples(rows)
+    assert str(got.value) == str(want.value)
+
+
+def test_bad_id_after_bad_domain_is_named_first(folded_model):
+    # check_rows checks ids before domains, whatever their order.
+    rows = list(random_examples(20, folded_model.config, 3, seed=7))
+    rows[2] = rows[2]._replace(p=0)
+    rows[9] = rows[9]._replace(context=99)
+    with pytest.raises(DataError, match="example 10: context id outside"):
+        folded_model.score_examples(rows)
+
+
+def test_clean_one_domain_request_builds_no_batch(folded_model, monkeypatch):
+    rows = list(random_examples(100, folded_model.config, 2, seed=3))
+    want = folded_model.score_examples(rows)
+
+    def no_batch(self, rows):
+        raise AssertionError("a clean one-domain request built a Batch")
+
+    monkeypatch.setattr(Batch, "__init__", no_batch)
+    assert folded_model.score_examples(rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["list behavior", "empty behavior",
+                                  "Dataset", "n=1", "SCORE_BATCH + 1"])
+def test_request_scores_equal_score_batch(folded_model, case, monkeypatch):
+    # A request longer than SCORE_BATCH is scored in runs of SCORE_BATCH
+    # rows; a one-row run may round differently from the same row inside a
+    # longer batch (a matrix-vector product), so each run is compared with
+    # score_batch of that run.
+    monkeypatch.setattr(serve, "SCORE_BATCH", 64)
+    rows = list(random_examples(64, folded_model.config, 4, seed=11))
+    request = {
+        "list behavior": [ex._replace(behavior=list(ex.behavior))
+                          for ex in rows],
+        "empty behavior": [ex._replace(behavior=()) for ex in rows],
+        "Dataset": Dataset.from_examples(rows),
+        "n=1": rows[1:2],
+        "SCORE_BATCH + 1": rows + rows[:1],
+    }[case]
+    want = np.concatenate([
+        folded_model.score_batch(Batch.from_examples(request[start:start + 64]))
+        for start in range(0, len(request), 64)])
+    assert folded_model.score_examples(request).tobytes() == want.tobytes()
 
 
 class TestScoreFile:
