@@ -13,9 +13,10 @@ import time
 
 import numpy as np
 
-from starctr.datagen import Dataset
+from starctr.config import ModelConfig
+from starctr.data import Dataset
 from starctr.gradcheck import random_examples
-from starctr.model import ModelConfig, build_model
+from starctr.model import build_model
 from starctr.optim import Adam
 from starctr.serve import fold, score_with_model
 from starctr.train import train_step

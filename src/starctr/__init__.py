@@ -56,17 +56,15 @@ BLAS_THREADS = (1 if "numpy" not in _sys.modules or _pin_loaded_openblas()
 
 from . import errors
 from .checkpoint import load_model, save_model
-from .config import ExperimentConfig, load_experiment_config, parse_experiment_config
+from .config import (ExperimentConfig, ModelConfig, load_experiment_config,
+                     parse_experiment_config)
+from .data import Dataset, Example, read_dataset, write_dataset
 from .datagen import (
-    Dataset,
     DomainProfile,
-    Example,
     GenConfig,
     default_gen_config,
     generate,
     generate_examples,
-    read_dataset,
-    write_dataset,
 )
 from .gradcheck import run_all as run_gradchecks
 from .layers import (
@@ -87,7 +85,6 @@ from .metrics import (
 from .model import (
     AuxNet,
     Batch,
-    ModelConfig,
     StarFcn,
     build_model,
     embed_and_pool,

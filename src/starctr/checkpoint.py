@@ -58,9 +58,10 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import write_atomic
+from .config import ModelConfig
+from .data import write_atomic
 from .errors import CheckpointError, ConfigError, VersionError
-from .model import ModelConfig, build_model
+from .model import build_model
 
 MAGIC = b"STAR"
 VERSION = 2

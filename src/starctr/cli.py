@@ -27,7 +27,8 @@ import numpy as np
 from . import BLAS_THREADS, __version__
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, config_hash, load_experiment_config
-from .datagen import generate, load_gen_config, read_dataset, write_atomic
+from .data import read_dataset, write_atomic
+from .datagen import generate, load_gen_config
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -52,9 +53,9 @@ GRADCHECK_TOLERANCE = 1e-4
 def _overrides(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs or ():
-        if "=" not in pair:
+        key, sep, value = pair.partition("=")
+        if not sep or not key.strip():
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
         out[key.strip()] = value.strip()
     return out
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import Example
+from .config import ModelConfig
+from .data import Example
 from .layers import (Arena, EmbeddingTable, FcLayer, LayerNorm, Param,
                      PartitionedNorm)
-from .model import Batch, ModelConfig, build_model
+from .model import Batch, build_model
 from .optim import bce_loss
 from .tensor import grad_check, make_rng
 

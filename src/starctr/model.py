@@ -27,16 +27,19 @@ The normalizer is ln (``LayerNorm``) or a ``PartitionedNorm``: pn keeps
 moving statistics and a domain affine per domain, and bn is the same class
 with one partition that every domain maps to and no domain affine.  Moving
 statistics are kept one per partition: M for pn, 1 for bn.
+
+A model's settings are a ``config.ModelConfig``; ``config.TRUNK_FACTORS``
+names the factors of each variant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .datagen import FIELDS, MAX_SIZE, Dataset, Example, bounded, check_fields
+from .config import TRUNK_FACTORS, ModelConfig, field_vocabs
+from .data import FIELDS, Dataset, Example
 from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 from .layers import (
     Arena,
@@ -48,68 +51,6 @@ from .layers import (
     relu,
 )
 from .tensor import make_rng
-
-# The trunk factors each variant holds: (shared stack, per-domain stacks).
-TRUNK_FACTORS = {
-    "star": (True, True),
-    "base": (True, False),
-    "shared_bottom": (False, True),
-}
-VARIANTS = tuple(TRUNK_FACTORS)
-NORMALIZERS = ("bn", "ln", "pn")
-
-
-@dataclass
-class ModelConfig:
-    """A model's settings.  Field names and order are the checkpoint
-    header's; ``key`` metadata names a config-file key that differs."""
-    variant: str = "star"
-    normalizer: str = "pn"
-    aux_enabled: bool = field(default=True, metadata={"key": "aux"})
-    num_domains: int = bounded(1, MAX_SIZE, default=5, key="domains")
-    embed_dim: int = bounded(1, MAX_SIZE, default=8)
-    vocab_items: int = bounded(1, MAX_SIZE, default=4000)
-    vocab_profiles: int = bounded(1, MAX_SIZE, default=1200)
-    vocab_contexts: int = bounded(1, MAX_SIZE, default=50)
-    layer_widths: tuple[int, ...] = field(default=(64, 32, 1),
-                                          metadata={"key": "layers"})
-    aux_embed_dim: int = bounded(1, MAX_SIZE, default=16)
-    aux_hidden: int = bounded(1, MAX_SIZE, default=16)
-    aux_use_features: bool = False
-    embed_init_scale: float = bounded(0, default=0.1)
-    momentum: float = bounded(0, 1, default=0.01)
-    epsilon: float = bounded(0, open_low=True, default=1e-5)
-    seed: int = bounded(0, default=0)
-
-    @property
-    def input_dim(self) -> int:
-        return 4 * self.embed_dim
-
-    def param_count(self) -> int:
-        """Floats in a model's trainable arrays: the embedding tables, the
-        normalizer's affine, the trunk's stacks and the aux net."""
-        dims = (self.input_dim,) + self.layer_widths
-        has_shared, has_domain = TRUNK_FACTORS[self.variant]
-        stacks = has_shared + has_domain * self.num_domains
-        affines = 1 + self.num_domains if self.normalizer == "pn" else 1
-        aux_in = self.aux_embed_dim + self.input_dim * self.aux_use_features
-        aux = (self.num_domains * self.aux_embed_dim
-               + (aux_in + 2) * self.aux_hidden + 1)
-        return (sum(field_vocabs(self).values()) * self.embed_dim
-                + stacks * sum(a * b + b for a, b in zip(dims, dims[1:]))
-                + 2 * self.input_dim * affines + aux * self.aux_enabled)
-
-    def validate(self):
-        check_fields(self)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown model variant {self.variant!r}")
-        if self.normalizer not in NORMALIZERS:
-            raise ConfigError(f"unknown normalizer {self.normalizer!r}")
-        widths = self.layer_widths
-        if not (widths and widths[-1] == 1
-                and all(1 <= w <= MAX_SIZE for w in widths)):
-            raise ConfigError(f"layers must end in 1 (the logit), each width "
-                              f"in [1, {MAX_SIZE}], got {widths}")
 
 
 class Batch(Dataset):
@@ -145,17 +86,6 @@ class Batch(Dataset):
         yield FIELDS[0], self.behavior_flat, self.behavior_offsets
         for name in FIELDS[1:]:
             yield name, getattr(self, name), None
-
-
-def field_vocabs(config: ModelConfig) -> dict[str, int]:
-    """Vocabulary size per field, in field order (behavior and item index
-    the item vocab)."""
-    return {
-        "behavior": config.vocab_items,
-        "profile": config.vocab_profiles,
-        "item": config.vocab_items,
-        "context": config.vocab_contexts,
-    }
 
 
 def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datagen import Dataset
+from .data import Dataset
 from .errors import ConfigError
 from .model import Batch
 

@@ -31,11 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import pack, unpack
-from .datagen import (Dataset, Example, atomic_open, check_rows, clean_domain,
-                      example_columns, read_dataset, validate_ids, write_atomic)
+from .config import ModelConfig, field_vocabs
+from .data import (Dataset, Example, atomic_open, check_rows, clean_domain,
+                   example_columns, read_dataset, validate_ids, write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid, standardize
-from .model import Batch, ModelConfig, field_vocabs
+from .model import Batch
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 # Most rows of one domain a scorer passes to one call of the folded kernel.
@@ -213,9 +214,7 @@ def score_file(folded: FoldedModel, data_path: str, out_path: str
     vocabularies is a DataError, raised before the output is opened.
     """
     data = read_dataset(data_path)
-    config = folded.config
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
+    validate_ids(data, folded.config)
     served = data.p <= folded.num_domains
     skipped = np.flatnonzero(~served)
     errors = []

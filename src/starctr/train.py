@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .config import ExperimentConfig, with_overrides
-from .datagen import Dataset, check_rows
+from .data import Dataset, check_rows
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (MetricReport, PredictionColumns, auc_or_none,
                       build_report)

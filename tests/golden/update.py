@@ -36,10 +36,11 @@ from pathlib import Path
 
 from starctr import cli   # before numpy: the package pins BLAS to one thread
 from starctr.checkpoint import serialize
-from starctr.config import config_hash, load_experiment_config, with_overrides
-from starctr.datagen import format_gen_config, load_gen_config, read_dataset
+from starctr.config import (NORMALIZERS, VARIANTS, config_hash,
+                            load_experiment_config, with_overrides)
+from starctr.data import read_dataset
+from starctr.datagen import format_gen_config, load_gen_config
 from starctr.gradcheck import check_model, run_all, tiny_model_config
-from starctr.model import NORMALIZERS, VARIANTS
 from starctr.train import BatchPlan, train_model
 
 ROOT = Path(__file__).resolve().parents[2]

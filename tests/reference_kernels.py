@@ -10,15 +10,8 @@ grouped generator and the array writer)."""
 
 import numpy as np
 
-from starctr.datagen import (
-    Dataset,
-    GenConfig,
-    GenResult,
-    GroundTruth,
-    _domain_cum_probs,
-    format_example,
-    validate_ids,
-)
+from starctr.data import Dataset, format_example, validate_ids
+from starctr.datagen import GenConfig, GenResult, GroundTruth, _domain_cum_probs
 from starctr.errors import CalibrationError, DataError
 from starctr.layers import mean_pool, sigmoid
 from starctr.model import Batch
@@ -116,9 +109,7 @@ def reference_score_examples(folded, examples, batch_size=4096):
     """``FoldedModel.score_examples`` that checks ids, then sorts every
     input by domain and gathers each chunk before scoring it."""
     data = Dataset.from_examples(examples)
-    config = folded.config
-    validate_ids(data, config.vocab_items, config.vocab_profiles,
-                 config.vocab_contexts)
+    validate_ids(data, folded.config)
     out = np.empty(len(data))
     order = np.argsort(data.p, kind="stable")
     domain_starts = np.flatnonzero(np.diff(data.p[order])) + 1
@@ -316,5 +307,5 @@ def reference_generate_examples(config: GenConfig) -> GenResult:
 
 
 def reference_format_lines(data):
-    """``datagen._format_lines``: ``format_example`` of each row."""
+    """``data._format_lines``: ``format_example`` of each row."""
     return "".join(format_example(ex) + "\n" for ex in data).encode("ascii")

@@ -14,11 +14,12 @@ import pytest
 
 from starctr import BLAS_THREADS
 from starctr.checkpoint import deserialize, serialize
-from starctr.config import ExperimentConfig
-from starctr.datagen import Dataset, default_gen_config, generate_examples
+from starctr.config import ExperimentConfig, ModelConfig
+from starctr.data import Dataset
+from starctr.datagen import default_gen_config, generate_examples
 from starctr.gradcheck import random_examples
 from starctr.metrics import auc, pcoc, weighted_auc
-from starctr.model import ModelConfig, build_model
+from starctr.model import build_model
 from starctr.optim import Adam
 from starctr.pipeline import (
     ShuffleBuffer,

@@ -12,9 +12,8 @@ from container_bytes import (
     set_config,
     split,
 )
-from starctr import datagen
 from starctr.checkpoint import deserialize, load_model, save_model, serialize
-from starctr.datagen import Dataset
+from starctr.data import Dataset
 from starctr.errors import CheckpointError, VersionError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import build_model
@@ -307,7 +306,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save):
     path = tmp_path / "out.bin"
     save(trained_model(steps=2), str(path))
     before = path.read_bytes()
-    monkeypatch.setattr(datagen, "open",
+    monkeypatch.setattr("starctr.data.open",
                         lambda file, mode: _HalfWrite(open(file, mode)),
                         raising=False)
     with pytest.raises(OSError, match="no space"):

@@ -363,7 +363,8 @@ def test_bad_gen_config_value_exits_2(workspace, tmp_path, capsys, key,
                     if not line.startswith("domain.2.base_ctr=")],
      "domain.2.base_ctr missing"),
     (lambda lines: ["domains=0"], "at least one domain profile required"),
-], ids=["missing_base_ctr", "zero_domains"])
+    (lambda lines: ["=5"] + lines, "line 1: expected key=value, got '=5'"),
+], ids=["missing_base_ctr", "zero_domains", "empty_key"])
 def test_incomplete_gen_config_exits_2(workspace, tmp_path, capsys, edit,
                                        message):
     _, gen_config, _, _, _ = workspace
@@ -383,6 +384,27 @@ def test_set_without_equals_exits_2(workspace, tmp_path, capsys):
     assert (capsys.readouterr().err
             == "config error: --set expects key=value, got 'foo'\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line,extra,message", [
+    ("", ["--set", "layers=64,,32,1"], "bad value for layers: '64,,32,1'"),
+    ("", ["--set", "layers=64,32,1,"], "bad value for layers: '64,32,1,'"),
+    ("layers=16,,1", [], "bad value for layers: '16,,1'"),
+    ("=5", [], "line 12: expected key=value, got '=5'"),
+    ("", ["--set", "=5"], "--set expects key=value, got '=5'"),
+], ids=["set_inner", "set_trailing", "file_inner", "file_key", "set_key"])
+def test_empty_int_entry_or_key_exits_2(workspace, tmp_path, capsys, line,
+                                        extra, message):
+    """An empty entry of an int list and an empty key are config errors
+    that name the value, the line or the ``--set`` pair."""
+    _, _, exp_config, data, _ = workspace
+    config = tmp_path / "exp.cfg"
+    config.write_text(exp_config.read_text() + line + "\n")
+    capsys.readouterr()
+    assert main(["train", str(config), str(data), str(tmp_path / "m.ckpt")]
+                + extra) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "ablation",
@@ -670,7 +692,7 @@ def test_ablation_ten_rows(workspace, tmp_path, capsys):
 def test_ablation_checks_eval_data_before_training(workspace, tmp_path,
                                                    capsys, monkeypatch):
     from starctr import train
-    from starctr.datagen import Dataset, read_dataset, write_dataset
+    from starctr.data import Dataset, read_dataset, write_dataset
 
     _, _, exp_config, data, _ = workspace
     rows = read_dataset(str(data))

@@ -4,13 +4,9 @@ every config they accept prints to text that parses back to it."""
 from hypothesis import given, settings, strategies as st
 
 from starctr.config import (ExperimentConfig, format_experiment_config,
-                            parse_experiment_config)
-from starctr.datagen import (
-    default_gen_config,
-    format_gen_config,
-    parse_gen_config,
-    parse_kv_text,
-)
+                            parse_experiment_config, parse_kv_text)
+from starctr.datagen import (default_gen_config, format_gen_config,
+                             parse_gen_config)
 from starctr.errors import StarError
 
 FUZZ = settings(max_examples=300, deadline=None)

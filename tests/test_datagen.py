@@ -2,22 +2,27 @@
 import numpy as np
 import pytest
 
-from starctr import datagen
-from starctr.datagen import (
+from starctr.config import ModelConfig
+from starctr.data import (
     Dataset,
-    DomainProfile,
     Example,
+    _format_lines,
+    atomic_open,
+    format_example,
+    parse_example,
+    read_dataset,
+    validate_ids,
+    write_atomic,
+    write_dataset,
+)
+from starctr.datagen import (
+    DomainProfile,
     GenConfig,
     default_gen_config,
-    format_example,
     format_gen_config,
     generate,
     generate_examples,
-    parse_example,
     parse_gen_config,
-    read_dataset,
-    validate_ids,
-    write_dataset,
 )
 from starctr.errors import CalibrationError, ConfigError, DataError, ParseError
 
@@ -167,12 +172,12 @@ class TestAtomicWrites:
         path = tmp_path / "out.txt"
         path.write_bytes(b"previous\n")
         with pytest.raises(RuntimeError):
-            with datagen.atomic_open(str(path)) as fh:
+            with atomic_open(str(path)) as fh:
                 fh.write(b"half of the new ")
                 raise RuntimeError("disk full")
         assert path.read_bytes() == b"previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
-        datagen.write_atomic(str(path), b"new\n")
+        write_atomic(str(path), b"new\n")
         assert path.read_bytes() == b"new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
@@ -181,16 +186,16 @@ class TestAtomicWrites:
         path = tmp_path / "d.tsv"
         write_dataset(examples, str(path))
         before = path.read_bytes()
-        format_lines, calls = datagen._format_lines, []
+        calls = []
 
         def failing(data):
             calls.append(len(data))
             if len(calls) == 2:
                 raise OSError("disk full")
-            return format_lines(data)
+            return _format_lines(data)
 
-        monkeypatch.setattr(datagen, "_WRITE_ROWS", 100)
-        monkeypatch.setattr(datagen, "_format_lines", failing)
+        monkeypatch.setattr("starctr.data._WRITE_ROWS", 100)
+        monkeypatch.setattr("starctr.data._format_lines", failing)
         with pytest.raises(OSError):
             write_dataset(examples[:500], str(path))
         assert path.read_bytes() == before
@@ -287,12 +292,9 @@ class TestColumnarReader:
         assert list(read_dataset(str(path))) == reference_read(str(path))
 
     def test_canonical_lines_skip_parse_example(self, tmp_path, monkeypatch):
-        import starctr.datagen as datagen
-
         calls = []
-        original = datagen.parse_example
-        monkeypatch.setattr(datagen, "parse_example",
-                            lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr("starctr.data.parse_example",
+                            lambda *a: calls.append(a) or parse_example(*a))
         path = tmp_path / "data.tsv"
         path.write_text(GOOD_LINE * 100 + "+1\t0\tbehavior:\tprofile:1\t"
                         "item:1\tctx:1\n" + GOOD_LINE * 100)
@@ -339,4 +341,6 @@ class TestColumnarReader:
         # The blank line makes the example number differ from the line's.
         path.write_text(GOOD_LINE * 4 + "\n" + line + "\n" + GOOD_LINE)
         with pytest.raises(DataError, match=f"example 5: {field} id"):
-            validate_ids(read_dataset(str(path)), 500, 200, 20)
+            validate_ids(read_dataset(str(path)),
+                         ModelConfig(vocab_items=500, vocab_profiles=200,
+                                     vocab_contexts=20))

@@ -21,15 +21,13 @@ from reference_kernels import (
     reference_generate_examples,
 )
 from starctr import datagen
+from starctr.data import Dataset, Example, _format_lines, write_dataset
 from starctr.datagen import (
-    Dataset,
     DomainProfile,
-    Example,
     GenConfig,
     default_gen_config,
     generate_examples,
     load_gen_config,
-    write_dataset,
 )
 from starctr.errors import CalibrationError
 
@@ -137,7 +135,7 @@ ROWS = st.lists(st.builds(Example, st.lists(IDS, max_size=12).map(tuple), IDS,
 @example([Example((-1,), -2, -3, -4, 1, 7)])
 def test_format_lines_matches_format_example(rows):
     data = Dataset.from_examples(rows)
-    assert datagen._format_lines(data) == reference_format_lines(data)
+    assert _format_lines(data) == reference_format_lines(data)
 
 
 def test_write_dataset_chunks_as_views(tmp_path, monkeypatch):
@@ -146,7 +144,7 @@ def test_write_dataset_chunks_as_views(tmp_path, monkeypatch):
     data = generate_examples(default_gen_config(n_examples=3_001)).examples
     expected = reference_format_lines(data)
     for rows in (7, 1_000, 5_000):
-        monkeypatch.setattr(datagen, "_WRITE_ROWS", rows)
+        monkeypatch.setattr("starctr.data._WRITE_ROWS", rows)
         path = tmp_path / f"rows{rows}.tsv"
         write_dataset(data, str(path))
         assert path.read_bytes() == expected

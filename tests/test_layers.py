@@ -396,7 +396,7 @@ class TestPartitionedNorm:
         assert diff > 0.0
 
     def test_mixed_domain_enforced_at_batch_level(self):
-        from starctr.datagen import Example
+        from starctr.data import Example
         from starctr.model import Batch
         examples = [
             Example((1,), 0, 0, 0, 0, 1),

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from container_bytes import join, split
 from starctr.checkpoint import load_model, save_model
-from starctr.datagen import (default_gen_config, generate_examples,
-                             read_dataset, write_dataset)
+from starctr.data import read_dataset, write_dataset
+from starctr.datagen import default_gen_config, generate_examples
 from starctr.errors import StarError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import build_model

@@ -284,7 +284,7 @@ class TestEmbedAndPool:
     def test_empty_behavior_contributes_zeros(self):
         config = tiny_model_config()
         model = build_model(config)
-        from starctr.datagen import Example
+        from starctr.data import Example
         batch = Batch.from_examples([Example((), 0, 1, 2, 0, 1),
                                      Example((), 1, 0, 3, 1, 1)])
         z = embed_and_pool(batch, model.tables)

@@ -4,8 +4,8 @@ import numpy as np
 
 import pytest
 
-from starctr.datagen import (Dataset, Example, default_gen_config,
-                             generate_examples)
+from starctr.data import Dataset, Example
+from starctr.datagen import default_gen_config, generate_examples
 from starctr.errors import ConfigError
 from starctr.pipeline import (
     ShuffleBuffer,

@@ -6,11 +6,11 @@ import pytest
 
 from starctr import serve
 from starctr.checkpoint import serialize
-from starctr.datagen import Dataset, Example, check_rows, write_dataset
+from starctr.config import NORMALIZERS, VARIANTS, ModelConfig
+from starctr.data import Dataset, Example, check_rows, write_dataset
 from starctr.errors import DataError, FoldError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import (NORMALIZERS, VARIANTS, Batch, ModelConfig,
-                           build_model)
+from starctr.model import Batch, build_model
 from starctr.serve import (
     fold,
     load_folded,

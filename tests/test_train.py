@@ -12,7 +12,8 @@ from starctr.config import (
     parse_experiment_config,
     with_overrides,
 )
-from starctr.datagen import Dataset, default_gen_config, generate_examples
+from starctr.data import Dataset
+from starctr.datagen import default_gen_config, generate_examples
 from starctr.errors import ConfigError, DataError, NumericError
 from starctr.gradcheck import random_examples, tiny_model_config
 from starctr.model import build_model
