@@ -9,6 +9,8 @@ The text format holds one example per line,
 ``write_dataset`` writes it and ``read_dataset`` reads it back as columns.
 The id checks (``validate_ids``, ``check_rows``, ``clean_domain``) take any
 config with the vocabulary and domain counts of a ``config.ModelConfig``.
+``first_outside`` is the one range check of ids and domains: they, the
+embedding tables and ``model.Batch`` all find their offender through it.
 """
 
 from __future__ import annotations
@@ -400,36 +402,27 @@ def read_dataset(path: str) -> Dataset:
 def validate_ids(data: Dataset, config):
     """Raise DataError naming the first example (1-based) whose ids fall
     outside the vocabularies of the model config ``config``, and its first
-    such id (a behavior id counts as an item id).  Clean data costs one min
-    and one max per column; the masks are built only to name the example."""
-    vocab_items, vocab_profiles, vocab_contexts = (
-        config.vocab_items, config.vocab_profiles, config.vocab_contexts)
-    if (_ids_fit(data.item, 0, vocab_items)
-            and _ids_fit(data.behavior_flat, 0, vocab_items)
-            and _ids_fit(data.profile, 0, vocab_profiles)
-            and _ids_fit(data.context, 0, vocab_contexts)):
+    such id (a behavior id counts as an item id, after the row's item id).
+    Clean data costs one min and one max per column."""
+    vocabs = (("item", config.vocab_items), ("profile", config.vocab_profiles),
+              ("context", config.vocab_contexts))
+    bad_rows = [first_outside(getattr(data, name), 0, vocab)
+                for name, vocab in vocabs]
+    j = first_outside(data.behavior_flat, 0, config.vocab_items)
+    if j >= 0:
+        bad_rows.append(int(np.searchsorted(data.behavior_offsets, j,
+                                            side="right")) - 1)
+    i = min((r for r in bad_rows if r >= 0), default=-1)
+    if i < 0:
         return
-
-    def outside(ids, vocab):
-        return (ids < 0) | (ids >= vocab)
-
-    bad_item = outside(data.item, vocab_items)
-    bad_behavior = np.flatnonzero(outside(data.behavior_flat, vocab_items))
-    owners = np.searchsorted(data.behavior_offsets, bad_behavior, side="right")
-    bad_item[owners - 1] = True
-    checks = ((bad_item, "item", vocab_items),
-              (outside(data.profile, vocab_profiles), "profile", vocab_profiles),
-              (outside(data.context, vocab_contexts), "context", vocab_contexts))
-    i = int(np.argmax(bad_item | checks[1][0] | checks[2][0]))
     lo, hi = data.behavior_offsets[i:i + 2]
     row = {"item": [data.item[i], *data.behavior_flat[lo:hi]],
            "profile": [data.profile[i]], "context": [data.context[i]]}
-    for mask, field_name, vocab in checks:
-        if mask[i]:
-            bad_id = next(int(v) for v in row[field_name]
-                          if not 0 <= v < vocab)
-            raise DataError(f"example {i + 1}: {field_name} id outside "
-                            f"vocab: {bad_id} not in [0, {vocab})")
+    for name, vocab in vocabs:
+        bad = [int(v) for v in row[name] if not 0 <= v < vocab]
+        if bad:
+            raise DataError(f"example {i + 1}: {name} id outside "
+                            f"vocab: {bad[0]} not in [0, {vocab})")
 
 
 def check_rows(data: Dataset, config):
@@ -437,11 +430,10 @@ def check_rows(data: Dataset, config):
     outside the vocabularies of the model config ``config``, or whose
     domain is outside ``1..config.num_domains``."""
     validate_ids(data, config)
-    if _ids_fit(data.p, 1, config.num_domains + 1):
-        return
-    i = int(np.argmax((data.p < 1) | (data.p > config.num_domains)))
-    raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
-                    f"(model serves 1..{config.num_domains})")
+    i = first_outside(data.p, 1, config.num_domains + 1)
+    if i >= 0:
+        raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
+                        f"(model serves 1..{config.num_domains})")
 
 
 def clean_domain(behavior_flat: np.ndarray, scalars: np.ndarray,
@@ -456,12 +448,15 @@ def clean_domain(behavior_flat: np.ndarray, scalars: np.ndarray,
     vocabs = (config.vocab_profiles, config.vocab_items, config.vocab_contexts)
     if (p == high[4] and 1 <= p <= config.num_domains and min(low[:3]) >= 0
             and all(h < v for h, v in zip(high, vocabs))
-            and _ids_fit(behavior_flat, 0, config.vocab_items)):
+            and first_outside(behavior_flat, 0, config.vocab_items) < 0):
         return p
     return 0
 
 
-def _ids_fit(ids: np.ndarray, low: int, high: int) -> bool:
-    """Whether every id lies in ``[low, high)``: one min and one max, none
-    for an empty column."""
-    return ids.size == 0 or (low <= ids.min() and ids.max() < high)
+def first_outside(ids: np.ndarray, low: int, high: int) -> int:
+    """The index of the first id outside ``[low, high)``, or -1.  Ids all
+    inside cost one min and one max (none for an empty array); the mask is
+    built only to find the offender."""
+    if ids.size == 0 or (low <= ids.min() and ids.max() < high):
+        return -1
+    return int(np.argmax((ids < low) | (ids >= high)))

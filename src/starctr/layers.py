@@ -29,6 +29,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .data import first_outside
 from .errors import (
     ContractViolation,
     DataError,
@@ -191,15 +192,9 @@ class EmbeddingTable:
         self._cache = None
 
     def _check_ids(self, flat_ids: np.ndarray):
-        if flat_ids.size == 0:
-            return
-        bad = (flat_ids < 0) | (flat_ids >= self.vocab_size)
-        if bad.any():
-            offender = int(flat_ids[bad][0])
-            raise DataError(
-                f"field '{self.name}': id {offender} outside vocab of "
-                f"{self.vocab_size}"
-            )
+        if (i := first_outside(flat_ids, 0, self.vocab_size)) >= 0:
+            raise DataError(f"field '{self.name}': id {flat_ids[i]} outside "
+                            f"vocab of {self.vocab_size}")
 
     def pool(self, flat_ids: np.ndarray,
              offsets: np.ndarray | None) -> np.ndarray:

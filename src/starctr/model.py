@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import TRUNK_FACTORS, ModelConfig, field_vocabs
-from .data import FIELDS, Dataset, Example
+from .data import FIELDS, Dataset, Example, first_outside
 from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 from .layers import (
     Arena,
@@ -54,23 +54,22 @@ from .tensor import make_rng
 
 
 class Batch(Dataset):
-    """Rows of one domain, the unit of training and scoring; labels are
-    float64 for the loss."""
+    """Rows of one domain, the unit of training and scoring; the labels
+    stay as given, and ``optim.bce_loss`` reads them as float64."""
 
     __slots__ = ("domain", "size")
 
     def __init__(self, rows: Dataset):
         if len(rows) == 0:
             raise ContractViolation("empty batch")
-        domain = rows.p[0]
-        if (rows.p != domain).any():
+        domain = int(rows.p[0])
+        if first_outside(rows.p, domain, domain + 1) >= 0:
             raise ContractViolation(
                 f"mixed-domain batch: domains {np.unique(rows.p).tolist()}"
             )
         super().__init__(rows.behavior_flat, rows.behavior_offsets,
-                         rows.profile, rows.item, rows.context,
-                         rows.y.astype(np.float64), rows.p)
-        self.domain = int(domain)
+                         rows.profile, rows.item, rows.context, rows.y, rows.p)
+        self.domain = domain
         self.size = len(rows)
 
     @classmethod

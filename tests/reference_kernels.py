@@ -6,7 +6,8 @@ gather (for the one-pass scorer), with its masked sigmoid and fresh arrays
 in place of the scorer's in-place layers; and the data generator that drew
 each domain's rows through a boolean mask, with its ``searchsorted`` draws
 and 80-step bisection, and a writer that formats one row at a time (for the
-grouped generator and the array writer)."""
+grouped generator and the array writer); and the id checks that built an
+out-of-range mask per column (for the checks through ``first_outside``)."""
 
 import numpy as np
 
@@ -18,11 +19,65 @@ from starctr.model import Batch
 from starctr.tensor import make_rng
 
 
+def reference_check_ids(table, flat_ids):
+    """``EmbeddingTable._check_ids`` by a mask of the out-of-vocab ids."""
+    if flat_ids.size == 0:
+        return
+    bad = (flat_ids < 0) | (flat_ids >= table.vocab_size)
+    if bad.any():
+        offender = int(flat_ids[bad][0])
+        raise DataError(
+            f"field '{table.name}': id {offender} outside vocab of "
+            f"{table.vocab_size}"
+        )
+
+
+def reference_validate_ids(data, config):
+    """``data.validate_ids`` by one out-of-vocab mask per column, each
+    behavior offender marking its row's item mask."""
+    vocab_items, vocab_profiles, vocab_contexts = (
+        config.vocab_items, config.vocab_profiles, config.vocab_contexts)
+
+    def outside(ids, vocab):
+        return (ids < 0) | (ids >= vocab)
+
+    bad_item = outside(data.item, vocab_items)
+    bad_behavior = np.flatnonzero(outside(data.behavior_flat, vocab_items))
+    owners = np.searchsorted(data.behavior_offsets, bad_behavior, side="right")
+    bad_item[owners - 1] = True
+    checks = ((bad_item, "item", vocab_items),
+              (outside(data.profile, vocab_profiles), "profile", vocab_profiles),
+              (outside(data.context, vocab_contexts), "context", vocab_contexts))
+    bad_rows = bad_item | checks[1][0] | checks[2][0]
+    if not bad_rows.any():
+        return
+    i = int(np.argmax(bad_rows))
+    lo, hi = data.behavior_offsets[i:i + 2]
+    row = {"item": [data.item[i], *data.behavior_flat[lo:hi]],
+           "profile": [data.profile[i]], "context": [data.context[i]]}
+    for mask, field_name, vocab in checks:
+        if mask[i]:
+            bad_id = next(int(v) for v in row[field_name]
+                          if not 0 <= v < vocab)
+            raise DataError(f"example {i + 1}: {field_name} id outside "
+                            f"vocab: {bad_id} not in [0, {vocab})")
+
+
+def reference_check_rows(data, config):
+    """``data.check_rows`` by a mask of the unknown domains."""
+    reference_validate_ids(data, config)
+    bad = (data.p < 1) | (data.p > config.num_domains)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"example {i + 1}: unknown domain {data.p[i]} "
+                        f"(model serves 1..{config.num_domains})")
+
+
 def reference_pool(table, flat_ids, offsets):
     """``EmbeddingTable.pool`` by ``np.add.at`` into zeros; ``offsets=None``
     means one id per row."""
     flat_ids = np.asarray(flat_ids, dtype=np.int64)
-    table._check_ids(flat_ids)
+    reference_check_ids(table, flat_ids)
     if offsets is None:
         counts = np.ones(flat_ids.size, dtype=np.int64)
     else:

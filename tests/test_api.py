@@ -99,6 +99,7 @@ def test_modules_import_in_layers():
     graph = _package_imports()
     assert graph["config"] <= {"errors"}
     assert graph["data"] <= {"errors"}
+    assert graph["layers"] <= {"errors", "data"}
     assert {name for name, deps in graph.items() if "datagen" in deps} == {
         "cli", "__init__"}
     done, path = set(), []

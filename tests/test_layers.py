@@ -54,9 +54,12 @@ class TestEmbedding:
     def test_empty_list_pools_to_zero(self):
         assert np.array_equal(pool_single(self.table, []), np.zeros(4))
 
-    def test_out_of_vocab_names_field_and_id(self):
-        with pytest.raises(DataError, match=r"behavior.*17"):
-            pool_single(self.table, [17])
+    @pytest.mark.parametrize("bad_id", [17, -1, 10],
+                             ids=["beyond", "negative", "vocab_size"])
+    def test_out_of_vocab_names_field_and_id(self, bad_id):
+        with pytest.raises(DataError, match=rf"'behavior': id {bad_id} "
+                                            r"outside vocab of 10$"):
+            pool_single(self.table, [3, bad_id, 4])
 
     def test_backward_touches_exactly_looked_up_rows(self):
         flat = np.array([1, 4, 4, 9], dtype=np.int64)
