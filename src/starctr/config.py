@@ -130,16 +130,23 @@ def read_config_text(path: str) -> str:
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse ``key=value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key=value`` lines; '#' starts a comment, blanks ignored, and
+    a key set twice is an error."""
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-        out[key.strip()] = value.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {set_on[key]}")
+        set_on[key] = lineno
+        out[key] = value.strip()
     return out
 
 

@@ -12,8 +12,8 @@ sys.path.insert(0, "tests")
 @pytest.fixture(scope="session")
 def gradient_checks():
     """One ``gradcheck.run_all()`` for the session and its wall time in
-    seconds, shared by the gradient-correctness criterion and the drift
-    ledger."""
+    seconds, shared by the gradient-correctness criterion, the drift ledger
+    and the CLI's ``gradcheck`` test."""
     from starctr.gradcheck import run_all
 
     t0 = time.time()

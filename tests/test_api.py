@@ -1,5 +1,6 @@
-"""The public API: every exported name, every benchmark span and every
-benchmark import resolves, and the package's modules import in layers.
+"""The public API: every exported name, every benchmark span, every
+benchmark import and every README import resolves, and the package's
+modules import in layers, in the source and at run time.
 
 An export left behind for a deleted symbol fails here rather than in a
 user's import, and a renamed function that the benchmark traces or imports
@@ -9,7 +10,13 @@ fails here rather than dropping out of its report or failing its run.
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import starctr
 
@@ -95,13 +102,29 @@ def _package_imports() -> dict[str, set[str]]:
     return graph
 
 
+def _closure(graph: dict[str, set[str]], name: str) -> set[str]:
+    """``name`` and every package module it imports, directly or not."""
+    out, todo = set(), [name]
+    while todo:
+        if (module := todo.pop()) not in out:
+            out.add(module)
+            todo.extend(graph[module])
+    return out
+
+
 def test_modules_import_in_layers():
     graph = _package_imports()
     assert graph["config"] <= {"errors"}
     assert graph["data"] <= {"errors"}
     assert graph["layers"] <= {"errors", "data"}
+    assert graph["__init__"] == set()
     assert {name for name, deps in graph.items() if "datagen" in deps} == {
-        "cli", "__init__"}
+        "cli"}
+    assert {name for name, deps in graph.items() if "__init__" in deps} == {
+        "cli"}
+    assert _closure(graph, "data") == {"data", "errors"}
+    assert _closure(graph, "datagen") == {"datagen", "config", "data",
+                                          "layers", "tensor", "errors"}
     done, path = set(), []
 
     def visit(name):
@@ -115,3 +138,42 @@ def test_modules_import_in_layers():
 
     for name in sorted(graph):
         visit(name)
+
+
+@pytest.mark.parametrize("module", ["data", "config", "datagen", "serve"])
+def test_import_loads_only_what_the_module_imports(module):
+    """In a fresh interpreter, importing a module loads the package root and
+    that module's closure in the import graph, nothing more."""
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, starctr.{module}\n"
+         "print(*(name for name in sys.modules\n"
+         "        if name.partition('.')[0] == 'starctr'))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+        capture_output=True, text=True, timeout=60).stdout.split()
+    assert set(loaded) == {"starctr"} | {
+        f"starctr.{name}" for name in _closure(_package_imports(), module)}
+
+
+def _readme_python_blocks() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_imports_resolve():
+    """Every ``import`` of a README snippet names a module and names that
+    exist; the snippets themselves may train at full scale."""
+    blocks = _readme_python_blocks()
+    assert len(blocks) >= 2
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), {})
+
+
+def test_readme_custom_loop_runs(capsys):
+    block, = (block for block in _readme_python_blocks()
+              if "train_step(model, opt, batch)" in block)
+    exec(compile(block, "README.md", "exec"), {})
+    steps, loss, check = capsys.readouterr().out.split()
+    assert int(steps) == 20 and 0 < float(loss) and 0 < float(check)

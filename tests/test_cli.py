@@ -16,8 +16,9 @@ from container_bytes import (
     header_length_past_eof,
     set_config,
 )
-from starctr import checkpoint
+from starctr import checkpoint, cli
 from starctr.cli import main
+from starctr.config import config_hash, parse_experiment_config
 from starctr.datagen import default_gen_config, format_gen_config
 from starctr.errors import CheckpointError
 from starctr.gradcheck import tiny_model_config
@@ -376,6 +377,40 @@ def test_incomplete_gen_config_exits_2(workspace, tmp_path, capsys, edit,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.cfg"]
 
 
+@pytest.mark.parametrize("command,extra,message", [
+    ("gen-data", ["examples=10"],
+     "line 27: key 'examples' already set on line 2"),
+    ("train", ["lr=0.5", "lr=0.001"],
+     "line 13: key 'lr' already set on line 12"),
+])
+def test_key_set_twice_exits_2(workspace, tmp_path, capsys, command, extra,
+                               message):
+    """A second value for a key is an error, not a silent override."""
+    _, gen_config, exp_config, data, _ = workspace
+    source = gen_config if command == "gen-data" else exp_config
+    bad = tmp_path / "twice.cfg"
+    bad.write_text(source.read_text() + "\n".join(extra) + "\n")
+    out = str(tmp_path / "out")
+    argv = {"gen-data": ["gen-data", str(bad), out],
+            "train": ["train", str(bad), str(data), out]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
+
+
+def test_set_replaces_a_file_value(workspace, tmp_path):
+    _, _, exp_config, data, _ = workspace
+    config = tmp_path / "exp.cfg"
+    config.write_text(exp_config.read_text() + "lr=0.5\n")
+    out = tmp_path / "m.ckpt"
+    assert main(["train", str(config), str(data), str(out),
+                 "--set", "lr=0.001"]) == 0
+    manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash(parse_experiment_config(
+        exp_config.read_text() + "lr=0.001\n"))
+
+
 def test_set_without_equals_exits_2(workspace, tmp_path, capsys):
     _, _, exp_config, data, _ = workspace
     capsys.readouterr()
@@ -398,8 +433,11 @@ def test_empty_int_entry_or_key_exits_2(workspace, tmp_path, capsys, line,
     """An empty entry of an int list and an empty key are config errors
     that name the value, the line or the ``--set`` pair."""
     _, _, exp_config, data, _ = workspace
+    key = line.partition("=")[0]
+    lines = [kept for kept in exp_config.read_text().splitlines()
+             if not (key and kept.startswith(key + "="))]
     config = tmp_path / "exp.cfg"
-    config.write_text(exp_config.read_text() + line + "\n")
+    config.write_text("\n".join(lines + [line]) + "\n")
     capsys.readouterr()
     assert main(["train", str(config), str(data), str(tmp_path / "m.ckpt")]
                 + extra) == 2
@@ -672,9 +710,15 @@ def test_fold_and_score_baseline_checkpoint(workspace, tmp_path, variant):
     assert len(preds.read_text().splitlines()) == 5_000
 
 
-def test_gradcheck_exits_0(capsys):
+def test_gradcheck_exits_0(capsys, monkeypatch, gradient_checks):
+    """One line per check of ``run_all``; the session's sweep stands in for
+    a second one."""
+    results, _ = gradient_checks
+    monkeypatch.setattr(cli, "run_all", lambda: dict(results))
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
+    assert ([line.split("\t")[0] for line in out.splitlines()]
+            == sorted(results))
     assert "ok" in out
     assert "FAIL" not in out
 

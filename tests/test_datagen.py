@@ -219,6 +219,12 @@ class TestGenConfigFile:
         with pytest.raises(ConfigError, match="bogus_knob"):
             parse_gen_config(text)
 
+    def test_key_set_twice(self):
+        text = format_gen_config(small_config()) + "examples=10\n"
+        with pytest.raises(ConfigError, match="key 'examples' already set on "
+                                              "line 2$"):
+            parse_gen_config(text)
+
     def test_missing_domains_key(self):
         with pytest.raises(ConfigError, match="domains"):
             parse_gen_config("examples=10\n")

@@ -238,6 +238,11 @@ class TestExperimentConfig:
         assert parsed.epochs == 7
         assert parsed.lr == 0.01
 
+    def test_key_set_twice(self):
+        with pytest.raises(ConfigError, match="^line 3: key 'lr' already set "
+                                              "on line 1$"):
+            parse_experiment_config("lr=0.5\nseed=1\n lr = 0.001\n")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="epochs"):
             parse_experiment_config("epochs=three\n")
