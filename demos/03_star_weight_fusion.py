@@ -7,8 +7,9 @@ each domain's multiplicative mask away from ones only on its own examples.
 
 import numpy as np
 
+from starctr.data import Batch
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import Batch, build_model, star_layer_params
+from starctr.model import build_model, star_layer_params
 from starctr.optim import Adam
 from starctr.train import train_step
 

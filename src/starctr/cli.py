@@ -7,8 +7,9 @@ input files, the seed, the package, numpy and BLAS versions and
 ``train`` and ``ablation`` add ``config_hash``, the hash of the effective
 configuration after ``--set``.  The same inputs plus seed always produce
 byte-identical outputs.  Every path a command writes is checked before
-any input is read.  A training run that diverges exits 4, and one that
-trains no batch exits 3; neither writes the checkpoint or its log.
+any input is read, and one that is an input exits 2.  A training run that
+diverges exits 4, and one that trains no batch exits 3; neither writes the
+checkpoint or its log.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ def _blas_name() -> str | None:
         return None
 
 
-def _check_outputs(primary_output: str, *others: str):
+def _check_outputs(inputs: tuple[str, ...], primary_output: str,
+                   *others: str):
     """Before any input is read, raise the OSError that writing an output
     or the manifest would end in: the path is a directory, or its parent is
-    missing or not a directory."""
+    missing or not a directory; and a ConfigError for an output that is
+    one of the ``inputs``, which writing it would replace."""
     for path in (primary_output, *others, primary_output + ".manifest.json"):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
@@ -88,6 +91,10 @@ def _check_outputs(primary_output: str, *others: str):
         if not stat.S_ISDIR(os.stat(parent).st_mode):
             raise NotADirectoryError(errno.ENOTDIR,
                                      os.strerror(errno.ENOTDIR), parent)
+        for source in inputs:
+            if (os.path.exists(path) and os.path.exists(source)
+                    and os.path.samefile(path, source)):
+                raise ConfigError(f"output {path} is the input {source}")
 
 
 def _write_manifest(primary_output: str, command: str, seed,
@@ -110,7 +117,7 @@ def _write_manifest(primary_output: str, command: str, seed,
 
 
 def cmd_gen_data(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs((args.config,), args.out)
     config = load_gen_config(args.config)
     result = generate(config, args.out)
     _write_manifest(args.out, "gen-data", config.seed,
@@ -124,7 +131,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     log_path = args.checkpoint_out + ".log"
-    _check_outputs(args.checkpoint_out, log_path)
+    _check_outputs((args.config, args.data), args.checkpoint_out, log_path)
     config = load_experiment_config(args.config, _overrides(args.set))
     examples = read_dataset(args.data)
     log = io.StringIO()
@@ -143,7 +150,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     kv_path = args.report_out
     json_path = args.report_out + ".json"
-    _check_outputs(kv_path, json_path, *([args.svg] if args.svg else []))
+    _check_outputs((args.checkpoint, args.data), kv_path, json_path,
+                   *([args.svg] if args.svg else []))
     model = load_model(args.checkpoint)
     examples = read_dataset(args.data)
     report = evaluate_model(model, examples)
@@ -163,7 +171,9 @@ def cmd_eval(args) -> int:
 
 def cmd_ablation(args) -> int:
     if args.out:
-        _check_outputs(args.out)
+        _check_outputs((args.config, args.data,
+                        *([args.eval_data] if args.eval_data else [])),
+                       args.out)
     config = load_experiment_config(args.config, _overrides(args.set))
     examples = read_dataset(args.data)
     if args.eval_data:
@@ -188,7 +198,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    _check_outputs(args.folded_out)
+    _check_outputs((args.checkpoint,), args.folded_out)
     model = load_model(args.checkpoint)
     folded = fold(model)
     save_folded(folded, args.folded_out)
@@ -199,7 +209,7 @@ def cmd_fold(args) -> int:
 
 
 def cmd_score(args) -> int:
-    _check_outputs(args.predictions_out)
+    _check_outputs((args.folded, args.data), args.predictions_out)
     folded = load_folded(args.folded)
     summary = score_file(folded, args.data, args.predictions_out)
     _write_manifest(args.predictions_out, "score", None,

@@ -1,6 +1,6 @@
 """Examples in memory and on disk: the ``Example`` row, the columnar
-``Dataset``, the dataset text format, atomic file writes and the id checks
-against a model config's vocabularies.
+``Dataset`` and its one-domain ``Batch``, the dataset text format, atomic
+file writes and the id checks against a model config's vocabularies.
 
 The text format holds one example per line,
 
@@ -10,7 +10,7 @@ The text format holds one example per line,
 The id checks (``validate_ids``, ``check_rows``, ``clean_domain``) take any
 config with the vocabulary and domain counts of a ``config.ModelConfig``.
 ``first_outside`` is the one range check of ids and domains: they, the
-embedding tables and ``model.Batch`` all find their offender through it.
+embedding tables and ``Batch`` all find their offender through it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import os
 import re
 from contextlib import contextmanager
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ContractViolation, DataError, ParseError
 
 FIELDS = ("behavior", "profile", "item", "context")
 
@@ -123,6 +123,40 @@ class Dataset:
                        offsets - offsets[0], self.profile[start:stop],
                        self.item[start:stop], self.context[start:stop],
                        self.y[start:stop], self.p[start:stop])
+
+
+class Batch(Dataset):
+    """Rows of one domain, the unit of training and scoring; the labels
+    stay as given, and ``optim.bce_loss`` reads them as float64."""
+
+    __slots__ = ("domain", "size")
+
+    def __init__(self, rows: Dataset):
+        if len(rows) == 0:
+            raise ContractViolation("empty batch")
+        domain = int(rows.p[0])
+        if first_outside(rows.p, domain, domain + 1) >= 0:
+            raise ContractViolation(
+                f"mixed-domain batch: domains {np.unique(rows.p).tolist()}"
+            )
+        super().__init__(rows.behavior_flat, rows.behavior_offsets,
+                         rows.profile, rows.item, rows.context, rows.y, rows.p)
+        self.domain = domain
+        self.size = len(rows)
+
+    @classmethod
+    def from_examples(cls, rows: Sequence[Example]) -> "Batch":
+        """The batch of ``Example`` rows: a row entry point for callers that
+        hold rows, not columns."""
+        return cls(Dataset.from_examples(rows))
+
+    def fields(self):
+        """Each field's ``(name, flat ids, offsets)`` in ``FIELDS`` order:
+        row i's ids are ``flat_ids[offsets[i]:offsets[i + 1]]``; offsets
+        is None for a field of one id per row."""
+        yield FIELDS[0], self.behavior_flat, self.behavior_offsets
+        for name in FIELDS[1:]:
+            yield name, getattr(self, name), None
 
 
 def example_columns(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .data import Example
+from .data import Batch, Example
 from .layers import (Arena, EmbeddingTable, FcLayer, LayerNorm, Param,
                      PartitionedNorm)
-from .model import Batch, build_model
+from .model import build_model
 from .optim import bce_loss
 from .tensor import grad_check, make_rng
 

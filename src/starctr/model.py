@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import TRUNK_FACTORS, ModelConfig, field_vocabs
-from .data import FIELDS, Dataset, Example, first_outside
+from .data import FIELDS, Batch
 from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 from .layers import (
     Arena,
@@ -51,40 +51,6 @@ from .layers import (
     relu,
 )
 from .tensor import make_rng
-
-
-class Batch(Dataset):
-    """Rows of one domain, the unit of training and scoring; the labels
-    stay as given, and ``optim.bce_loss`` reads them as float64."""
-
-    __slots__ = ("domain", "size")
-
-    def __init__(self, rows: Dataset):
-        if len(rows) == 0:
-            raise ContractViolation("empty batch")
-        domain = int(rows.p[0])
-        if first_outside(rows.p, domain, domain + 1) >= 0:
-            raise ContractViolation(
-                f"mixed-domain batch: domains {np.unique(rows.p).tolist()}"
-            )
-        super().__init__(rows.behavior_flat, rows.behavior_offsets,
-                         rows.profile, rows.item, rows.context, rows.y, rows.p)
-        self.domain = domain
-        self.size = len(rows)
-
-    @classmethod
-    def from_examples(cls, rows: Sequence[Example]) -> "Batch":
-        """The batch of ``Example`` rows: a row entry point for callers that
-        hold rows, not columns."""
-        return cls(Dataset.from_examples(rows))
-
-    def fields(self):
-        """Each field's ``(name, flat ids, offsets)`` in ``FIELDS`` order:
-        row i's ids are ``flat_ids[offsets[i]:offsets[i + 1]]``; offsets
-        is None for a field of one id per row."""
-        yield FIELDS[0], self.behavior_flat, self.behavior_offsets
-        for name in FIELDS[1:]:
-            yield name, getattr(self, name), None
 
 
 def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:

@@ -14,9 +14,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Batch, Dataset
 from .errors import ConfigError
-from .model import Batch
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 

@@ -30,13 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import pack, unpack
 from .config import ModelConfig, field_vocabs
-from .data import (Dataset, Example, atomic_open, check_rows, clean_domain,
-                   example_columns, read_dataset, validate_ids, write_atomic)
+from .container import pack, unpack
+from .data import (Batch, Dataset, Example, atomic_open, check_rows,
+                   clean_domain, example_columns, read_dataset, validate_ids,
+                   write_atomic)
 from .errors import DataError, FoldError
 from .layers import mean_pool, relu, sigmoid, standardize
-from .model import Batch
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 # Most rows of one domain a scorer passes to one call of the folded kernel.
@@ -241,8 +241,8 @@ def _line_numbers(path: str, rows: list[int]) -> list[int]:
         return [lineno for row, lineno in enumerate(nonblank) if row in wanted]
 
 
-# The folded model file is the container of ``checkpoint.py`` with
-# ``kind="folded"``; its module docstring names every tensor.
+# The folded model file is the tensor container (``container``) with
+# ``kind="folded"``; that module's docstring names every tensor.
 def save_folded(folded: FoldedModel, path: str):
     tensors = {f"embed.{name}": w for name, w in folded.embeddings.items()}
     for p, dom in enumerate(folded.domains, start=1):

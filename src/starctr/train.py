@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .config import ExperimentConfig, with_overrides
-from .data import Dataset, check_rows
+from .data import Batch, Dataset, check_rows
 from .errors import ConfigError, DataError, NumericError
 from .metrics import (MetricReport, PredictionColumns, auc_or_none,
                       build_report)
-from .model import Batch, build_model
+from .model import build_model
 from .optim import Adam, bce_loss
 from .pipeline import ShuffleBuffer, stream_batches
 from .serve import score_with_model

@@ -1,5 +1,5 @@
 """Edit the parts of a model or folded-model file, as laid out in the
-``starctr.checkpoint`` docstring, without going through the package's
+``starctr.container`` docstring, without going through the package's
 writer: the tests use it to build files the reader must reject."""
 
 import hashlib

@@ -11,11 +11,10 @@ out-of-range mask per column (for the checks through ``first_outside``)."""
 
 import numpy as np
 
-from starctr.data import Dataset, format_example, validate_ids
+from starctr.data import Batch, Dataset, format_example, validate_ids
 from starctr.datagen import GenConfig, GenResult, GroundTruth, _domain_cum_probs
 from starctr.errors import CalibrationError, DataError
 from starctr.layers import mean_pool, sigmoid
-from starctr.model import Batch
 from starctr.tensor import make_rng
 
 

@@ -1,6 +1,7 @@
 """The public API: every exported name, every benchmark span, every
-benchmark import and every README import resolves, and the package's
-modules import in layers, in the source and at run time.
+benchmark import and every README import resolves, the package's modules
+import in layers, in the source and at run time, and every name a module
+imports is used.
 
 An export left behind for a deleted symbol fails here rather than in a
 user's import, and a renamed function that the benchmark traces or imports
@@ -117,6 +118,7 @@ def test_modules_import_in_layers():
     assert graph["config"] <= {"errors"}
     assert graph["data"] <= {"errors"}
     assert graph["layers"] <= {"errors", "data"}
+    assert graph["container"] <= {"config", "errors"}
     assert graph["__init__"] == set()
     assert {name for name, deps in graph.items() if "datagen" in deps} == {
         "cli"}
@@ -125,6 +127,13 @@ def test_modules_import_in_layers():
     assert _closure(graph, "data") == {"data", "errors"}
     assert _closure(graph, "datagen") == {"datagen", "config", "data",
                                           "layers", "tensor", "errors"}
+    # Serving loads no training code, and the batch stream no model.
+    assert _closure(graph, "serve").isdisjoint({
+        "model", "checkpoint", "tensor", "optim", "pipeline", "train",
+        "gradcheck", "metrics", "datagen"})
+    assert _closure(graph, "serve") == {"serve", "container", "config",
+                                        "data", "errors", "layers"}
+    assert _closure(graph, "pipeline") == {"pipeline", "data", "errors"}
     done, path = set(), []
 
     def visit(name):
@@ -140,7 +149,8 @@ def test_modules_import_in_layers():
         visit(name)
 
 
-@pytest.mark.parametrize("module", ["data", "config", "datagen", "serve"])
+@pytest.mark.parametrize("module", ["data", "config", "datagen", "serve",
+                                    "pipeline", "checkpoint", "container"])
 def test_import_loads_only_what_the_module_imports(module):
     """In a fresh interpreter, importing a module loads the package root and
     that module's closure in the import graph, nothing more."""
@@ -153,6 +163,29 @@ def test_import_loads_only_what_the_module_imports(module):
         capture_output=True, text=True, timeout=60).stdout.split()
     assert set(loaded) == {"starctr"} | {
         f"starctr.{name}" for name in _closure(_package_imports(), module)}
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at its top level is used in that module,
+    unless its import is marked ``# noqa: F401`` (a re-export)."""
+    unused = []
+    for path in sorted((ROOT / "src" / "starctr").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line
+                           in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}"
+                       for alias in node.names
+                       if (name := (alias.asname or alias.name
+                                    ).partition(".")[0]) not in used]
+    assert unused == []
 
 
 def _readme_python_blocks() -> list[str]:

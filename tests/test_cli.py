@@ -16,7 +16,7 @@ from container_bytes import (
     header_length_past_eof,
     set_config,
 )
-from starctr import checkpoint, cli
+from starctr import checkpoint, cli, container
 from starctr.cli import main
 from starctr.config import config_hash, parse_experiment_config
 from starctr.datagen import default_gen_config, format_gen_config
@@ -561,6 +561,52 @@ def test_unwritable_output_exits_3_before_reading_input(workspace, tmp_path,
     assert sorted(tmp_path.iterdir()) == before
 
 
+# Each writing command with an output (first) that is one of its inputs
+# (second), as the files are named in ``tmp``; gen.manifest.json is a copy
+# of the generator config.
+OUTPUT_IS_INPUT = [
+    (["gen-data", "gen.cfg", "gen.cfg"], "gen.cfg", "gen.cfg"),
+    (["gen-data", "gen.manifest.json", "gen"], "gen.manifest.json",
+     "gen.manifest.json"),
+    (["train", "exp.cfg", "train.tsv", "train.tsv"], "train.tsv",
+     "train.tsv"),
+    (["eval", "model.ckpt", "train.tsv", "model.ckpt"], "model.ckpt",
+     "model.ckpt"),
+    (["eval", "model.ckpt", "train.tsv", "out", "--svg", "train.tsv"],
+     "train.tsv", "train.tsv"),
+    (["ablation", "exp.cfg", "train.tsv", "--out", "exp.cfg"], "exp.cfg",
+     "exp.cfg"),
+    (["ablation", "exp.cfg", "train.tsv", "--eval-data", "gen.cfg", "--out",
+      "gen.cfg"], "gen.cfg", "gen.cfg"),
+    (["fold", "model.ckpt", "./model.ckpt"], "./model.ckpt", "model.ckpt"),
+    (["score", "m.fold", "train.tsv", "m.fold"], "m.fold", "m.fold"),
+]
+
+
+@pytest.mark.parametrize("argv,output,source", OUTPUT_IS_INPUT,
+                         ids=[f"{argv[0]}-{output}"
+                              for argv, output, source in OUTPUT_IS_INPUT])
+def test_output_that_is_an_input_exits_2(workspace, tmp_path, capsys, argv,
+                                         output, source):
+    """Writing would replace the input, so nothing is read or written."""
+    _, gen_config, exp_config, data, ckpt = workspace
+    assert main(["fold", str(ckpt), str(tmp_path / "m.fold")]) == 0
+    for name, path in (("gen.cfg", gen_config), ("gen.manifest.json",
+                                                 gen_config),
+                       ("exp.cfg", exp_config), ("train.tsv", data),
+                       ("model.ckpt", ckpt)):
+        (tmp_path / name).write_bytes(path.read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([argv[0]] + [arg if arg.startswith("-") else
+                             os.path.join(tmp_path, arg)
+                             for arg in argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output {os.path.join(tmp_path, output)} is the "
+        f"input {os.path.join(tmp_path, source)}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_gen_data_to_a_directory_generates_nothing(workspace, tmp_path,
                                                   capsys, monkeypatch):
     _, gen_config, _, _, _ = workspace
@@ -627,7 +673,7 @@ def test_bn_checkpoint_of_the_old_layout_exits_2(workspace, tmp_path,
     for name in ("bn.moving_mean", "bn.moving_var", "bn.populated"):
         tensors[name] = tensors[name][0]
     old = tmp_path / "old_bn.ckpt"
-    old.write_bytes(checkpoint.pack("model", model.config, tensors))
+    old.write_bytes(container.pack("model", model.config, tensors))
     with pytest.raises(CheckpointError, match=r"bn\.moving_mean: shape \[16\]"):
         checkpoint.load_model(str(old))
     capsys.readouterr()

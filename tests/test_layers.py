@@ -399,8 +399,7 @@ class TestPartitionedNorm:
         assert diff > 0.0
 
     def test_mixed_domain_enforced_at_batch_level(self):
-        from starctr.data import Example
-        from starctr.model import Batch
+        from starctr.data import Batch, Example
         examples = [
             Example((1,), 0, 0, 0, 0, 1),
             Example((2,), 1, 1, 1, 1, 2),

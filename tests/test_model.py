@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from starctr.data import Batch
 from starctr.errors import (ConfigError, ContractViolation, DomainError,
                             ShapeError)
 from starctr.gradcheck import check_model, random_examples, tiny_model_config
 from starctr.layers import relu, sigmoid
 from starctr.model import (
-    Batch,
     build_model,
     embed_and_pool,
     star_layer_params,

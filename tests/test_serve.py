@@ -7,10 +7,10 @@ import pytest
 from starctr import serve
 from starctr.checkpoint import serialize
 from starctr.config import NORMALIZERS, VARIANTS, ModelConfig
-from starctr.data import Dataset, Example, check_rows, write_dataset
+from starctr.data import Batch, Dataset, Example, check_rows, write_dataset
 from starctr.errors import DataError, FoldError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.model import Batch, build_model
+from starctr.model import build_model
 from starctr.serve import (
     fold,
     load_folded,
@@ -264,7 +264,7 @@ def previous_layout_tensors(model):
 ], ids=["pn-aux_on", "ln-aux_off"])
 def test_previous_folded_layout_exits_2(tmp_path, capsys, normalizer, aux,
                                         unknown):
-    from starctr.checkpoint import pack
+    from starctr.container import pack
     from starctr.cli import main
 
     model = small_trained_model(normalizer, aux, num_domains=2)
