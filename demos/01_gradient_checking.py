@@ -4,8 +4,7 @@ All gradients are hand-derived (there is no autodiff here), so each layer and
 each full model is checked against (f(theta + h) - f(theta - h)) / 2h.
 """
 
-from starctr.gradcheck import run_all
-from starctr.tensor import grad_check
+from starctr.gradcheck import grad_check, run_all
 
 import numpy as np
 

@@ -9,7 +9,7 @@ configuration after ``--set``.  The same inputs plus seed always produce
 byte-identical outputs.  Every path a command writes is checked before
 any input is read, and one that is an input exits 2.  A training run that
 diverges exits 4, and one that trains no batch exits 3; neither writes the
-checkpoint or its log.
+checkpoint or its log.  Each ``cmd_*`` imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ import sys
 import numpy as np
 
 from . import BLAS_THREADS, __version__
-from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, config_hash, load_experiment_config
-from .data import read_dataset, write_atomic
-from .datagen import generate, load_gen_config
+from .data import write_atomic
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -38,10 +36,6 @@ from .errors import (
     NumericError,
     StarError,
 )
-from .gradcheck import check_model, run_all, tiny_model_config
-from .metrics import pcoc_scatter_svg
-from .serve import fold, load_folded, save_folded, score_file
-from .train import evaluate_model, run_ablation, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,6 +111,7 @@ def _write_manifest(primary_output: str, command: str, seed,
 
 
 def cmd_gen_data(args) -> int:
+    from .datagen import generate, load_gen_config
     _check_outputs((args.config,), args.out)
     config = load_gen_config(args.config)
     result = generate(config, args.out)
@@ -130,6 +125,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .checkpoint import save_model
+    from .data import read_dataset
+    from .train import train_model
     log_path = args.checkpoint_out + ".log"
     _check_outputs((args.config, args.data), args.checkpoint_out, log_path)
     config = load_experiment_config(args.config, _overrides(args.set))
@@ -148,6 +146,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .checkpoint import load_model
+    from .data import read_dataset
+    from .metrics import pcoc_scatter_svg
+    from .train import evaluate_model
     kv_path = args.report_out
     json_path = args.report_out + ".json"
     _check_outputs((args.checkpoint, args.data), kv_path, json_path,
@@ -170,6 +172,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    from .data import read_dataset
+    from .train import run_ablation
     if args.out:
         _check_outputs((args.config, args.data,
                         *([args.eval_data] if args.eval_data else [])),
@@ -198,6 +202,8 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_fold(args) -> int:
+    from .checkpoint import load_model
+    from .serve import fold, save_folded
     _check_outputs((args.checkpoint,), args.folded_out)
     model = load_model(args.checkpoint)
     folded = fold(model)
@@ -209,6 +215,7 @@ def cmd_fold(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .serve import load_folded, score_file
     _check_outputs((args.folded, args.data), args.predictions_out)
     folded = load_folded(args.folded)
     summary = score_file(folded, args.data, args.predictions_out)
@@ -222,6 +229,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .gradcheck import check_model, run_all, tiny_model_config
+    if args.set and not args.config:
+        raise ConfigError("--set needs a config file to apply to")
     config = (load_experiment_config(args.config, _overrides(args.set))
               if args.config else None)
     results = run_all()

@@ -32,8 +32,7 @@ from .data import Dataset, _flat_rows, write_dataset
 # perfbench traces these as datagen.<name> and imports read_dataset from here.
 from .data import parse_example, read_dataset, validate_ids  # noqa: F401
 from .errors import CalibrationError, ConfigError
-from .layers import mean_pool, sigmoid
-from .tensor import make_rng
+from .tensor import make_rng, mean_pool, sigmoid
 
 
 @dataclass
@@ -218,7 +217,7 @@ def _calibrate_bias(raw_logits: np.ndarray, target: float) -> float:
     nonneg = np.empty(raw_logits.shape, dtype=bool)
 
     def mean_sigmoid(bias: float) -> float:
-        # layers.sigmoid's arithmetic in these buffers: e = exp(-|x|), then
+        # tensor.sigmoid's arithmetic in these buffers: e = exp(-|x|), then
         # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere.
         np.add(raw_logits, bias, out=x)
         np.greater_equal(x, 0, out=nonneg)

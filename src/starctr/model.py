@@ -48,9 +48,8 @@ from .layers import (
     LayerNorm,
     Param,
     PartitionedNorm,
-    relu,
 )
-from .tensor import make_rng
+from .tensor import make_rng, relu
 
 
 def make_tables(config: ModelConfig) -> dict[str, EmbeddingTable]:

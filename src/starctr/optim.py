@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation, DataError
-from .layers import Arena, EmbeddingTable, sigmoid
+from .layers import Arena, EmbeddingTable
+from .tensor import sigmoid
 
 BETA1 = 0.9
 BETA2 = 0.999

@@ -5,7 +5,7 @@ domain: the trunk's factors fuse into each domain's layers, and what
 depends only on the domain folds into them.  The frozen bn/pn affine
 ``z * scale_p + shift_p``, or ln's ``gamma`` and ``beta``, folds into the
 first layer as ``(scale[:, None] * W0, shift @ W0 + b0)``, so only ln's row
-standardization (``layers.standardize``) runs at serving.  A feature-free
+standardization (``tensor.standardize``) runs at serving.  A feature-free
 aux net's output, one constant per domain, folds into the last bias; an
 aux net over the features stays a two-layer network over the raw pooled
 features, its domain embedding folded into its first bias.  Folded
@@ -36,7 +36,7 @@ from .data import (Batch, Dataset, Example, atomic_open, check_rows,
                    clean_domain, example_columns, read_dataset, validate_ids,
                    write_atomic)
 from .errors import DataError, FoldError
-from .layers import mean_pool, relu, sigmoid, standardize
+from .tensor import mean_pool, relu, sigmoid, standardize
 
 _PRED_FMT = "{user}\t{p}\t{yhat:.17g}\t{y}\n"
 # Most rows of one domain a scorer passes to one call of the folded kernel.

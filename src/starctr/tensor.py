@@ -1,19 +1,16 @@
-"""The seeded generator and the central-difference gradient checker.
+"""The seeded generator and the array kernels of the package.
 
 ``make_rng(seed, stream)`` is the generator every draw in the package comes
-from, so a seed reproduces every experiment.  ``grad_check`` compares an
-analytic gradient with central differences of a function of a flat float64
-vector; ``gradcheck`` runs it over a parameter arena for every hand-derived
-backward pass.
+from, so a seed reproduces every experiment.  ``relu``, the stable
+``sigmoid``, ``mean_pool`` (over ``_segment_sum``) and ``standardize`` are
+plain functions of arrays that the layers, folded serving and the data
+generator share; this module imports nothing of the package, so serving and
+the generator load no training layer.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
-
-from .errors import NumericError, ShapeError
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -25,41 +22,70 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox([int(seed), int(stream)]))
 
 
-def grad_check(
-    f: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    analytic_grad: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between an analytic gradient and central differences.
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
-    For each coordinate i the numeric gradient is
-    ``(f(theta + h e_i) - f(theta - h e_i)) / (2 h)`` and the reported error is
-    ``max_i |g_a[i] - g_n[i]| / max(1, |g_a[i]| + |g_n[i]|)``.
 
-    ``f`` must be a pure function of ``theta``; it is evaluated 2 * len(theta)
-    times on perturbed copies.
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function: ``1 / (1 + e)`` where x >= 0
+    and ``e / (1 + e)`` elsewhere, with ``e = exp(-|x|)``, so no exp
+    overflows.  Both branches are computed for every value and ``np.where``
+    picks one, which is cheaper than masking the input.  A caller that
+    already holds ``exp(-|x|)`` passes it as ``e``."""
+    x = np.asarray(x, dtype=np.float64)
+    if e is None:
+        e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _segment_sum(segments: np.ndarray, values: np.ndarray,
+                 num_segments: int) -> np.ndarray:
+    """Sum the rows of ``values`` (n, dim) into ``num_segments`` rows by
+    ``segments`` (n,).
+
+    One ``np.bincount`` over cell ids ``segment * dim + col``: each cell
+    starts at 0.0 and adds its values in input order.  That is the order of
+    numpy's unbuffered scatter-add (``ufunc.at`` on ``np.add``), so the
+    result is bitwise equal to that scatter into zeros.
     """
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
-    if theta.shape != analytic_grad.shape:
-        raise ShapeError(
-            f"grad_check: theta {theta.shape} vs gradient {analytic_grad.shape}"
-        )
-    worst = 0.0
-    work = theta.copy()
-    for i in range(theta.size):
-        orig = work[i]
-        work[i] = orig + h
-        f_plus = float(f(work))
-        work[i] = orig - h
-        f_minus = float(f(work))
-        work[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"grad_check: non-finite f at coordinate {i}")
-        g_n = (f_plus - f_minus) / (2.0 * h)
-        g_a = analytic_grad[i]
-        err = abs(g_a - g_n) / max(1.0, abs(g_a) + abs(g_n))
-        if err > worst:
-            worst = err
-    return worst
+    dim = values.shape[1]
+    cells = np.arange(num_segments * dim).reshape(num_segments, dim)
+    cells = cells.take(segments, axis=0)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(),
+                       minlength=num_segments * dim)
+    # bincount of an empty input is int64 whatever the weights.
+    return sums.astype(np.float64, copy=False).reshape(num_segments, dim)
+
+
+def mean_pool(weights: np.ndarray, flat_ids: np.ndarray,
+              counts: np.ndarray | None) -> np.ndarray:
+    """Mean of ``weights`` rows over consecutive slices of ``flat_ids``, one
+    slice of ``counts[i]`` ids per output row; an empty slice pools to zeros.
+    ``counts=None`` means one id per row.
+
+    The one pooling routine of the package: training, folded serving and the
+    data generator all call it.  Sums run in occurrence order from 0.0 and
+    are then divided by the count, so the result is bitwise equal to an
+    unbuffered scatter-add (``ufunc.at`` on ``np.add``) into zeros followed
+    by the same division.  Ids are not checked: numpy wraps negative ones.
+    """
+    if counts is None:
+        return weights.take(flat_ids, axis=0)
+    owner = np.repeat(np.arange(counts.size), counts)
+    out = _segment_sum(owner, weights.take(flat_ids, axis=0), counts.size)
+    out /= np.maximum(counts, 1)[:, None]
+    return out
+
+
+def standardize(z: np.ndarray, epsilon: float, axis: int):
+    """``(z - mean) * inv`` with ``inv = 1 / sqrt(var + epsilon)``, the
+    moments taken along ``axis``: 0 standardizes each column by the batch
+    (bn, pn), 1 each row by its features (ln).
+
+    Returns ``(xhat, mean, var, inv)``; the moments keep ``axis``."""
+    mu = z.mean(axis=axis, keepdims=True)
+    diff = z - mu
+    var = np.mean(diff * diff, axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + epsilon)
+    return diff * inv, mu, var, inv

@@ -14,8 +14,7 @@ import numpy as np
 from starctr.data import Batch, Dataset, format_example, validate_ids
 from starctr.datagen import GenConfig, GenResult, GroundTruth, _domain_cum_probs
 from starctr.errors import CalibrationError, DataError
-from starctr.layers import mean_pool, sigmoid
-from starctr.tensor import make_rng
+from starctr.tensor import make_rng, mean_pool, sigmoid
 
 
 def reference_check_ids(table, flat_ids):
@@ -103,7 +102,7 @@ def reference_backward(table, upstream):
 
 
 def reference_mean_pool(weights, flat_ids, counts):
-    """``layers.mean_pool`` by ``np.add.at`` into zeros for every slice
+    """``tensor.mean_pool`` by ``np.add.at`` into zeros for every slice
     length, one-id slices included (the folded scorer used to gather those
     rows directly; both give the same bits); ``counts=None`` means one id
     per row."""
@@ -117,7 +116,7 @@ def reference_mean_pool(weights, flat_ids, counts):
 
 
 def reference_sigmoid(x):
-    """``layers.sigmoid`` as a boolean-mask split of the input."""
+    """``tensor.sigmoid`` as a boolean-mask split of the input."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0

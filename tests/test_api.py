@@ -117,7 +117,8 @@ def test_modules_import_in_layers():
     graph = _package_imports()
     assert graph["config"] <= {"errors"}
     assert graph["data"] <= {"errors"}
-    assert graph["layers"] <= {"errors", "data"}
+    assert graph["tensor"] == set()
+    assert graph["layers"] <= {"errors", "data", "tensor"}
     assert graph["container"] <= {"config", "errors"}
     assert graph["__init__"] == set()
     assert {name for name, deps in graph.items() if "datagen" in deps} == {
@@ -126,13 +127,13 @@ def test_modules_import_in_layers():
         "cli"}
     assert _closure(graph, "data") == {"data", "errors"}
     assert _closure(graph, "datagen") == {"datagen", "config", "data",
-                                          "layers", "tensor", "errors"}
+                                          "tensor", "errors"}
     # Serving loads no training code, and the batch stream no model.
     assert _closure(graph, "serve").isdisjoint({
-        "model", "checkpoint", "tensor", "optim", "pipeline", "train",
+        "layers", "model", "checkpoint", "optim", "pipeline", "train",
         "gradcheck", "metrics", "datagen"})
     assert _closure(graph, "serve") == {"serve", "container", "config",
-                                        "data", "errors", "layers"}
+                                        "data", "errors", "tensor"}
     assert _closure(graph, "pipeline") == {"pipeline", "data", "errors"}
     done, path = set(), []
 
@@ -150,7 +151,8 @@ def test_modules_import_in_layers():
 
 
 @pytest.mark.parametrize("module", ["data", "config", "datagen", "serve",
-                                    "pipeline", "checkpoint", "container"])
+                                    "pipeline", "checkpoint", "container",
+                                    "tensor", "layers", "gradcheck", "train"])
 def test_import_loads_only_what_the_module_imports(module):
     """In a fresh interpreter, importing a module loads the package root and
     that module's closure in the import graph, nothing more."""
@@ -165,26 +167,104 @@ def test_import_loads_only_what_the_module_imports(module):
         f"starctr.{name}" for name in _closure(_package_imports(), module)}
 
 
+def _command_imports() -> dict[str, set[str]]:
+    """Each ``cmd_*`` of ``cli`` and the package modules it runs with: its
+    own imports and those at the top of ``cli`` (``__init__`` for a name
+    ``from . import`` takes)."""
+    tree = ast.parse((ROOT / "src" / "starctr" / "cli.py").read_text(
+        encoding="utf-8"))
+
+    def imported(body):
+        return {node.module or "__init__" for node in body
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+    return {node.name: imported(tree.body) | imported(node.body)
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("cmd_")}
+
+
+# Every CLI command, on a workspace the commands before it build.
+COMMANDS = [
+    ["gen-data", "gen.cfg", "train.tsv"],
+    ["train", "exp.cfg", "train.tsv", "m.ckpt"],
+    ["eval", "m.ckpt", "train.tsv", "report.txt"],
+    ["ablation", "exp.cfg", "train.tsv"],
+    ["fold", "m.ckpt", "m.fold"],
+    ["score", "m.fold", "train.tsv", "predictions.tsv"],
+    ["gradcheck"],
+]
+
+
+def test_each_command_loads_only_what_it_imports(tmp_path):
+    """In a fresh interpreter, a command loads the package root, ``cli`` and
+    the closure of the modules its ``cmd_*`` runs with, nothing more; so
+    ``score`` and ``gen-data`` load no layer and no model."""
+    from starctr.datagen import default_gen_config, format_gen_config
+
+    (tmp_path / "gen.cfg").write_text(format_gen_config(default_gen_config(
+        num_domains=3, seed=11, n_examples=1_000, vocab_items=300,
+        vocab_profiles=120, vocab_contexts=12)))
+    (tmp_path / "exp.cfg").write_text(
+        "domains=3\nvocab_items=300\nvocab_profiles=120\nvocab_contexts=12\n"
+        "layers=16,8,1\nembed_dim=4\naux_embed_dim=4\naux_hidden=6\n"
+        "batch_size=128\nepochs=1\nseed=0\n")
+    runner = ("import sys\n"
+              "from starctr.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(*(name for name in sys.modules\n"
+              "        if name.partition('.')[0] == 'starctr'),\n"
+              "      file=sys.stderr)\n"
+              "sys.exit(code)\n")
+
+    def start(argv):
+        return subprocess.Popen(
+            [sys.executable, "-c", runner, *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+    # gradcheck reads no file, so it runs alongside the others.
+    running = {"gradcheck": start(["gradcheck"])}
+    loaded = {}
+    for argv in COMMANDS:
+        proc = running.get(argv[0]) or start(argv)
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 0, err
+        loaded[argv[0]] = set(err.split())
+    graph = _package_imports()
+    commands = {name[4:].replace("_", "-"): modules
+                for name, modules in _command_imports().items()}
+    assert commands.keys() == loaded.keys()
+    for command, modules in commands.items():
+        closure = set().union(*(_closure(graph, m) for m in modules))
+        assert loaded[command] == {"starctr", "starctr.cli"} | {
+            f"starctr.{m}" for m in closure - {"__init__"}}, command
+    for command in ("score", "gen-data"):
+        assert loaded[command].isdisjoint({"starctr.layers", "starctr.model"})
+
+
 def test_every_module_level_import_is_used():
-    """A name a module imports at its top level is used in that module,
-    unless its import is marked ``# noqa: F401`` (a re-export)."""
+    """A name a module imports at its top level is used in that module, and
+    one a function imports is used in that function, unless its import is
+    marked ``# noqa: F401`` (a re-export)."""
     unused = []
     for path in sorted((ROOT / "src" / "starctr").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         tree = ast.parse(text)
-        used = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if (not isinstance(node, (ast.Import, ast.ImportFrom))
-                    or getattr(node, "module", None) == "__future__"
-                    or any("# noqa: F401" in line for line
-                           in lines[node.lineno - 1:node.end_lineno])):
-                continue
-            unused += [f"{path.name}:{node.lineno} {name}"
-                       for alias in node.names
-                       if (name := (alias.asname or alias.name
-                                    ).partition(".")[0]) not in used]
+        for scope in [tree] + [node for node in ast.walk(tree)
+                               if isinstance(node, ast.FunctionDef)]:
+            used = {node.id for node in ast.walk(scope)
+                    if isinstance(node, ast.Name)}
+            for node in scope.body:
+                if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                        or getattr(node, "module", None) == "__future__"
+                        or any("# noqa: F401" in line for line
+                               in lines[node.lineno - 1:node.end_lineno])):
+                    continue
+                unused += [f"{path.name}:{node.lineno} {name}"
+                           for alias in node.names
+                           if (name := (alias.asname or alias.name
+                                        ).partition(".")[0]) not in used]
     assert unused == []
 
 

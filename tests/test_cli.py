@@ -16,7 +16,7 @@ from container_bytes import (
     header_length_past_eof,
     set_config,
 )
-from starctr import checkpoint, cli, container
+from starctr import checkpoint, container
 from starctr.cli import main
 from starctr.config import config_hash, parse_experiment_config
 from starctr.datagen import default_gen_config, format_gen_config
@@ -550,9 +550,10 @@ def test_unwritable_output_exits_3_before_reading_input(workspace, tmp_path,
     def read_input(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for reader in ("load_gen_config", "load_experiment_config",
-                   "read_dataset", "load_model", "load_folded"):
-        monkeypatch.setattr(f"starctr.cli.{reader}", read_input)
+    for reader in ("datagen.load_gen_config", "cli.load_experiment_config",
+                   "data.read_dataset", "checkpoint.load_model",
+                   "serve.load_folded"):
+        monkeypatch.setattr(f"starctr.{reader}", read_input)
     capsys.readouterr()
     assert main([str(paths.get(arg, arg)) for arg in argv]) == 3
     err = capsys.readouterr().err
@@ -632,7 +633,7 @@ def test_train_to_a_directory_reads_no_data(workspace, tmp_path, capsys,
     out = tmp_path / "m.ckpt"
     out.mkdir()
     reads = []
-    monkeypatch.setattr("starctr.cli.read_dataset", reads.append)
+    monkeypatch.setattr("starctr.data.read_dataset", reads.append)
     assert main(["train", str(exp_config), str(data), str(out)]) == 3
     assert reads == []
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
@@ -760,13 +761,27 @@ def test_gradcheck_exits_0(capsys, monkeypatch, gradient_checks):
     """One line per check of ``run_all``; the session's sweep stands in for
     a second one."""
     results, _ = gradient_checks
-    monkeypatch.setattr(cli, "run_all", lambda: dict(results))
+    monkeypatch.setattr("starctr.gradcheck.run_all", lambda: dict(results))
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert ([line.split("\t")[0] for line in out.splitlines()]
             == sorted(results))
     assert "ok" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("pairs", [["variant=nonsense"], ["=bad"],
+                                   ["variant=nonsense", "=bad"]])
+def test_gradcheck_set_without_config_exits_2(capsys, monkeypatch, pairs):
+    """``--set`` changes a config file, so with none it is an error rather
+    than ignored, and no check runs."""
+    monkeypatch.setattr("starctr.gradcheck.run_all",
+                        lambda: pytest.fail("the checks ran"))
+    capsys.readouterr()
+    assert main(["gradcheck"] + [arg for pair in pairs
+                                 for arg in ("--set", pair)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: --set needs a config file to apply to\n")
 
 
 def test_ablation_ten_rows(workspace, tmp_path, capsys):

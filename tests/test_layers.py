@@ -22,9 +22,8 @@ from starctr.layers import (
     FcLayer,
     LayerNorm,
     PartitionedNorm,
-    sigmoid,
 )
-from starctr.tensor import make_rng
+from starctr.tensor import make_rng, sigmoid
 
 from reference_kernels import reference_backward, reference_pool, reference_sigmoid
 

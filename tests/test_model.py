@@ -7,14 +7,13 @@ from starctr.data import Batch
 from starctr.errors import (ConfigError, ContractViolation, DomainError,
                             ShapeError)
 from starctr.gradcheck import check_model, random_examples, tiny_model_config
-from starctr.layers import relu, sigmoid
 from starctr.model import (
     build_model,
     embed_and_pool,
     star_layer_params,
 )
 from starctr.optim import Adam, bce_loss
-from starctr.tensor import make_rng
+from starctr.tensor import make_rng, relu, sigmoid
 from starctr.train import train_step
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from starctr.errors import ContractViolation, DataError, DomainError
 from starctr.gradcheck import random_examples, tiny_model_config
-from starctr.layers import Arena, EmbeddingTable, Param, sigmoid
+from starctr.layers import Arena, EmbeddingTable, Param
 from starctr.model import build_model
 from starctr.optim import Adam, bce_loss
-from starctr.tensor import make_rng
+from starctr.tensor import make_rng, sigmoid
 from starctr.train import train_step
 
 from reference_kernels import ReferenceAdam, arena_slice

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from starctr.errors import NumericError, ShapeError
-from starctr.layers import sigmoid
+from starctr.gradcheck import grad_check
 from starctr.model import star_layer_params
-from starctr.tensor import grad_check, make_rng
+from starctr.tensor import make_rng, sigmoid
 
 
 # The element-wise product and sum of the star fusion live in
